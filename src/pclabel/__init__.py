@@ -39,7 +39,12 @@ from .stlp import (
     stlp_round,
     stlp_run,
 )
-from .superpoint import SuperpointPartition, oversegment, partition_stats
+from .superpoint import (
+    SuperpointParams,
+    SuperpointPartition,
+    oversegment,
+    partition_stats,
+)
 from .synth import (
     LogitNoiseSpec,
     SceneSpec,
@@ -53,7 +58,6 @@ from .benchmark import (
     BENCHMARK_PRESETS,
     STANDARD_SEEDS,
     BenchmarkPreset,
-    SuperpointParams,
     eval_scan,
     get_benchmark,
     label_scan,
@@ -70,7 +74,7 @@ __all__ = [
     "project_point", "aggregate_views", "compute_logits",
     "apply_scene_mask", "rank_to_pseudo_labels",
     "pseudo_labels_from_logits", "pseudo_labels_from_views",
-    "SuperpointPartition", "oversegment", "partition_stats",
+    "SuperpointParams", "SuperpointPartition", "oversegment", "partition_stats",
     "RefineParams", "calr", "galr", "refine_pipeline",
     "PointClassifier", "KnnClassifier", "StlpConfig",
     "label_update", "stlp_round", "stlp_run", "infer",
@@ -78,7 +82,7 @@ __all__ = [
     "confidence_bins", "labeled_rate", "metrics_report",
     "SceneSpec", "LogitNoiseSpec", "ViewRingSpec",
     "generate_scene", "corrupt_logits", "render_views", "one_hot",
-    "BenchmarkPreset", "SuperpointParams", "BENCHMARK_PRESETS",
+    "BenchmarkPreset", "BENCHMARK_PRESETS",
     "STANDARD_SEEDS", "get_benchmark", "label_scan", "eval_scan",
     "run_benchmark",
     "__version__",

@@ -18,11 +18,11 @@ import numpy as np
 
 from .labels import LabelField
 from .metrics import labeled_rate, metrics_report
-from .pointcloud import PointCloud, build_index, estimate_normals
+from .pointcloud import PointCloud
 from .projection import pseudo_labels_from_views
 from .refine import RefineParams, refine_pipeline
 from .stlp import StlpConfig, infer, stlp_run
-from .superpoint import SuperpointPartition, oversegment
+from .superpoint import SuperpointParams, SuperpointPartition, partition_cloud
 from .synth import (
     LogitNoiseSpec,
     SceneSpec,
@@ -34,16 +34,6 @@ from .synth import (
 
 # Seeds the committed calibration runs iterate over.
 STANDARD_SEEDS = (0, 1, 2, 3, 4)
-
-
-@dataclass(frozen=True)
-class SuperpointParams:
-    """Arguments of the over-segmentation stage."""
-
-    angle_threshold: float = 15.0
-    adjacency_k: int = 10
-    min_size: int = 20
-    normals_k: int = 16
 
 
 @dataclass(frozen=True)
@@ -145,12 +135,7 @@ class EvalScan:
 def label_scan(preset: BenchmarkPreset, seed: int) -> LabelingRun:
     """Scan A end to end: synthesize, back-project, rank, refine."""
     cloud, gt, scene_mask, _ = generate_scene(preset.scene_for(seed))
-    index = build_index(cloud)
-    sp = preset.train_superpoints
-    normals = estimate_normals(cloud, index, sp.normals_k)
-    partition = oversegment(
-        cloud, normals, index, sp.angle_threshold, sp.adjacency_k, sp.min_size
-    )
+    partition = partition_cloud(cloud, preset.train_superpoints)
     logits = corrupt_logits(gt, cloud, preset.noise_for(seed))
     views = render_views(cloud, logits, preset.ring)
     raw_labels, raw_confidence, hit_count = pseudo_labels_from_views(
@@ -174,11 +159,7 @@ def eval_scan(preset: BenchmarkPreset, seed: int, sample_index: int = 1) -> Eval
     cloud, gt, _, normals = generate_scene(
         preset.scene_for(seed).rescan(sample_index)
     )
-    index = build_index(cloud)
-    sp = preset.eval_superpoints
-    partition = oversegment(
-        cloud, normals, index, sp.angle_threshold, sp.adjacency_k, sp.min_size
-    )
+    partition = partition_cloud(cloud, preset.eval_superpoints, normals)
     return EvalScan(cloud=cloud, gt=gt, partition=partition)
 
 

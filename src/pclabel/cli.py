@@ -1,9 +1,12 @@
 """Command-line surface: synth | pseudo | refine | stlp | infer | eval | sweep.
 
-Commands read a JSON config file (--config) and/or flags; flags win. All
-randomness flows from --seed. Exit codes: 0 success, 1 usage error, 2 data
-error. With --json the only stdout output is machine-readable JSON;
-informational messages always go to stderr.
+Commands read a JSON config file (--config) and/or flags; a flag wins over
+the config file, which wins over the parameter's default. Relative paths in
+a config file resolve against the file's directory. --seed selects the
+scene of synth and sweep; the other commands are deterministic and ignore
+it. Exit codes: 0 success, 1 usage error, 2 data error. With --json the
+only stdout output is machine-readable JSON; informational messages always
+go to stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from typing import List, Optional
 
 import numpy as np
@@ -22,11 +25,15 @@ from . import benchmark as bench
 from .labels import LabelField
 from .metrics import format_report, labeled_rate, metrics_report
 from .ply import load_labeled_ply, load_ply, save_ply
-from .pointcloud import build_index, estimate_normals
 from .projection import pseudo_labels_from_logits, pseudo_labels_from_views
 from .refine import RefineParams, refine_pipeline
 from .stlp import StlpConfig, infer, stlp_run
-from .superpoint import load_partition_json, oversegment, save_partition_json
+from .superpoint import (
+    SuperpointParams,
+    load_partition_json,
+    partition_cloud,
+    save_partition_json,
+)
 from .synth import corrupt_logits, generate_scene, render_views
 from . import tensorio
 
@@ -66,37 +73,14 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
-_PATH_KEYS = {"cloud", "logits", "views", "mask", "classes", "partition", "gt", "out"}
-
-_DEFAULTS = {
-    "top_v": 30.0,
-    "alpha": 0.5,
-    "rounds": 2,
-    "angle_threshold": 15.0,
-    "adjacency_k": 10,
-    "min_size": 20,
-    "normals_k": 16,
-    "knn_k": 15,
-    "color_weight": 0.5,
-    "knn_smoothing": 0.05,
-    "knn_confidence_scale": 0.1,
-    "update": "retained",
-    "seed": 0,
-    "occlusion_tolerance": None,
+_PATH_KEYS = {
+    "cloud", "logits", "views", "mask", "classes", "partition", "gt",
+    "labels", "confidence", "pred",
 }
 
 
-def _setting(args, config: dict, key: str):
-    """Flag wins over config file wins over default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return _DEFAULTS.get(key)
-
-
-def _path_setting(args, config: dict, key: str, required: bool = False):
+def _setting(args, config: dict, key: str, required: bool = False):
+    """Flag wins over config file; None when neither sets the key."""
     value = getattr(args, key, None)
     if value is None:
         value = config.get(key)
@@ -105,66 +89,55 @@ def _path_setting(args, config: dict, key: str, required: bool = False):
     return value
 
 
+def _params(cls, args, config: dict):
+    """A parameter dataclass filled from flags, then config, then its defaults.
+
+    Each value set by a flag or the config file is coerced to the type of
+    the field's default; a field whose default is a nested parameter
+    dataclass (StlpConfig.refine) is filled the same way.
+    """
+    values = {}
+    for f in fields(cls):
+        if f.default is MISSING:
+            values[f.name] = _params(f.default_factory, args, config)
+            continue
+        value = _setting(args, config, f.name)
+        if value is not None:
+            values[f.name] = type(f.default)(value)
+    return cls(**values)
+
+
 def _load_cloud_and_classes(args, config):
-    cloud_path = _path_setting(args, config, "cloud", required=True)
-    classes_path = _path_setting(args, config, "classes", required=True)
+    cloud_path = _setting(args, config, "cloud", required=True)
+    classes_path = _setting(args, config, "classes", required=True)
     cloud = load_ply(cloud_path)
     class_names = tensorio.load_class_names(classes_path)
     return cloud, class_names
 
 
 def _load_mask(args, config, class_names):
-    mask_path = _path_setting(args, config, "mask")
+    mask_path = _setting(args, config, "mask")
     if mask_path is None:
         return np.ones(len(class_names), dtype=bool)
     return tensorio.load_scene_mask(mask_path, class_names)
 
 
 def _partition_for(args, config, cloud):
-    part_path = _path_setting(args, config, "partition")
-    if part_path is not None:
-        partition = load_partition_json(part_path)
-        if len(partition) != cloud.count:
-            raise ValueError(
-                f"partition covers {len(partition)} points, cloud has {cloud.count}"
-            )
-        return partition
-    index = build_index(cloud)
-    normals = estimate_normals(cloud, index, int(_setting(args, config, "normals_k")))
-    return oversegment(
-        cloud,
-        normals,
-        index,
-        float(_setting(args, config, "angle_threshold")),
-        int(_setting(args, config, "adjacency_k")),
-        int(_setting(args, config, "min_size")),
-    )
-
-
-def _refine_params(args, config) -> RefineParams:
-    return RefineParams(
-        top_v=float(_setting(args, config, "top_v")),
-        alpha=float(_setting(args, config, "alpha")),
-    )
-
-
-def _stlp_config(args, config) -> StlpConfig:
-    return StlpConfig(
-        rounds=int(_setting(args, config, "rounds")),
-        refine=_refine_params(args, config),
-        knn_k=int(_setting(args, config, "knn_k")),
-        color_weight=float(_setting(args, config, "color_weight")),
-        knn_smoothing=float(_setting(args, config, "knn_smoothing")),
-        knn_confidence_scale=float(_setting(args, config, "knn_confidence_scale")),
-        seed=int(_setting(args, config, "seed")),
-        update=str(_setting(args, config, "update")),
-    )
+    part_path = _setting(args, config, "partition")
+    if part_path is None:
+        return partition_cloud(cloud, _params(SuperpointParams, args, config))
+    partition = load_partition_json(part_path)
+    if len(partition) != cloud.count:
+        raise ValueError(
+            f"partition covers {len(partition)} points, cloud has {cloud.count}"
+        )
+    return partition
 
 
 def _pseudo_labels(args, config, cloud, class_names, mask):
     """Initial labels from a point-logit tensor or a view manifest."""
-    logits_path = _path_setting(args, config, "logits")
-    views_path = _path_setting(args, config, "views")
+    logits_path = _setting(args, config, "logits")
+    views_path = _setting(args, config, "views")
     if (logits_path is None) == (views_path is None):
         raise UsageError("exactly one of --logits / --views is required")
     if logits_path is not None:
@@ -190,7 +163,7 @@ def _pseudo_labels(args, config, cloud, class_names, mask):
 def cmd_synth(args) -> int:
     config = _load_config(args.config)
     preset = bench.get_benchmark(args.preset)
-    seed = int(_setting(args, config, "seed"))
+    seed = int(_setting(args, config, "seed") or 0)
     scene = preset.scene_for(seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -232,15 +205,15 @@ def cmd_refine(args) -> int:
     config = _load_config(args.config)
     cloud, class_names = _load_cloud_and_classes(args, config)
     labels = tensorio.load_labels_text(
-        _path_setting(args, config, "labels", required=True), len(class_names)
+        _setting(args, config, "labels", required=True), len(class_names)
     )
     confidence = tensorio.load_confidence(
-        _path_setting(args, config, "confidence", required=True)
+        _setting(args, config, "confidence", required=True)
     )
     if len(labels) != cloud.count:
         raise ValueError(f"{len(labels)} labels for {cloud.count} points")
     partition = _partition_for(args, config, cloud)
-    params = _refine_params(args, config)
+    params = _params(RefineParams, args, config)
     refined = refine_pipeline(labels, confidence, partition, params)
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "refined_labels.txt"), refined)
@@ -257,11 +230,10 @@ def _run_stlp(args, config):
     mask = _load_mask(args, config, class_names)
     labels, confidence, _ = _pseudo_labels(args, config, cloud, class_names, mask)
     partition = _partition_for(args, config, cloud)
-    params = _refine_params(args, config)
-    stlp_config = _stlp_config(args, config)
-    refined = refine_pipeline(labels, confidence, partition, params)
+    stlp_config = _params(StlpConfig, args, config)
+    refined = refine_pipeline(labels, confidence, partition, stlp_config.refine)
     gt = None
-    gt_path = _path_setting(args, config, "gt")
+    gt_path = _setting(args, config, "gt")
     if gt_path is not None:
         _, gt_values = load_labeled_ply(gt_path)
         if gt_values is None:
@@ -294,15 +266,15 @@ def cmd_infer(args) -> int:
     config = _load_config(args.config)
     cloud, class_names = _load_cloud_and_classes(args, config)
     labels = tensorio.load_labels_text(
-        _path_setting(args, config, "labels", required=True), len(class_names)
+        _setting(args, config, "labels", required=True), len(class_names)
     )
     if len(labels) != cloud.count:
         raise ValueError(f"{len(labels)} labels for {cloud.count} points")
     partition = _partition_for(args, config, cloud)
-    stlp_config = _stlp_config(args, config)
+    stlp_config = _params(StlpConfig, args, config)
     classifier = stlp_config.make_classifier().fit(cloud, labels)
     predicted = infer(
-        cloud, classifier, partition, float(_setting(args, config, "alpha")),
+        cloud, classifier, partition, stlp_config.refine.alpha,
         keep_rejected=not args.emit_unlabeled,
     )
     os.makedirs(args.out, exist_ok=True)
@@ -316,12 +288,12 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
     class_names = tensorio.load_class_names(
-        _path_setting(args, config, "classes", required=True)
+        _setting(args, config, "classes", required=True)
     )
     pred = tensorio.load_labels_text(
-        _path_setting(args, config, "pred", required=True), len(class_names)
+        _setting(args, config, "pred", required=True), len(class_names)
     )
-    gt_path = _path_setting(args, config, "gt", required=True)
+    gt_path = _setting(args, config, "gt", required=True)
     if gt_path.endswith(".ply"):
         _, gt_values = load_labeled_ply(gt_path)
         if gt_values is None:
@@ -354,7 +326,7 @@ def _sweep_value(task):
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    seed = int(_setting(args, config, "seed"))
+    seed = int(_setting(args, config, "seed") or 0)
     try:
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError:
@@ -385,9 +357,7 @@ def cmd_sweep(args) -> int:
 
 def _add_common(sub, *, needs_out=True):
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--seed", type=int, help="seed for all stochastic stages")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers across scenes/seeds")
+    sub.add_argument("--seed", type=int, help="scene seed (synth, sweep)")
     sub.add_argument("--json", action="store_true",
                      help="machine-readable JSON on stdout")
     if needs_out:
@@ -399,10 +369,10 @@ def _add_pipeline_flags(sub):
     sub.add_argument("--classes", help="class list JSON")
     sub.add_argument("--mask", help="scene mask JSON (class names present)")
     sub.add_argument("--partition", help="precomputed partition JSON")
-    sub.add_argument("--top-v", dest="top_v", type=float, help="CALR percentage (default 30)")
-    sub.add_argument("--alpha", type=float, help="GALR overlap threshold (default 0.5)")
+    sub.add_argument("--top-v", dest="top_v", type=float, help="CALR percentage kept per class")
+    sub.add_argument("--alpha", type=float, help="GALR overlap threshold")
     sub.add_argument("--angle-threshold", dest="angle_threshold", type=float,
-                     help="over-segmentation angle in degrees (default 15)")
+                     help="over-segmentation angle in degrees")
     sub.add_argument("--adjacency-k", dest="adjacency_k", type=int)
     sub.add_argument("--min-size", dest="min_size", type=int)
     sub.add_argument("--normals-k", dest="normals_k", type=int)
@@ -438,7 +408,7 @@ def build_parser() -> _Parser:
     p.add_argument("--views", help="view manifest JSON")
     p.add_argument("--occlusion-tolerance", dest="occlusion_tolerance", type=float)
     p.add_argument("--gt", help="ground-truth PLY with label channel (for the report)")
-    p.add_argument("--rounds", type=int, help="self-training rounds (default 2)")
+    p.add_argument("--rounds", type=int, help="self-training rounds")
     p.add_argument("--knn-k", dest="knn_k", type=int)
     p.add_argument("--color-weight", dest="color_weight", type=float)
     p.add_argument("--knn-smoothing", dest="knn_smoothing", type=float)
@@ -470,6 +440,8 @@ def build_parser() -> _Parser:
     p.add_argument("--param", choices=("V", "alpha", "T"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--preset", default="room-small")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel worker processes across grid values")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
     return parser

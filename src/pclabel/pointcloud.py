@@ -133,49 +133,6 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud.positions)
 
 
-def jacobi_eigh_3x3(mats: np.ndarray, tol: float = 1e-12, max_sweeps: int = 50):
-    """Eigen-decomposition of a batch of symmetric 3x3 matrices.
-
-    Cyclic Jacobi rotations over the (0,1), (0,2), (1,2) pairs until every
-    off-diagonal magnitude falls below `tol` or `max_sweeps` sweeps elapse.
-    Returns (eigenvalues (N,3) ascending, eigenvectors (N,3,3) as columns).
-    """
-    a = np.asarray(mats, dtype=np.float64)
-    squeeze = a.ndim == 2
-    if squeeze:
-        a = a[None]
-    if a.ndim != 3 or a.shape[1:] != (3, 3):
-        raise ValueError(f"expected (N, 3, 3) symmetric matrices, got {a.shape}")
-    a = a.copy()
-    n = a.shape[0]
-    v = np.broadcast_to(np.eye(3), a.shape).copy()
-    for _ in range(max_sweeps):
-        off = np.maximum(
-            np.abs(a[:, 0, 1]), np.maximum(np.abs(a[:, 0, 2]), np.abs(a[:, 1, 2]))
-        )
-        if np.all(off <= tol):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[:, p, q]
-            theta = 0.5 * np.arctan2(2.0 * apq, a[:, q, q] - a[:, p, p])
-            c = np.cos(theta)
-            s = np.sin(theta)
-            rot = np.broadcast_to(np.eye(3), a.shape).copy()
-            rot[:, p, p] = c
-            rot[:, q, q] = c
-            rot[:, p, q] = s
-            rot[:, q, p] = -s
-            a = np.transpose(rot, (0, 2, 1)) @ a @ rot
-            v = v @ rot
-    vals = np.stack([a[:, 0, 0], a[:, 1, 1], a[:, 2, 2]], axis=1)
-    order = np.argsort(vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-    if squeeze:
-        return vals[0], v[0]
-    return vals, v
-
-
 # Two smallest covariance eigenvalues closer than this are treated as a
 # degenerate (line / isotropic) neighborhood and resolved by the tie rule.
 DEGENERATE_EIGENGAP = 1e-12
@@ -200,7 +157,7 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex, k: int = 16) -> np.
     nb = cloud.positions[idx]
     centered = nb - nb.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    vals, vecs = jacobi_eigh_3x3(cov)
+    vals, vecs = np.linalg.eigh(cov)
     normals = vecs[:, :, 0].copy()
 
     gap = vals[:, 1] - vals[:, 0]

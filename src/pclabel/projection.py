@@ -119,32 +119,42 @@ def project_point(p, view: CameraView):
     return float(h[0] / h[2]), float(h[1] / h[2]), float(q[2])
 
 
-def project_with_pose(
+def nearest_pixel(x: np.ndarray) -> np.ndarray:
+    """Continuous pixel coordinate to index: round half away from zero."""
+    return np.trunc(x + np.copysign(0.5, x)).astype(np.int64)
+
+
+def project_to_pixels(
     positions: np.ndarray,
     intrinsics: np.ndarray,
     rotation: np.ndarray,
     translation: np.ndarray,
+    width: int,
+    height: int,
 ):
-    """Vectorized projection: (uv (N,2), depth (N,), in_front (N,) bool)."""
+    """Vectorized nearest-pixel projection through a posed pinhole camera.
+
+    Returns (rows (N,), cols (N,), depth (N,), valid (N,) bool): valid
+    points lie in front of the camera with their rounded pixel on the
+    width x height grid; rows/cols of points behind the camera are 0.
+    """
     q = positions @ np.asarray(rotation).T + np.asarray(translation).reshape(3)
     depth = q[:, 2]
     in_front = depth > MIN_DEPTH
     h = q @ np.asarray(intrinsics).T
     with np.errstate(divide="ignore", invalid="ignore"):
         uv = h[:, :2] / h[:, 2:3]
-    return uv, depth, in_front
-
-
-def project_points(positions: np.ndarray, view: CameraView):
-    """Vectorized projection through a posed view."""
-    return project_with_pose(
-        positions, view.intrinsics, view.rotation, view.translation
+    n = positions.shape[0]
+    cols = np.zeros(n, dtype=np.int64)
+    rows = np.zeros(n, dtype=np.int64)
+    cols[in_front] = nearest_pixel(uv[in_front, 0])
+    rows[in_front] = nearest_pixel(uv[in_front, 1])
+    valid = (
+        in_front
+        & (cols >= 0) & (cols < width)
+        & (rows >= 0) & (rows < height)
     )
-
-
-def nearest_pixel(x: np.ndarray) -> np.ndarray:
-    """Continuous pixel coordinate to index: round half away from zero."""
-    return np.trunc(x + np.copysign(0.5, x)).astype(np.int64)
+    return rows, cols, depth, valid
 
 
 def aggregate_views(
@@ -174,15 +184,9 @@ def aggregate_views(
     acc = np.zeros((n, c), dtype=np.float64)
     hits = np.zeros(n, dtype=np.int64)
     for view in views:
-        uv, depth, in_front = project_points(cloud.positions, view)
-        cols = np.zeros(n, dtype=np.int64)
-        rows = np.zeros(n, dtype=np.int64)
-        cols[in_front] = nearest_pixel(uv[in_front, 0])
-        rows[in_front] = nearest_pixel(uv[in_front, 1])
-        valid = (
-            in_front
-            & (cols >= 0) & (cols < view.width)
-            & (rows >= 0) & (rows < view.height)
+        rows, cols, depth, valid = project_to_pixels(
+            cloud.positions, view.intrinsics, view.rotation, view.translation,
+            view.width, view.height,
         )
         if occlusion_tolerance is not None:
             zbuf = np.full((view.height, view.width), np.inf)

@@ -123,7 +123,6 @@ class StlpConfig:
     color_weight: float = 0.5
     knn_smoothing: float = 0.05
     knn_confidence_scale: float = 0.1
-    seed: int = 0
     update: str = "retained"
 
     def __post_init__(self):

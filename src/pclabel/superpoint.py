@@ -12,15 +12,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .pointcloud import PointCloud, SpatialIndex
+from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
 
 EDGE_LENGTH_PERCENTILE = 95.0
+
+
+@dataclass(frozen=True)
+class SuperpointParams:
+    """Arguments of the over-segmentation stage."""
+
+    angle_threshold: float = 15.0
+    adjacency_k: int = 10
+    min_size: int = 20
+    normals_k: int = 16
 
 
 @dataclass(frozen=True)
@@ -175,6 +185,23 @@ def oversegment(
     labels = _first_occurrence_relabel(labels.astype(np.int64), count)
     labels = _merge_small_segments(labels, src, dst, min_size)
     return SuperpointPartition(labels)
+
+
+def partition_cloud(
+    cloud: PointCloud, params: SuperpointParams, normals: Optional[np.ndarray] = None
+) -> SuperpointPartition:
+    """Over-segment a cloud on its own k-d index.
+
+    Normals are estimated from params.normals_k neighbors unless given
+    (e.g. the analytic normals of a synthetic scan).
+    """
+    index = build_index(cloud)
+    if normals is None:
+        normals = estimate_normals(cloud, index, params.normals_k)
+    return oversegment(
+        cloud, normals, index,
+        params.angle_threshold, params.adjacency_k, params.min_size,
+    )
 
 
 def partition_stats(partition: SuperpointPartition) -> dict:

@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from .labels import UNLABELED, LabelField
 from .pointcloud import PointCloud
-from .projection import CameraView, nearest_pixel, project_with_pose
+from .projection import CameraView, project_to_pixels
 
 # Base colors per class id (cycled); chosen to be mutually distinguishable
 # since the desk-scale classifier leans on color.
@@ -347,15 +347,8 @@ def render_views(
             cam_z,
         ])
         rotation, translation = _look_at(eye, center)
-        uv, depth, in_front = project_with_pose(pos, k, rotation, translation)
-        cols = np.zeros(cloud.count, dtype=np.int64)
-        rows = np.zeros(cloud.count, dtype=np.int64)
-        cols[in_front] = nearest_pixel(uv[in_front, 0])
-        rows[in_front] = nearest_pixel(uv[in_front, 1])
-        valid = (
-            in_front
-            & (cols >= 0) & (cols < spec.width)
-            & (rows >= 0) & (rows < spec.height)
+        rows, cols, depth, valid = project_to_pixels(
+            pos, k, rotation, translation, spec.width, spec.height
         )
         which = np.flatnonzero(valid)
         pix = rows[which] * spec.width + cols[which]

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -181,6 +182,15 @@ class TestSweepCommand:
         assert lines[0] == "rounds,miou,macc,labeled_rate"
         assert len(lines) == 3
 
+    def test_parallel_grid_matches_serial(self, tmp_path):
+        serial = tmp_path / "serial.csv"
+        parallel = tmp_path / "parallel.csv"
+        assert run(["sweep", "--param", "T", "--grid", "0,1", "--seed", 0,
+                    "--jobs", 1, "--out", serial]) == 0
+        assert run(["sweep", "--param", "T", "--grid", "0,1", "--seed", 0,
+                    "--jobs", 2, "--out", parallel]) == 0
+        assert parallel.read_bytes() == serial.read_bytes()
+
     def test_bad_grid_usage_error(self, tmp_path):
         assert run(["sweep", "--param", "V", "--grid", "a,b",
                     "--out", tmp_path / "x.csv"]) == 1
@@ -253,20 +263,101 @@ class TestGoldenFixtures:
         assert values == {-1}
 
 
+@pytest.fixture(scope="module")
+def labeled_dir(fixture_dir, tmp_path_factory):
+    """Pseudo labels from the fixture's logits plus the default partition."""
+    out = tmp_path_factory.mktemp("labeled")
+    assert run(["pseudo", "--cloud", fixture_dir / "cloud.ply",
+                "--classes", fixture_dir / "classes.json",
+                "--mask", fixture_dir / "mask.json",
+                "--logits", fixture_dir / "logits.lf01", "--out", out]) == 0
+    assert run(["refine", "--cloud", fixture_dir / "cloud.ply",
+                "--classes", fixture_dir / "classes.json",
+                "--labels", out / "labels.txt",
+                "--confidence", out / "confidence.lf01", "--out", out]) == 0
+    return out
+
+
 class TestConfigFile:
-    def test_flags_override_config(self, fixture_dir, tmp_path):
-        config = {
+    def _refined(self, out, config, *flags):
+        assert run(["refine", "--config", config, *flags, "--out", out]) == 0
+        return (out / "refined_labels.txt").read_bytes()
+
+    def test_flags_override_config(self, fixture_dir, labeled_dir, tmp_path):
+        base = {
             "cloud": str(fixture_dir / "cloud.ply"),
             "classes": str(fixture_dir / "classes.json"),
-            "mask": str(fixture_dir / "mask.json"),
-            "logits": str(fixture_dir / "logits.lf01"),
-            "top_v": 10.0,
+            "labels": str(labeled_dir / "labels.txt"),
+            "confidence": str(labeled_dir / "confidence.lf01"),
+            "partition": str(labeled_dir / "partition.json"),
         }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
-        out_config = tmp_path / "c1"
-        out_flag = tmp_path / "c2"
-        assert run(["pseudo", "--config", cfg_path, "--out", out_config]) == 0
-        assert run(["pseudo", "--config", cfg_path, "--out", out_flag]) == 0
-        assert (out_config / "labels.txt").read_bytes() == \
-            (out_flag / "labels.txt").read_bytes()
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(base))
+        top_v_10 = tmp_path / "top_v_10.json"
+        top_v_10.write_text(json.dumps(dict(base, top_v=10)))
+        flag_over_config = self._refined(tmp_path / "a", top_v_10, "--top-v", 30)
+        flag_alone = self._refined(tmp_path / "b", plain, "--top-v", 30)
+        config_alone = self._refined(tmp_path / "c", top_v_10)
+        dataclass_default = self._refined(tmp_path / "d", plain)
+        assert flag_over_config == flag_alone
+        assert config_alone != flag_alone
+        assert dataclass_default == flag_alone
+
+    def test_relative_paths_resolve_against_config_dir(
+        self, fixture_dir, labeled_dir, tmp_path, monkeypatch
+    ):
+        scene = tmp_path / "scene"
+        (scene / "p").mkdir(parents=True)
+        for name in ("cloud.ply", "classes.json", "gt.ply"):
+            shutil.copy(fixture_dir / name, scene / name)
+        for name in ("labels.txt", "confidence.lf01", "partition.json"):
+            shutil.copy(labeled_dir / name, scene / "p" / name)
+        (scene / "cfg.json").write_text(json.dumps({
+            "cloud": "cloud.ply", "classes": "classes.json", "gt": "gt.ply",
+            "labels": "p/labels.txt", "confidence": "p/confidence.lf01",
+            "partition": "p/partition.json", "pred": "p/labels.txt",
+        }))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run(["refine", "--config", "../scene/cfg.json", "--out", "r"]) == 0
+        assert (work / "r" / "refined_labels.txt").exists()
+        assert run(["eval", "--config", "../scene/cfg.json", "--json"]) == 0
+
+
+class TestCommandSurface:
+    @pytest.fixture(scope="class")
+    def commands(self, fixture_dir, labeled_dir):
+        """Each pipeline command's valid arguments and the file it writes."""
+        scan = ["--cloud", fixture_dir / "cloud.ply",
+                "--classes", fixture_dir / "classes.json",
+                "--partition", labeled_dir / "partition.json"]
+        logits = ["--mask", fixture_dir / "mask.json",
+                  "--logits", fixture_dir / "logits.lf01"]
+        return {
+            "pseudo": (scan + logits, "labels.txt"),
+            "refine": (scan + ["--labels", labeled_dir / "labels.txt",
+                               "--confidence", labeled_dir / "confidence.lf01"],
+                       "refined_labels.txt"),
+            "stlp": (scan + logits + ["--rounds", 1], "labels.txt"),
+            "infer": (scan + ["--labels", labeled_dir / "labels.txt"],
+                      "pred_labels.txt"),
+        }
+
+    @pytest.mark.parametrize("command", ["pseudo", "refine", "stlp", "infer"])
+    def test_seed_accepted_and_ignored(self, commands, command, tmp_path):
+        args, output = commands[command]
+        assert run([command, *args, "--out", tmp_path / "a"]) == 0
+        assert run([command, *args, "--seed", 7, "--out", tmp_path / "b"]) == 0
+        assert (tmp_path / "a" / output).read_bytes() == \
+            (tmp_path / "b" / output).read_bytes()
+
+    @pytest.mark.parametrize("command", ["pseudo", "refine", "stlp", "infer"])
+    def test_jobs_is_usage_error(self, commands, command, tmp_path):
+        args, _ = commands[command]
+        assert run([command, *args, "--jobs", 2, "--out", tmp_path / "x"]) == 1
+
+    def test_jobs_on_eval_is_usage_error(self, fixture_dir, labeled_dir):
+        assert run(["eval", "--pred", labeled_dir / "labels.txt",
+                    "--gt", fixture_dir / "gt.ply",
+                    "--classes", fixture_dir / "classes.json", "--jobs", 2]) == 1

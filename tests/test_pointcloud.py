@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pclabel import PointCloud, SpatialIndex, build_index, estimate_normals
-from pclabel.pointcloud import jacobi_eigh_3x3
 
 from conftest import make_cloud
 
@@ -92,29 +91,6 @@ class TestSpatialIndex:
             sidx, sdist = index.k_nearest(q, 5)
             assert bidx[row].tolist() == sidx.tolist()
             assert np.allclose(bdist[row], sdist)
-
-
-class TestJacobi:
-    def test_matches_lapack(self, rng):
-        mats = rng.standard_normal((200, 3, 3))
-        mats = (mats + np.transpose(mats, (0, 2, 1))) / 2
-        vals, vecs = jacobi_eigh_3x3(mats)
-        ref_vals, ref_vecs = np.linalg.eigh(mats)
-        assert np.allclose(vals, ref_vals, atol=1e-10)
-        # eigenvectors match up to sign
-        dots = np.abs(np.einsum("nij,nij->nj", vecs, ref_vecs))
-        assert np.allclose(dots, 1.0, atol=1e-8)
-
-    def test_reconstructs_matrix(self, rng):
-        mats = rng.standard_normal((50, 3, 3))
-        mats = mats @ np.transpose(mats, (0, 2, 1))
-        vals, vecs = jacobi_eigh_3x3(mats)
-        recon = np.einsum("nij,nj,nkj->nik", vecs, vals, vecs)
-        assert np.allclose(recon, mats, atol=1e-9)
-
-    def test_single_matrix(self):
-        vals, vecs = jacobi_eigh_3x3(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(vals, [1.0, 2.0, 3.0])
 
 
 class TestEstimateNormals:
