@@ -102,8 +102,15 @@ def _params(cls, args, config: dict):
             values[f.name] = _params(f.default_factory, args, config)
             continue
         value = _setting(args, config, f.name)
-        if value is not None:
+        if value is None:
+            continue
+        try:
             values[f.name] = type(f.default)(value)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"config key {f.name!r}: cannot read {value!r} as "
+                f"{type(f.default).__name__}"
+            ) from None
     return cls(**values)
 
 
@@ -378,6 +385,19 @@ def _add_pipeline_flags(sub):
     sub.add_argument("--normals-k", dest="normals_k", type=int)
 
 
+def _add_source_flags(sub):
+    sub.add_argument("--logits", help="point logits (LF01)")
+    sub.add_argument("--views", help="view manifest JSON")
+    sub.add_argument("--occlusion-tolerance", dest="occlusion_tolerance", type=float)
+
+
+def _add_knn_flags(sub):
+    sub.add_argument("--knn-k", dest="knn_k", type=int)
+    sub.add_argument("--color-weight", dest="color_weight", type=float)
+    sub.add_argument("--knn-smoothing", dest="knn_smoothing", type=float)
+    sub.add_argument("--knn-confidence-scale", dest="knn_confidence_scale", type=float)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pclabel", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -389,9 +409,7 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("pseudo", help="initial labels from logits or views")
     _add_pipeline_flags(p)
-    p.add_argument("--logits", help="point logits (LF01)")
-    p.add_argument("--views", help="view manifest JSON")
-    p.add_argument("--occlusion-tolerance", dest="occlusion_tolerance", type=float)
+    _add_source_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_pseudo)
 
@@ -404,15 +422,10 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("stlp", help="full pipeline + self-training rounds")
     _add_pipeline_flags(p)
-    p.add_argument("--logits", help="point logits (LF01)")
-    p.add_argument("--views", help="view manifest JSON")
-    p.add_argument("--occlusion-tolerance", dest="occlusion_tolerance", type=float)
+    _add_source_flags(p)
     p.add_argument("--gt", help="ground-truth PLY with label channel (for the report)")
     p.add_argument("--rounds", type=int, help="self-training rounds")
-    p.add_argument("--knn-k", dest="knn_k", type=int)
-    p.add_argument("--color-weight", dest="color_weight", type=float)
-    p.add_argument("--knn-smoothing", dest="knn_smoothing", type=float)
-    p.add_argument("--knn-confidence-scale", dest="knn_confidence_scale", type=float)
+    _add_knn_flags(p)
     p.add_argument("--update", choices=("retained", "full"))
     _add_common(p)
     p.set_defaults(func=cmd_stlp)
@@ -420,10 +433,7 @@ def build_parser() -> _Parser:
     p = commands.add_parser("infer", help="fit on labels, predict everywhere, GALR post-process")
     _add_pipeline_flags(p)
     p.add_argument("--labels", help="training label listing (text)")
-    p.add_argument("--knn-k", dest="knn_k", type=int)
-    p.add_argument("--color-weight", dest="color_weight", type=float)
-    p.add_argument("--knn-smoothing", dest="knn_smoothing", type=float)
-    p.add_argument("--knn-confidence-scale", dest="knn_confidence_scale", type=float)
+    _add_knn_flags(p)
     p.add_argument("--emit-unlabeled", action="store_true",
                    help="leave blocks failing the vote unlabeled")
     _add_common(p)

@@ -123,20 +123,32 @@ def _parse_header(f):
     return fmt, vertex_count, props, f.tell(), lineno
 
 
+def _body_bytes(f, body_offset) -> int:
+    return os.fstat(f.fileno()).st_size - body_offset
+
+
 def _read_body_binary(f, vertex_count, props, body_offset):
     dtype = np.dtype([(name, "<" + code) for name, code in props])
     expected = vertex_count * dtype.itemsize
-    data = f.read(expected)
-    if len(data) < expected:
+    found = _body_bytes(f, body_offset)
+    if found < expected:
         raise PlyError(
-            f"truncated body at byte {body_offset + len(data)}: "
-            f"expected {expected} payload bytes, found {len(data)}"
+            f"truncated body at byte {body_offset + found}: "
+            f"expected {expected} payload bytes, found {found}"
         )
-    return np.frombuffer(data, dtype=dtype, count=vertex_count)
+    return np.frombuffer(f.read(expected), dtype=dtype, count=vertex_count)
 
 
-def _read_body_ascii(f, vertex_count, props, header_lines):
+def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
     dtype = np.dtype([(name, "<" + code) for name, code in props])
+    # Each data row holds at least one value and, but for the last, a line
+    # break: a header declaring more rows than that cannot be honest.
+    found = _body_bytes(f, body_offset)
+    if 2 * vertex_count - 1 > found:
+        raise PlyError(
+            f"truncated body at byte {body_offset + found}: "
+            f"{found} bytes cannot hold the {vertex_count} declared vertices"
+        )
     rows = np.zeros(vertex_count, dtype=dtype)
     text = f.read().decode("ascii", errors="replace")
     lines = text.splitlines()
@@ -170,11 +182,16 @@ def _load(path) -> Tuple[PointCloud, Optional[np.ndarray]]:
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such PLY file: {path}")
     with open(path, "rb") as f:
-        fmt, vertex_count, props, body_offset, header_lines = _parse_header(f)
-        if fmt == "binary_little_endian":
-            rows = _read_body_binary(f, vertex_count, props, body_offset)
-        else:
-            rows = _read_body_ascii(f, vertex_count, props, header_lines)
+        try:
+            fmt, vertex_count, props, body_offset, header_lines = _parse_header(f)
+            if fmt == "binary_little_endian":
+                rows = _read_body_binary(f, vertex_count, props, body_offset)
+            else:
+                rows = _read_body_ascii(
+                    f, vertex_count, props, header_lines, body_offset
+                )
+        except PlyError as e:
+            raise PlyError(f"{path}: {e}") from None
     positions = np.stack(
         [rows["x"].astype(np.float64), rows["y"].astype(np.float64),
          rows["z"].astype(np.float64)], axis=1,

@@ -251,8 +251,16 @@ def rank_to_pseudo_labels(filtered: np.ndarray) -> Tuple[LabelField, np.ndarray]
 def pseudo_labels_from_logits(
     logits: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> Tuple[LabelField, np.ndarray]:
-    """Scene-mask filtering followed by ranking; mask None means all-true."""
+    """Scene-mask filtering followed by ranking; mask None means all-true.
+
+    Rejects logits holding NaN or infinity, naming the first such row.
+    """
     logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2:
+        raise ValueError(f"expected (N, C) logits, got {logits.shape}")
+    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+    if bad.size:
+        raise ValueError(f"logits row {int(bad[0])} is not finite")
     if mask is None:
         mask = np.ones(logits.shape[1], dtype=bool)
     return rank_to_pseudo_labels(apply_scene_mask(logits, mask))

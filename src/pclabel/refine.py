@@ -37,12 +37,16 @@ def calr(labels: LabelField, confidence: np.ndarray, top_v: float) -> LabelField
 
     Confidence ties at the cutoff go to the lower point index. Unlabeled
     points stay unlabeled; retained points keep their input label.
+    Confidences must be finite and lie in [0, 1].
     """
     confidence = np.asarray(confidence, dtype=np.float64)
     if confidence.shape != (len(labels),):
         raise ValueError(
             f"confidence of {confidence.shape} does not match {len(labels)} labels"
         )
+    bad = np.flatnonzero(~np.isfinite(confidence))
+    if bad.size:
+        raise ValueError(f"confidence at point {int(bad[0])} is not finite")
     if confidence.size and (confidence.min() < 0.0 or confidence.max() > 1.0):
         raise ValueError("confidences must lie in [0, 1]")
     if not 0.0 < top_v <= 100.0:

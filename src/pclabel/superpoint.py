@@ -80,16 +80,23 @@ def _merge_small_segments(
     """Fold segments below min_size into their best graph neighbor.
 
     "Best" is the adjacent segment sharing the most (undirected, un-gated)
-    k-NN graph edges, ties to the lower segment id. Repeats until every
-    undersized segment is either merged or has no neighbor left; a merge
-    product that is still undersized gets reconsidered.
+    k-NN graph edges, ties to the lower segment id. The rule is: while some
+    segment is undersized and still has a neighbor, merge the lowest-id such
+    segment into its best neighbor; a merge product that is still undersized
+    gets reconsidered.
+
+    One ascending pass over segment ids carries out exactly that sequence of
+    merges. Sizes only grow, and a segment left with no neighbor never gains
+    one (adjacency is only handed on from a neighbor), so a segment that is
+    not a candidate when the pass reaches it never becomes one, and the
+    lowest candidate id never decreases. A merge target that is still
+    undersized therefore has a higher id than the segment folded into it,
+    and the pass reaches it later.
     """
     count = int(labels.max()) + 1 if labels.size else 0
     if count == 0 or min_size <= 1:
         return labels
-    sizes: Dict[int, int] = {
-        s: int(c) for s, c in enumerate(np.bincount(labels, minlength=count))
-    }
+    sizes = np.bincount(labels, minlength=count).tolist()
     # Unique undirected point edges, then per-segment-pair counts.
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
@@ -97,39 +104,38 @@ def _merge_small_segments(
     edges = np.unique(lo[keep] * labels.size + hi[keep])
     a = labels[edges // labels.size]
     b = labels[edges % labels.size]
-    adj: Dict[int, Dict[int, int]] = {s: {} for s in range(count)}
     inter = a != b
-    for sa, sb in zip(a[inter].tolist(), b[inter].tolist()):
-        adj[sa][sb] = adj[sa].get(sb, 0) + 1
-        adj[sb][sa] = adj[sb].get(sa, 0) + 1
+    pairs, shared = np.unique(
+        np.minimum(a[inter], b[inter]) * count + np.maximum(a[inter], b[inter]),
+        return_counts=True,
+    )
+    adj: List[Dict[int, int]] = [{} for _ in range(count)]
+    for key, c in zip(pairs.tolist(), shared.tolist()):
+        sa, sb = divmod(key, count)
+        adj[sa][sb] = c
+        adj[sb][sa] = c
 
-    alias = {s: s for s in range(count)}
-    while True:
-        candidates = [
-            s for s in sorted(sizes) if 0 < sizes[s] < min_size and adj[s]
-        ]
-        if not candidates:
-            break
-        s = candidates[0]
-        target = max(adj[s].items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        for other, c in list(adj[s].items()):
-            if other == target:
-                continue
-            adj[other][target] = adj[other].get(target, 0) + c
-            del adj[other][s]
-            adj[target][other] = adj[target].get(other, 0) + c
-        del adj[target][s]
-        del adj[s]
-        sizes[target] += sizes[s]
-        del sizes[s]
-        alias[s] = target
-    resolve = np.arange(count)
+    merges = []
     for s in range(count):
-        root = s
-        while alias[root] != root:
-            root = alias[root]
-        resolve[s] = root
-    merged = resolve[labels]
+        neighbors = adj[s]
+        if sizes[s] >= min_size or not neighbors:
+            continue
+        target = max(neighbors.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        del neighbors[target]
+        del adj[target][s]
+        for other, c in neighbors.items():
+            del adj[other][s]
+            adj[other][target] = adj[other].get(target, 0) + c
+            adj[target][other] = adj[target].get(other, 0) + c
+        adj[s] = {}
+        sizes[target] += sizes[s]
+        merges.append((s, target))
+    # A target is alive when it absorbs s, so resolving the merges latest
+    # first leaves every target already pointing at its final segment.
+    resolve = list(range(count))
+    for s, target in reversed(merges):
+        resolve[s] = resolve[target]
+    merged = np.asarray(resolve, dtype=np.int64)[labels]
     survivors = np.unique(merged)
     dense = np.empty(count, dtype=np.int64)
     dense[survivors] = np.arange(survivors.size)

@@ -47,12 +47,13 @@ def load_tensor(path) -> np.ndarray:
         if rows < 0 or cols < 0:
             raise ValueError(f"{path}: negative dimensions ({rows}, {cols})")
         expected = rows * cols * 4
-        data = f.read(expected)
-        if len(data) != expected:
+        found = os.fstat(f.fileno()).st_size - 12
+        if found < expected:
             raise ValueError(
-                f"{path}: truncated body at byte {12 + len(data)}: "
-                f"expected {expected} data bytes"
+                f"{path}: truncated body at byte {12 + found}: "
+                f"expected {expected} data bytes for ({rows}, {cols})"
             )
+        data = f.read(expected)
     return np.frombuffer(data, dtype="<f4").reshape(rows, cols).copy()
 
 

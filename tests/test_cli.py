@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import shutil
+import struct
 
 import pytest
 
@@ -324,6 +326,22 @@ class TestConfigFile:
         assert (work / "r" / "refined_labels.txt").exists()
         assert run(["eval", "--config", "../scene/cfg.json", "--json"]) == 0
 
+    @pytest.mark.parametrize("value", [[10], "abc"])
+    def test_bad_config_value_is_named_data_error(
+        self, fixture_dir, labeled_dir, tmp_path, capsys, value
+    ):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({
+            "cloud": str(fixture_dir / "cloud.ply"),
+            "classes": str(fixture_dir / "classes.json"),
+            "labels": str(labeled_dir / "labels.txt"),
+            "confidence": str(labeled_dir / "confidence.lf01"),
+            "partition": str(labeled_dir / "partition.json"),
+            "top_v": value,
+        }))
+        assert run(["refine", "--config", config, "--out", tmp_path / "r"]) == 2
+        assert f"'top_v': cannot read {value!r} as float" in capsys.readouterr().err
+
 
 class TestCommandSurface:
     @pytest.fixture(scope="class")
@@ -361,3 +379,36 @@ class TestCommandSurface:
         assert run(["eval", "--pred", labeled_dir / "labels.txt",
                     "--gt", fixture_dir / "gt.ply",
                     "--classes", fixture_dir / "classes.json", "--jobs", 2]) == 1
+
+
+class TestDamagedInputs:
+    """Hostile input files are data errors (exit 2), never tracebacks."""
+
+    def _pseudo(self, fixture_dir, out, cloud=None, logits=None):
+        return run(["pseudo", "--cloud", cloud or fixture_dir / "cloud.ply",
+                    "--classes", fixture_dir / "classes.json",
+                    "--logits", logits or fixture_dir / "logits.lf01",
+                    "--out", out])
+
+    def test_non_finite_logits(self, fixture_dir, tmp_path, capsys):
+        path = tmp_path / "nan.lf01"
+        data = (fixture_dir / "logits.lf01").read_bytes()
+        path.write_bytes(data[:12] + struct.pack("<f", float("nan")) + data[16:])
+        assert self._pseudo(fixture_dir, tmp_path / "o", logits=path) == 2
+        assert "logits row 0 is not finite" in capsys.readouterr().err
+
+    def test_lying_lf01_header(self, fixture_dir, tmp_path, capsys):
+        path = tmp_path / "liar.lf01"
+        path.write_bytes(b"LF01" + struct.pack("<ii", 1000000, 13))
+        assert self._pseudo(fixture_dir, tmp_path / "o", logits=path) == 2
+        assert "liar.lf01: truncated body at byte 12" in capsys.readouterr().err
+
+    def test_lying_ply_header(self, fixture_dir, tmp_path, capsys):
+        path = tmp_path / "liar.ply"
+        data = (fixture_dir / "cloud.ply").read_bytes()
+        header_end = data.index(b"end_header\n") + len(b"end_header\n")
+        header = re.sub(rb"element vertex \d+", b"element vertex 1000000",
+                        data[:header_end])
+        path.write_bytes(header + data[header_end:header_end + 15])
+        assert self._pseudo(fixture_dir, tmp_path / "o", cloud=path) == 2
+        assert "liar.ply: truncated body at byte" in capsys.readouterr().err

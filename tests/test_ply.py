@@ -111,6 +111,26 @@ class TestLoad:
         with pytest.raises(PlyError, match="declared 3 vertices, found 1"):
             load_ply(path)
 
+    def test_lying_binary_header_checked_before_reading(self, tmp_path, rng):
+        path = tmp_path / "liar.ply"
+        save_ply(make_cloud(rng, 2), path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"element vertex 2", b"element vertex 1000000"))
+        size = path.stat().st_size
+        with pytest.raises(PlyError, match=f"liar.ply: truncated body at byte {size}: "
+                                           "expected 15000000 payload bytes"):
+            load_ply(path)
+
+    def test_lying_ascii_header_checked_before_allocating(self, tmp_path):
+        path = tmp_path / "liar.ply"
+        with open(path, "w") as f:
+            f.write(ASCII_HEADER.format(n=1000000))
+            f.write("0 0 0 1 2 3\n")
+        size = path.stat().st_size
+        with pytest.raises(PlyError, match=f"liar.ply: truncated body at byte {size}: "
+                                           "12 bytes cannot hold the 1000000"):
+            load_ply(path)
+
     def test_ascii_bad_token_line_number(self, tmp_path):
         path = tmp_path / "tok.ply"
         with open(path, "w") as f:

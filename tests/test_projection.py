@@ -267,6 +267,11 @@ class TestRank:
         with pytest.raises(ValueError, match="row 0"):
             rank_to_pseudo_labels(row)
 
+    def test_non_finite_logits_name_first_row(self):
+        logits = np.array([[1.0, 2.0], [np.nan, 0.0], [0.5, np.inf]])
+        with pytest.raises(ValueError, match="row 1 is not finite"):
+            pseudo_labels_from_logits(logits)
+
 
 class TestViewPipeline:
     def test_no_correspondence_is_unlabeled(self):

@@ -47,6 +47,11 @@ def random_instance(rng, n_max=200, c_max=5, u_max=20):
 
 
 class TestCalr:
+    def test_non_finite_confidence_names_point(self):
+        labels = LabelField(np.array([0, 1, 0]), 2)
+        with pytest.raises(ValueError, match="point 1 is not finite"):
+            calr(labels, np.array([0.5, np.nan, np.inf]), 50.0)
+
     def test_paper_thirty_percent(self, rng):
         # 10 points of one class at V=30: exactly 3 kept, and every kept
         # confidence is at least every dropped one

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pclabel import (
     PointCloud,
@@ -8,7 +10,12 @@ from pclabel import (
     oversegment,
     partition_stats,
 )
-from pclabel.superpoint import load_partition_json, save_partition_json
+from pclabel.superpoint import (
+    _first_occurrence_relabel,
+    _merge_small_segments,
+    load_partition_json,
+    save_partition_json,
+)
 
 from conftest import make_cloud
 
@@ -152,6 +159,115 @@ class TestOversegment:
         cloud = make_cloud(rng, 10)
         with pytest.raises(ValueError, match="match"):
             oversegment(cloud, np.zeros((5, 3)), build_index(cloud), 10.0, 4, 1)
+
+
+def literal_merge_oracle(labels, src, dst, min_size):
+    """The quadratic merge loop: re-sort the sizes after every merge and take
+    the lowest undersized segment that still has a neighbor."""
+    count = int(labels.max()) + 1 if labels.size else 0
+    if count == 0 or min_size <= 1:
+        return labels
+    sizes = {
+        s: int(c) for s, c in enumerate(np.bincount(labels, minlength=count))
+    }
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    keep = lo != hi
+    edges = np.unique(lo[keep] * labels.size + hi[keep])
+    a = labels[edges // labels.size]
+    b = labels[edges % labels.size]
+    adj = {s: {} for s in range(count)}
+    inter = a != b
+    for sa, sb in zip(a[inter].tolist(), b[inter].tolist()):
+        adj[sa][sb] = adj[sa].get(sb, 0) + 1
+        adj[sb][sa] = adj[sb].get(sa, 0) + 1
+
+    alias = {s: s for s in range(count)}
+    while True:
+        candidates = [
+            s for s in sorted(sizes) if 0 < sizes[s] < min_size and adj[s]
+        ]
+        if not candidates:
+            break
+        s = candidates[0]
+        target = max(adj[s].items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        for other, c in list(adj[s].items()):
+            if other == target:
+                continue
+            adj[other][target] = adj[other].get(target, 0) + c
+            del adj[other][s]
+            adj[target][other] = adj[target].get(other, 0) + c
+        del adj[target][s]
+        del adj[s]
+        sizes[target] += sizes[s]
+        del sizes[s]
+        alias[s] = target
+    resolve = np.arange(count)
+    for s in range(count):
+        root = s
+        while alias[root] != root:
+            root = alias[root]
+        resolve[s] = root
+    merged = resolve[labels]
+    survivors = np.unique(merged)
+    dense = np.empty(count, dtype=np.int64)
+    dense[survivors] = np.arange(survivors.size)
+    return _first_occurrence_relabel(dense[merged], survivors.size)
+
+
+def _merge_case(raw_labels, edges):
+    """Dense first-occurrence segment ids (as oversegment passes them) and
+    the point edge arrays."""
+    _, inverse = np.unique(np.asarray(raw_labels, dtype=np.int64),
+                           return_inverse=True)
+    labels = _first_occurrence_relabel(inverse.astype(np.int64),
+                                       int(inverse.max()) + 1)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return labels, pairs[:, 0], pairs[:, 1]
+
+
+@st.composite
+def merge_cases(draw):
+    n = draw(st.integers(1, 40))
+    segments = draw(st.integers(1, n))
+    raw_labels = draw(st.lists(st.integers(0, segments - 1),
+                               min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=3 * n))
+    return raw_labels, edges, draw(st.integers(1, 6))
+
+
+# Segment 0 = {0}, 1 = {1}, 2 = {2, 3}, 3 = {4, 5, 6}, 4 = {7} isolated.
+_ISOLATED = ([0, 1, 2, 2, 3, 3, 3, 4], [(0, 1), (1, 2), (2, 4), (3, 5)], 3)
+# Segment 0 shares one edge with 1 and one with 2: the tie goes to 1.
+_TIED = ([0, 1, 1, 2, 2], [(0, 1), (0, 3), (1, 2), (3, 4)], 2)
+# 0 folds into 1, and 0+1 (size 2) is still undersized and folds into 2.
+_CHAINED = ([0, 1, 2, 2, 2], [(0, 1), (1, 2), (2, 3), (3, 4)], 3)
+
+
+class TestMergeSmallSegments:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(merge_cases())
+    @example(_ISOLATED)
+    @example(_TIED)
+    @example(_CHAINED)
+    def test_matches_literal_oracle(self, case):
+        raw_labels, edges, min_size = case
+        labels, src, dst = _merge_case(raw_labels, edges)
+        got = _merge_small_segments(labels, src, dst, min_size)
+        want = literal_merge_oracle(labels, src, dst, min_size)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case, expected", [
+        (_ISOLATED, [0, 0, 0, 0, 1, 1, 1, 2]),
+        (_TIED, [0, 0, 0, 1, 1]),
+        (_CHAINED, [0, 0, 0, 0, 0]),
+    ])
+    def test_hand_checked_cases(self, case, expected):
+        raw_labels, edges, min_size = case
+        labels, src, dst = _merge_case(raw_labels, edges)
+        got = _merge_small_segments(labels, src, dst, min_size)
+        assert got.tolist() == expected
 
 
 def _small_scene(rng):

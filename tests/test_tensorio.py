@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,13 @@ class TestLF01:
         tensorio.save_tensor(path, rng.standard_normal((4, 4)))
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ValueError, match="truncated body at byte"):
+            tensorio.load_tensor(path)
+
+    def test_lying_header_checked_before_reading(self, tmp_path):
+        path = tmp_path / "liar.lf01"
+        path.write_bytes(b"LF01" + struct.pack("<ii", 1000000, 8) + b"\0" * 8)
+        with pytest.raises(ValueError, match="liar.lf01: truncated body at byte 20: "
+                                             "expected 32000000 data bytes"):
             tensorio.load_tensor(path)
 
     def test_rejects_non_2d(self, tmp_path):
