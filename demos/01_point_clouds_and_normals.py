@@ -33,8 +33,6 @@ print(f"cloud: {cloud.count} points")
 index = build_index(cloud)
 idx, dist = index.k_nearest(positions[0], 5)
 print(f"5 nearest of point 0: {idx.tolist()} at distances {np.round(dist, 4).tolist()}")
-inside, _ = index.radius(positions[0], 0.1)
-print(f"{inside.size} points within 10 cm of point 0")
 
 # Normals from neighborhood covariances. The plane z = x/2 has normal
 # proportional to (-1, 0, 2); the sign rule makes the largest component

@@ -32,7 +32,6 @@ from .projection import (
 from .refine import RefineParams, calr, galr, refine_pipeline
 from .stlp import (
     KnnClassifier,
-    PointClassifier,
     StlpConfig,
     infer,
     label_update,
@@ -76,7 +75,7 @@ __all__ = [
     "pseudo_labels_from_logits", "pseudo_labels_from_views",
     "SuperpointParams", "SuperpointPartition", "oversegment", "partition_stats",
     "RefineParams", "calr", "galr", "refine_pipeline",
-    "PointClassifier", "KnnClassifier", "StlpConfig",
+    "KnnClassifier", "StlpConfig",
     "label_update", "stlp_round", "stlp_run", "infer",
     "ConfusionMatrix", "ConfidenceBin", "confusion", "miou",
     "confidence_bins", "labeled_rate", "metrics_report",

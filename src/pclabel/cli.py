@@ -79,14 +79,24 @@ _PATH_KEYS = {
 }
 
 
-def _setting(args, config: dict, key: str, required: bool = False):
-    """Flag wins over config file; None when neither sets the key."""
+def _setting(args, config: dict, key: str, kind=str, required: bool = False):
+    """Flag, then config file, coerced to `kind`; None when neither sets the key.
+
+    A value that does not coerce is a data error naming the key.
+    """
     value = getattr(args, key, None)
     if value is None:
         value = config.get(key)
-    if value is None and required:
-        raise UsageError(f"missing required input --{key.replace('_', '-')}")
-    return value
+    if value is None:
+        if required:
+            raise UsageError(f"missing required input --{key.replace('_', '-')}")
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"config key {key!r}: cannot read {value!r} as {kind.__name__}"
+        ) from None
 
 
 def _params(cls, args, config: dict):
@@ -101,16 +111,9 @@ def _params(cls, args, config: dict):
         if f.default is MISSING:
             values[f.name] = _params(f.default_factory, args, config)
             continue
-        value = _setting(args, config, f.name)
-        if value is None:
-            continue
-        try:
-            values[f.name] = type(f.default)(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"config key {f.name!r}: cannot read {value!r} as "
-                f"{type(f.default).__name__}"
-            ) from None
+        value = _setting(args, config, f.name, kind=type(f.default))
+        if value is not None:
+            values[f.name] = value
     return cls(**values)
 
 
@@ -127,6 +130,26 @@ def _load_mask(args, config, class_names):
     if mask_path is None:
         return np.ones(len(class_names), dtype=bool)
     return tensorio.load_scene_mask(mask_path, class_names)
+
+
+def _load_labels(args, config, key, class_names, count) -> LabelField:
+    """A label listing that must cover `count` points."""
+    labels = tensorio.load_labels_text(
+        _setting(args, config, key, required=True), len(class_names)
+    )
+    if len(labels) != count:
+        raise ValueError(f"{len(labels)} labels for {count} points")
+    return labels
+
+
+def _load_gt(path, class_names) -> LabelField:
+    """Ground truth from a PLY with a label channel or a text listing."""
+    if not path.endswith(".ply"):
+        return tensorio.load_labels_text(path, len(class_names))
+    _, values = load_labeled_ply(path)
+    if values is None:
+        raise ValueError(f"{path} has no label channel")
+    return LabelField(values, len(class_names))
 
 
 def _partition_for(args, config, cloud):
@@ -160,17 +183,13 @@ def _pseudo_labels(args, config, cloud, class_names, mask):
         labels, confidence = pseudo_labels_from_logits(logits, mask)
         return labels, confidence, None
     views = tensorio.load_views(views_path)
-    occl = _setting(args, config, "occlusion_tolerance")
-    labels, confidence, hits = pseudo_labels_from_views(
-        cloud, views, mask, occlusion_tolerance=occl
-    )
-    return labels, confidence, hits
+    occl = _setting(args, config, "occlusion_tolerance", kind=float)
+    return pseudo_labels_from_views(cloud, views, mask, occlusion_tolerance=occl)
 
 
-def cmd_synth(args) -> int:
-    config = _load_config(args.config)
+def cmd_synth(args, config) -> int:
     preset = bench.get_benchmark(args.preset)
-    seed = int(_setting(args, config, "seed") or 0)
+    seed = _setting(args, config, "seed", kind=int) or 0
     scene = preset.scene_for(seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -188,8 +207,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_pseudo(args) -> int:
-    config = _load_config(args.config)
+def cmd_pseudo(args, config) -> int:
     cloud, class_names = _load_cloud_and_classes(args, config)
     mask = _load_mask(args, config, class_names)
     labels, confidence, hits = _pseudo_labels(args, config, cloud, class_names, mask)
@@ -208,17 +226,12 @@ def cmd_pseudo(args) -> int:
     return 0
 
 
-def cmd_refine(args) -> int:
-    config = _load_config(args.config)
+def cmd_refine(args, config) -> int:
     cloud, class_names = _load_cloud_and_classes(args, config)
-    labels = tensorio.load_labels_text(
-        _setting(args, config, "labels", required=True), len(class_names)
-    )
+    labels = _load_labels(args, config, "labels", class_names, cloud.count)
     confidence = tensorio.load_confidence(
         _setting(args, config, "confidence", required=True)
     )
-    if len(labels) != cloud.count:
-        raise ValueError(f"{len(labels)} labels for {cloud.count} points")
     partition = _partition_for(args, config, cloud)
     params = _params(RefineParams, args, config)
     refined = refine_pipeline(labels, confidence, partition, params)
@@ -232,29 +245,16 @@ def cmd_refine(args) -> int:
     return 0
 
 
-def _run_stlp(args, config):
+def cmd_stlp(args, config) -> int:
     cloud, class_names = _load_cloud_and_classes(args, config)
     mask = _load_mask(args, config, class_names)
     labels, confidence, _ = _pseudo_labels(args, config, cloud, class_names, mask)
     partition = _partition_for(args, config, cloud)
     stlp_config = _params(StlpConfig, args, config)
     refined = refine_pipeline(labels, confidence, partition, stlp_config.refine)
-    gt = None
     gt_path = _setting(args, config, "gt")
-    if gt_path is not None:
-        _, gt_values = load_labeled_ply(gt_path)
-        if gt_values is None:
-            raise ValueError(f"{gt_path} has no label channel")
-        gt = LabelField(gt_values, len(class_names))
-    final, classifier, report = stlp_run(
-        cloud, refined, partition, stlp_config, mask, gt=gt
-    )
-    return cloud, class_names, partition, final, classifier, report, stlp_config
-
-
-def cmd_stlp(args) -> int:
-    config = _load_config(args.config)
-    cloud, class_names, partition, final, classifier, report, stlp_config = _run_stlp(args, config)
+    gt = None if gt_path is None else _load_gt(gt_path, class_names)
+    final, _, report = stlp_run(cloud, refined, partition, stlp_config, mask, gt=gt)
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "labels.txt"), final)
     tensorio.save_report_jsonl(os.path.join(args.out, "report.jsonl"), report)
@@ -269,14 +269,9 @@ def cmd_stlp(args) -> int:
     return 0
 
 
-def cmd_infer(args) -> int:
-    config = _load_config(args.config)
+def cmd_infer(args, config) -> int:
     cloud, class_names = _load_cloud_and_classes(args, config)
-    labels = tensorio.load_labels_text(
-        _setting(args, config, "labels", required=True), len(class_names)
-    )
-    if len(labels) != cloud.count:
-        raise ValueError(f"{len(labels)} labels for {cloud.count} points")
+    labels = _load_labels(args, config, "labels", class_names, cloud.count)
     partition = _partition_for(args, config, cloud)
     stlp_config = _params(StlpConfig, args, config)
     classifier = stlp_config.make_classifier().fit(cloud, labels)
@@ -292,22 +287,12 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args.config)
+def cmd_eval(args, config) -> int:
     class_names = tensorio.load_class_names(
         _setting(args, config, "classes", required=True)
     )
-    pred = tensorio.load_labels_text(
-        _setting(args, config, "pred", required=True), len(class_names)
-    )
-    gt_path = _setting(args, config, "gt", required=True)
-    if gt_path.endswith(".ply"):
-        _, gt_values = load_labeled_ply(gt_path)
-        if gt_values is None:
-            raise ValueError(f"{gt_path} has no label channel")
-        gt = LabelField(gt_values, len(class_names))
-    else:
-        gt = tensorio.load_labels_text(gt_path, len(class_names))
+    gt = _load_gt(_setting(args, config, "gt", required=True), class_names)
+    pred = _load_labels(args, config, "pred", class_names, len(gt))
     report = metrics_report(pred, gt, class_names)
     _emit(report, args.json, text=format_report(report))
     return 0
@@ -331,9 +316,8 @@ def _sweep_value(task):
     }
 
 
-def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_setting(args, config, "seed") or 0)
+def cmd_sweep(args, config) -> int:
+    seed = _setting(args, config, "seed", kind=int) or 0
     try:
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError:
@@ -362,20 +346,26 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(sub, *, needs_out=True):
+# Flag groups: each command declares only the groups it reads.
+
+def _add_common(sub, out: Optional[str] = "required"):
+    """--config/--seed/--json, and --out unless `out` is None."""
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--seed", type=int, help="scene seed (synth, sweep)")
     sub.add_argument("--json", action="store_true",
                      help="machine-readable JSON on stdout")
-    if needs_out:
-        sub.add_argument("--out", help="output directory", required=False)
+    if out is not None:
+        sub.add_argument("--out", help="output directory", required=out == "required")
 
 
-def _add_pipeline_flags(sub):
+def _add_scan_flags(sub):
     sub.add_argument("--cloud", help="input cloud (PLY)")
     sub.add_argument("--classes", help="class list JSON")
-    sub.add_argument("--mask", help="scene mask JSON (class names present)")
     sub.add_argument("--partition", help="precomputed partition JSON")
+
+
+def _add_refine_flags(sub):
+    """RefineParams, and the SuperpointParams used when --partition is absent."""
     sub.add_argument("--top-v", dest="top_v", type=float, help="CALR percentage kept per class")
     sub.add_argument("--alpha", type=float, help="GALR overlap threshold")
     sub.add_argument("--angle-threshold", dest="angle_threshold", type=float,
@@ -386,6 +376,7 @@ def _add_pipeline_flags(sub):
 
 
 def _add_source_flags(sub):
+    sub.add_argument("--mask", help="scene mask JSON (class names present)")
     sub.add_argument("--logits", help="point logits (LF01)")
     sub.add_argument("--views", help="view manifest JSON")
     sub.add_argument("--occlusion-tolerance", dest="occlusion_tolerance", type=float)
@@ -408,20 +399,22 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = commands.add_parser("pseudo", help="initial labels from logits or views")
-    _add_pipeline_flags(p)
+    _add_scan_flags(p)
     _add_source_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_pseudo)
 
     p = commands.add_parser("refine", help="class-aware + geometry-aware refinement")
-    _add_pipeline_flags(p)
+    _add_scan_flags(p)
+    _add_refine_flags(p)
     p.add_argument("--labels", help="label listing (text)")
     p.add_argument("--confidence", help="confidence tensor (LF01, one column)")
     _add_common(p)
     p.set_defaults(func=cmd_refine)
 
     p = commands.add_parser("stlp", help="full pipeline + self-training rounds")
-    _add_pipeline_flags(p)
+    _add_scan_flags(p)
+    _add_refine_flags(p)
     _add_source_flags(p)
     p.add_argument("--gt", help="ground-truth PLY with label channel (for the report)")
     p.add_argument("--rounds", type=int, help="self-training rounds")
@@ -431,7 +424,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_stlp)
 
     p = commands.add_parser("infer", help="fit on labels, predict everywhere, GALR post-process")
-    _add_pipeline_flags(p)
+    _add_scan_flags(p)
+    _add_refine_flags(p)
     p.add_argument("--labels", help="training label listing (text)")
     _add_knn_flags(p)
     p.add_argument("--emit-unlabeled", action="store_true",
@@ -443,7 +437,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pred", help="predicted label listing (text)")
     p.add_argument("--gt", help="ground truth (label PLY or text listing)")
     p.add_argument("--classes", help="class list JSON")
-    _add_common(p, needs_out=False)
+    _add_common(p, out=None)
     p.set_defaults(func=cmd_eval)
 
     p = commands.add_parser("sweep", help="hyperparameter sweep on the benchmark preset")
@@ -452,19 +446,15 @@ def build_parser() -> _Parser:
     p.add_argument("--preset", default="room-small")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel worker processes across grid values")
-    _add_common(p)
+    _add_common(p, out="optional")
     p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        for cmd_needing_out in ("synth", "pseudo", "refine", "stlp", "infer"):
-            if args.command == cmd_needing_out and not args.out:
-                raise UsageError(f"{cmd_needing_out} requires --out")
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(args, _load_config(args.config))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -166,10 +166,10 @@ def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
             )
         for (name, code), token in zip(props, tokens):
             try:
-                value = float(token) if code in ("f4", "f8") else int(token)
-            except ValueError:
+                rows[name][seen] = float(token) if code in ("f4", "f8") else int(token)
+            except (ValueError, OverflowError):
+                # OverflowError: an integer outside its property's type.
                 raise PlyError(f"line {lineno}: bad value {token!r} for {name!r}") from None
-            rows[name][seen] = value
         seen += 1
     if seen < vertex_count:
         raise PlyError(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -11,7 +10,7 @@ from scipy.spatial import cKDTree
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N points with positions (meters), 8-bit RGB colors, optional features.
+    """N points with positions (meters) and 8-bit RGB colors.
 
     Immutable after construction; all arrays are copied/validated up front so
     downstream stages can share one instance across threads.
@@ -19,7 +18,6 @@ class PointCloud:
 
     positions: np.ndarray
     colors: np.ndarray
-    features: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pos = np.ascontiguousarray(np.asarray(self.positions, dtype=np.float64))
@@ -37,11 +35,6 @@ class PointCloud:
         col = np.ascontiguousarray(col)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "colors", col)
-        if self.features is not None:
-            feat = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-            if feat.ndim != 2 or feat.shape[0] != pos.shape[0]:
-                raise ValueError(f"features must be (N, D), got {feat.shape}")
-            object.__setattr__(self, "features", feat)
 
     @property
     def count(self) -> int:
@@ -52,7 +45,7 @@ class PointCloud:
 
 
 class SpatialIndex:
-    """Exact nearest-neighbor and radius queries over a fixed set of points.
+    """Exact nearest-neighbor queries over a fixed set of points.
 
     Query results are ordered by (distance, index): non-decreasing distance
     with ties resolved toward the lower point index, so every caller sees one
@@ -113,19 +106,6 @@ class SpatialIndex:
         i = i.reshape(q.shape[0], k).astype(np.int64)
         order = np.lexsort((i, d), axis=-1)
         return np.take_along_axis(i, order, axis=1), np.take_along_axis(d, order, axis=1)
-
-    def radius(self, query, r: float):
-        """All points within Euclidean distance r (inclusive) of the query."""
-        q = np.asarray(query, dtype=np.float64).reshape(3)
-        if self.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        cand = np.asarray(self._tree.query_ball_point(q, float(r)), dtype=np.int64)
-        if cand.size == 0:
-            return cand, np.empty(0, dtype=np.float64)
-        delta = self._positions[cand] - q
-        d2 = np.einsum("ij,ij->i", delta, delta)
-        order = np.lexsort((cand, d2))
-        return cand[order], np.sqrt(d2[order])
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:

@@ -6,14 +6,17 @@ retained verbatim; only gap positions may adopt new, per-class-filtered
 predictions), and re-runs the superpoint vote. Inference predicts with the
 fitted classifier and applies the superpoint vote as post-processing.
 
-The classifier seat is a small behavioral contract; the bundled
-KnnClassifier (distance-weighted vote over position-plus-color features) is
-a deterministic desk-scale stand-in for a learned segmentation network.
+The classifier seat is a small behavioral contract: fit on labeled points
+only; predict a label everywhere. predict must be deterministic for fixed
+inputs and configuration, return no UNLABELED values, and report
+confidences in [0, 1]. The bundled KnnClassifier (distance-weighted vote
+over position-plus-color features) is a deterministic desk-scale stand-in
+for a learned segmentation network; any object with its fit/predict
+signatures that keeps the contract can take its place.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -27,23 +30,7 @@ from .refine import RefineParams, calr, galr
 from .superpoint import SuperpointPartition
 
 
-class PointClassifier(ABC):
-    """Contract: fit on labeled points only; predict a label everywhere.
-
-    predict must be deterministic for fixed inputs and configuration, return
-    no UNLABELED values, and report confidences in [0, 1].
-    """
-
-    @abstractmethod
-    def fit(self, cloud: PointCloud, labels: LabelField) -> "PointClassifier":
-        ...
-
-    @abstractmethod
-    def predict(self, cloud: PointCloud) -> Tuple[LabelField, np.ndarray]:
-        ...
-
-
-class KnnClassifier(PointClassifier):
+class KnnClassifier:
     """Distance-weighted k-NN vote in position (+) scaled-color space.
 
     Votes carry weight 1/(distance + smoothing). The smoothing radius (in
@@ -172,10 +159,10 @@ def stlp_round(
     cloud: PointCloud,
     prev: LabelField,
     partition: SuperpointPartition,
-    classifier: PointClassifier,
+    classifier: KnnClassifier,
     config: StlpConfig,
     scene_mask: np.ndarray,
-) -> Tuple[LabelField, PointClassifier]:
+) -> Tuple[LabelField, KnnClassifier]:
     """One train/predict/propagate cycle; returns the next label field."""
     if not prev.labeled_mask.any():
         raise ValueError("previous labels are entirely unlabeled")
@@ -197,7 +184,7 @@ def stlp_run(
     config: StlpConfig,
     scene_mask: np.ndarray,
     gt: Optional[LabelField] = None,
-) -> Tuple[LabelField, PointClassifier, List[dict]]:
+) -> Tuple[LabelField, KnnClassifier, List[dict]]:
     """Run `config.rounds` propagation rounds from the initial labels.
 
     Returns the final labels, a classifier fitted on them (for rounds=0 that
@@ -227,7 +214,7 @@ def stlp_run(
 
 def infer(
     cloud: PointCloud,
-    classifier: PointClassifier,
+    classifier: KnnClassifier,
     partition: SuperpointPartition,
     alpha: float,
     keep_rejected: bool = True,

@@ -258,6 +258,9 @@ def partition_from_labels(values) -> SuperpointPartition:
 def load_partition_json(path) -> SuperpointPartition:
     with open(path, "r", encoding="ascii") as f:
         payload = json.load(f)
+    for key in ("assignment", "n", "u"):
+        if not isinstance(payload, dict) or key not in payload:
+            raise ValueError(f"partition file {path} has no {key!r} key")
     assignment = np.asarray(payload["assignment"], dtype=np.int64)
     partition = SuperpointPartition(assignment)
     if len(partition) != payload["n"] or partition.segment_count != payload["u"]:

@@ -110,6 +110,8 @@ def load_views(manifest_path, payload_kind: str = "logits") -> List[CameraView]:
         raise ValueError(f"{manifest_path}: manifest must be a JSON array")
     views = []
     for i, entry in enumerate(manifest):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{manifest_path}: view {i} is not an object: {entry!r}")
         try:
             width = int(entry["width"])
             height = int(entry["height"])
@@ -169,7 +171,7 @@ def load_scene_mask(path, class_names: Sequence[str]) -> np.ndarray:
     lookup = {name: i for i, name in enumerate(class_names)}
     mask = np.zeros(len(class_names), dtype=bool)
     for name in present:
-        if name not in lookup:
+        if not isinstance(name, str) or name not in lookup:
             raise ValueError(f"{path}: class {name!r} is not in the class list")
         mask[lookup[name]] = True
     return mask

@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from pclabel.cli import main
+from pclabel.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -342,8 +342,47 @@ class TestConfigFile:
         assert run(["refine", "--config", config, "--out", tmp_path / "r"]) == 2
         assert f"'top_v': cannot read {value!r} as float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value, kind", [
+        ("pseudo", "occlusion_tolerance", "abc", "float"),
+        ("synth", "seed", [1], "int"),
+    ])
+    def test_bad_setting_is_named_data_error(
+        self, fixture_dir, tmp_path, capsys, command, key, value, kind
+    ):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({
+            "cloud": str(fixture_dir / "cloud.ply"),
+            "classes": str(fixture_dir / "classes.json"),
+            "views": str(fixture_dir / "views" / "manifest.json"),
+            key: value,
+        }))
+        assert run([command, "--config", config, "--out", tmp_path / "o"]) == 2
+        assert f"{key!r}: cannot read {value!r} as {kind}" in capsys.readouterr().err
+
 
 class TestCommandSurface:
+    # Each pipeline command accepts exactly the options it reads, plus
+    # --partition on pseudo, --top-v on infer and --seed, which they ignore.
+    COMMON = "-h --help --config --seed --json --out"
+    SCAN = "--cloud --classes --partition"
+    REFINE = "--top-v --alpha --angle-threshold --adjacency-k --min-size --normals-k"
+    SOURCE = "--mask --logits --views --occlusion-tolerance"
+    KNN = "--knn-k --color-weight --knn-smoothing --knn-confidence-scale"
+    ACCEPTED = {
+        "pseudo": [SCAN, SOURCE],
+        "refine": [SCAN, REFINE, "--labels --confidence"],
+        "stlp": [SCAN, REFINE, SOURCE, KNN, "--gt --rounds --update"],
+        "infer": [SCAN, REFINE, KNN, "--labels --emit-unlabeled"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ACCEPTED))
+    def test_accepted_options(self, command):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        actions = commands.choices[command]._actions
+        accepted = {o for a in actions for o in a.option_strings}
+        assert accepted == set(" ".join([self.COMMON, *self.ACCEPTED[command]]).split())
+        assert next(a for a in actions if a.dest == "out").required
+
     @pytest.fixture(scope="class")
     def commands(self, fixture_dir, labeled_dir):
         """Each pipeline command's valid arguments and the file it writes."""
@@ -412,3 +451,12 @@ class TestDamagedInputs:
         path.write_bytes(header + data[header_end:header_end + 15])
         assert self._pseudo(fixture_dir, tmp_path / "o", cloud=path) == 2
         assert "liar.ply: truncated body at byte" in capsys.readouterr().err
+
+    def test_ascii_ply_integer_outside_its_type(self, fixture_dir, tmp_path, capsys):
+        path = tmp_path / "wide.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                        "property float x\nproperty float y\nproperty float z\n"
+                        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+                        "end_header\n0 0 0 300 0 0\n")
+        assert self._pseudo(fixture_dir, tmp_path / "o", cloud=path) == 2
+        assert "wide.ply: line 11: bad value '300' for 'red'" in capsys.readouterr().err

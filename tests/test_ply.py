@@ -139,6 +139,14 @@ class TestLoad:
         with pytest.raises(PlyError, match="line 12"):
             load_ply(path)
 
+    @pytest.mark.parametrize("red", [300, -1])
+    def test_ascii_integer_outside_its_type(self, tmp_path, red):
+        path = tmp_path / "wide.ply"
+        write_ascii(path, [(0, 0, 0, red, 2, 3)])
+        with pytest.raises(PlyError,
+                           match=f"wide.ply: line 12: bad value '{red}' for 'red'"):
+            load_ply(path)
+
     def test_properties_read_in_declared_order(self, tmp_path):
         # colors declared before coordinates; values must land correctly
         path = tmp_path / "swapped.ply"

@@ -28,11 +28,6 @@ class TestPointCloud:
         with pytest.raises(ValueError, match="color"):
             PointCloud(np.zeros((1, 3)), np.array([[0, 0, 300]]))
 
-    def test_features_length_checked(self):
-        with pytest.raises(ValueError):
-            PointCloud(np.zeros((2, 3)), np.zeros((2, 3), dtype=np.uint8),
-                       features=np.zeros((3, 4)))
-
     def test_count(self, rng):
         assert make_cloud(rng, 17).count == 17
 
@@ -75,12 +70,6 @@ class TestSpatialIndex:
         ])
         idx, _ = SpatialIndex(pos).k_nearest(np.zeros(3), 2)
         assert idx.tolist() == [0, 1]
-
-    def test_radius_query(self):
-        pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
-        idx, dist = SpatialIndex(pos).radius(np.zeros(3), 1.0)
-        assert idx.tolist() == [0, 1]
-        assert np.allclose(dist, [0.0, 1.0])
 
     def test_batch_matches_single(self, rng):
         pos = rng.random((200, 3))

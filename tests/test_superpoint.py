@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -310,6 +312,15 @@ class TestPartitionIO:
         path = tmp_path / "bad.json"
         path.write_text('{"n": 5, "u": 1, "assignment": [0, 0, 0]}')
         with pytest.raises(ValueError, match="inconsistent"):
+            load_partition_json(path)
+
+    @pytest.mark.parametrize("key", ["assignment", "n", "u"])
+    def test_missing_key_named(self, tmp_path, key):
+        path = tmp_path / "bad.json"
+        payload = {"n": 3, "u": 1, "assignment": [0, 0, 0]}
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"bad.json has no '{key}' key"):
             load_partition_json(path)
 
     def test_ply_label_channel_round_trip(self, tmp_path, rng):

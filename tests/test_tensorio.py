@@ -89,6 +89,11 @@ class TestViews:
         with pytest.raises(ValueError, match="view 0"):
             tensorio.load_views(tmp_path / "manifest.json")
 
+    def test_non_object_entry_reported(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1]")
+        with pytest.raises(ValueError, match="manifest.json: view 0 is not an object: 1"):
+            tensorio.load_views(tmp_path / "manifest.json")
+
 
 class TestMaskAndClasses:
     def test_class_names_round_trip(self, tmp_path):
@@ -111,6 +116,11 @@ class TestMaskAndClasses:
     def test_unknown_class_rejected(self, tmp_path):
         (tmp_path / "m.json").write_text('["ghost"]')
         with pytest.raises(ValueError, match="ghost"):
+            tensorio.load_scene_mask(tmp_path / "m.json", ["floor"])
+
+    def test_non_string_entry_rejected(self, tmp_path):
+        (tmp_path / "m.json").write_text('[["floor"]]')
+        with pytest.raises(ValueError, match=r"m.json: class \['floor'\] is not"):
             tensorio.load_scene_mask(tmp_path / "m.json", ["floor"])
 
 
