@@ -35,6 +35,10 @@ from .synth import (
 # Seeds the committed calibration runs iterate over.
 STANDARD_SEEDS = (0, 1, 2, 3, 4)
 
+# Scene `seed` draws its logit noise from seed + NOISE_SEED_OFFSET, a
+# random stream apart from the scene's own.
+NOISE_SEED_OFFSET = 10_000
+
 
 @dataclass(frozen=True)
 class BenchmarkPreset:
@@ -48,13 +52,12 @@ class BenchmarkPreset:
     eval_superpoints: SuperpointParams
     refine: RefineParams = field(default_factory=RefineParams)
     stlp: StlpConfig = field(default_factory=StlpConfig)
-    noise_seed_offset: int = 10_000
 
     def scene_for(self, seed: int) -> SceneSpec:
         return replace(self.scene, seed=seed)
 
     def noise_for(self, seed: int) -> LogitNoiseSpec:
-        return replace(self.noise, seed=seed + self.noise_seed_offset)
+        return replace(self.noise, seed=seed + NOISE_SEED_OFFSET)
 
 
 # "room-small": a furnished synthetic room scanned by a ring of eight
@@ -181,12 +184,11 @@ def run_benchmark(
         held_out = eval_scan(preset, seed)
     config = preset.stlp if rounds is None else replace(preset.stlp, rounds=rounds)
     final_labels, classifier, report = stlp_run(
-        run.cloud, run.refined, run.partition, config, run.scene_mask, gt=run.gt
-    )
-    predicted = infer(
-        held_out.cloud, classifier, held_out.partition, preset.refine.alpha
+        run.cloud, run.refined, run.partition, config, preset.refine,
+        run.scene_mask, gt=run.gt,
     )
     raw_predicted, _ = classifier.predict(held_out.cloud)
+    predicted = infer(raw_predicted, held_out.partition, preset.refine.alpha)
     val = metrics_report(predicted, held_out.gt)
     val_raw = metrics_report(raw_predicted, held_out.gt)
     return {

@@ -3,10 +3,11 @@
 Commands read a JSON config file (--config) and/or flags; a flag wins over
 the config file, which wins over the parameter's default. Relative paths in
 a config file resolve against the file's directory. --seed selects the
-scene of synth and sweep; the other commands are deterministic and ignore
-it. Exit codes: 0 success, 1 usage error, 2 data error. With --json the
-only stdout output is machine-readable JSON; informational messages always
-go to stderr.
+scene of synth and sweep; pseudo, refine, stlp and infer ignore it, and
+eval does not take it. stlp reads one --top-v/--alpha pair in the initial
+refinement and in every self-training round. Exit codes: 0 success, 1
+usage error, 2 data error. With --json the only stdout output is
+machine-readable JSON; informational messages always go to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 from typing import List, Optional
 
 import numpy as np
@@ -103,14 +104,10 @@ def _params(cls, args, config: dict):
     """A parameter dataclass filled from flags, then config, then its defaults.
 
     Each value set by a flag or the config file is coerced to the type of
-    the field's default; a field whose default is a nested parameter
-    dataclass (StlpConfig.refine) is filled the same way.
+    the field's default.
     """
     values = {}
     for f in fields(cls):
-        if f.default is MISSING:
-            values[f.name] = _params(f.default_factory, args, config)
-            continue
         value = _setting(args, config, f.name, kind=type(f.default))
         if value is not None:
             values[f.name] = value
@@ -250,11 +247,12 @@ def cmd_stlp(args, config) -> int:
     mask = _load_mask(args, config, class_names)
     labels, confidence, _ = _pseudo_labels(args, config, cloud, class_names, mask)
     partition = _partition_for(args, config, cloud)
+    params = _params(RefineParams, args, config)
     stlp_config = _params(StlpConfig, args, config)
-    refined = refine_pipeline(labels, confidence, partition, stlp_config.refine)
+    refined = refine_pipeline(labels, confidence, partition, params)
     gt_path = _setting(args, config, "gt")
     gt = None if gt_path is None else _load_gt(gt_path, class_names)
-    final, _, report = stlp_run(cloud, refined, partition, stlp_config, mask, gt=gt)
+    final, _, report = stlp_run(cloud, refined, partition, stlp_config, params, mask, gt=gt)
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "labels.txt"), final)
     tensorio.save_report_jsonl(os.path.join(args.out, "report.jsonl"), report)
@@ -273,12 +271,11 @@ def cmd_infer(args, config) -> int:
     cloud, class_names = _load_cloud_and_classes(args, config)
     labels = _load_labels(args, config, "labels", class_names, cloud.count)
     partition = _partition_for(args, config, cloud)
-    stlp_config = _params(StlpConfig, args, config)
-    classifier = stlp_config.make_classifier().fit(cloud, labels)
-    predicted = infer(
-        cloud, classifier, partition, stlp_config.refine.alpha,
-        keep_rejected=not args.emit_unlabeled,
-    )
+    params = _params(RefineParams, args, config)
+    classifier = _params(StlpConfig, args, config).make_classifier()
+    pred, _ = classifier.fit(cloud, labels).predict(cloud)
+    predicted = infer(pred, partition, params.alpha,
+                      keep_rejected=not args.emit_unlabeled)
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "pred_labels.txt"), predicted)
     record = {"out": args.out, "labeled_rate": labeled_rate(predicted)}
@@ -348,14 +345,17 @@ def cmd_sweep(args, config) -> int:
 
 # Flag groups: each command declares only the groups it reads.
 
-def _add_common(sub, out: Optional[str] = "required"):
-    """--config/--seed/--json, and --out unless `out` is None."""
+def _add_config_flags(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--seed", type=int, help="scene seed (synth, sweep)")
     sub.add_argument("--json", action="store_true",
                      help="machine-readable JSON on stdout")
-    if out is not None:
-        sub.add_argument("--out", help="output directory", required=out == "required")
+
+
+def _add_common(sub, out: str = "required"):
+    """--config/--json, --seed, and --out (required unless `out` is "optional")."""
+    _add_config_flags(sub)
+    sub.add_argument("--seed", type=int, help="scene seed (synth, sweep)")
+    sub.add_argument("--out", help="output directory", required=out == "required")
 
 
 def _add_scan_flags(sub):
@@ -419,7 +419,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", help="ground-truth PLY with label channel (for the report)")
     p.add_argument("--rounds", type=int, help="self-training rounds")
     _add_knn_flags(p)
-    p.add_argument("--update", choices=("retained", "full"))
     _add_common(p)
     p.set_defaults(func=cmd_stlp)
 
@@ -437,7 +436,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pred", help="predicted label listing (text)")
     p.add_argument("--gt", help="ground truth (label PLY or text listing)")
     p.add_argument("--classes", help="class list JSON")
-    _add_common(p, out=None)
+    _add_config_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = commands.add_parser("sweep", help="hyperparameter sweep on the benchmark preset")

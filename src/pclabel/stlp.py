@@ -3,8 +3,10 @@
 Each round fits a classifier on the current pseudo labels, predicts
 everywhere, merges predictions into the unlabeled gaps (previous labels are
 retained verbatim; only gap positions may adopt new, per-class-filtered
-predictions), and re-runs the superpoint vote. Inference predicts with the
-fitted classifier and applies the superpoint vote as post-processing.
+predictions), and re-runs the superpoint vote. The rounds read the same
+RefineParams as the initial refinement: top_v for the per-class filter of
+the gaps and alpha for the vote. Inference applies that vote to a fitted
+classifier's predictions as post-processing.
 
 The classifier seat is a small behavioral contract: fit on labeled points
 only; predict a label everywhere. predict must be deterministic for fixed
@@ -17,7 +19,7 @@ signatures that keeps the contract can take its place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -102,21 +104,17 @@ class KnnClassifier:
 
 @dataclass(frozen=True)
 class StlpConfig:
-    """Round count, refinement parameters, and classifier settings."""
+    """Round count and classifier settings."""
 
     rounds: int = 2
-    refine: RefineParams = field(default_factory=RefineParams)
     knn_k: int = 15
     color_weight: float = 0.5
     knn_smoothing: float = 0.05
     knn_confidence_scale: float = 0.1
-    update: str = "retained"
 
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
-        if self.update not in ("retained", "full"):
-            raise ValueError(f"unknown update strategy {self.update!r}")
 
     def make_classifier(self) -> KnnClassifier:
         return KnnClassifier(
@@ -160,7 +158,7 @@ def stlp_round(
     prev: LabelField,
     partition: SuperpointPartition,
     classifier: KnnClassifier,
-    config: StlpConfig,
+    refine: RefineParams,
     scene_mask: np.ndarray,
 ) -> Tuple[LabelField, KnnClassifier]:
     """One train/predict/propagate cycle; returns the next label field."""
@@ -168,13 +166,8 @@ def stlp_round(
         raise ValueError("previous labels are entirely unlabeled")
     classifier.fit(cloud, prev)
     pred, conf = classifier.predict(cloud)
-    if config.update == "full":
-        mask = np.asarray(scene_mask, dtype=bool)
-        candidates = np.where(mask[pred.values], pred.values, UNLABELED)
-        merged = calr(prev.with_values(candidates), conf, config.refine.top_v)
-    else:
-        merged = label_update(prev, pred, conf, scene_mask, config.refine.top_v)
-    return galr(merged, partition, config.refine.alpha), classifier
+    merged = label_update(prev, pred, conf, scene_mask, refine.top_v)
+    return galr(merged, partition, refine.alpha), classifier
 
 
 def stlp_run(
@@ -182,6 +175,7 @@ def stlp_run(
     y0: LabelField,
     partition: SuperpointPartition,
     config: StlpConfig,
+    refine: RefineParams,
     scene_mask: np.ndarray,
     gt: Optional[LabelField] = None,
 ) -> Tuple[LabelField, KnnClassifier, List[dict]]:
@@ -197,7 +191,7 @@ def stlp_run(
     report: List[dict] = []
     for t in range(1, config.rounds + 1):
         labels, classifier = stlp_round(
-            cloud, labels, partition, classifier, config, scene_mask
+            cloud, labels, partition, classifier, refine, scene_mask
         )
         row = {"round": t, "labeled_rate": labeled_rate(labels)}
         if gt is not None:
@@ -213,19 +207,17 @@ def stlp_run(
 
 
 def infer(
-    cloud: PointCloud,
-    classifier: KnnClassifier,
+    pred: LabelField,
     partition: SuperpointPartition,
     alpha: float,
     keep_rejected: bool = True,
 ) -> LabelField:
-    """Predict everywhere and apply the superpoint vote as post-processing.
+    """Apply the superpoint vote to per-point predictions as post-processing.
 
     Blocks failing the alpha test keep the raw per-point predictions so the
     output labels every point; pass keep_rejected=False to leave them
     unlabeled for analysis.
     """
-    pred, _ = classifier.predict(cloud)
     voted = galr(pred, partition, alpha)
     if not keep_rejected:
         return voted

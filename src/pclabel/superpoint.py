@@ -261,8 +261,17 @@ def load_partition_json(path) -> SuperpointPartition:
     for key in ("assignment", "n", "u"):
         if not isinstance(payload, dict) or key not in payload:
             raise ValueError(f"partition file {path} has no {key!r} key")
-    assignment = np.asarray(payload["assignment"], dtype=np.int64)
-    partition = SuperpointPartition(assignment)
+    entries = payload["assignment"]
+    if not isinstance(entries, list):
+        raise ValueError(f"partition file {path}: assignment is not a list: {entries!r}")
+    # type() rather than isinstance: JSON true/false must not pass as 1/0.
+    bad = next((i for i, v in enumerate(entries) if type(v) is not int), None)
+    if bad is not None:
+        raise ValueError(
+            f"partition file {path}: assignment entry {bad} is not an "
+            f"integer: {entries[bad]!r}"
+        )
+    partition = SuperpointPartition(np.asarray(entries, dtype=np.int64))
     if len(partition) != payload["n"] or partition.segment_count != payload["u"]:
         raise ValueError(
             f"partition file {path} is inconsistent: declared n={payload['n']} "

@@ -133,6 +133,8 @@ def load_views(manifest_path, payload_kind: str = "logits") -> List[CameraView]:
             ))
         except KeyError as e:
             raise ValueError(f"{manifest_path}: view {i} is missing {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{manifest_path}: view {i}: {e}") from None
     return views
 
 

@@ -87,7 +87,7 @@ def test_criterion_3_label_update_monotonicity(bench):
     for seed in pl.STANDARD_SEEDS:
         run = bench["runs"][seed]
         config = pl.StlpConfig(
-            rounds=3, refine=preset.refine, knn_k=preset.stlp.knn_k,
+            rounds=3, knn_k=preset.stlp.knn_k,
             color_weight=preset.stlp.color_weight,
             knn_smoothing=preset.stlp.knn_smoothing,
             knn_confidence_scale=preset.stlp.knn_confidence_scale,
@@ -98,7 +98,7 @@ def test_criterion_3_label_update_monotonicity(bench):
             classifier.fit(run.cloud, labels)
             pred, conf = classifier.predict(run.cloud)
             merged = pl.label_update(labels, pred, conf, run.scene_mask,
-                                     config.refine.top_v)
+                                     preset.refine.top_v)
             entering = labels.labeled_mask
             if not np.array_equal(merged.values[entering], labels.values[entering]):
                 violations += 1
@@ -107,13 +107,13 @@ def test_criterion_3_label_update_monotonicity(bench):
             out_labeled = merged.labeled_mask
             if not run.scene_mask[merged.values[out_labeled]].all():
                 violations += 1
-            labels = pl.galr(merged, run.partition, config.refine.alpha)
+            labels = pl.galr(merged, run.partition, preset.refine.alpha)
             if labels.labeled_mask.any():
                 if not run.scene_mask[labels.values[labels.labeled_mask]].all():
                     violations += 1
         # the instrumented trace is the production path
         final, _, _ = pl.stlp_run(run.cloud, run.refined, run.partition,
-                                  config, run.scene_mask)
+                                  config, preset.refine, run.scene_mask)
         assert np.array_equal(final.values, labels.values)
     _line(3, violations == 0,
           "label_update retains labeled positions verbatim and never emits "

@@ -71,3 +71,27 @@ class TestProtocol:
             rates.append(pl.labeled_rate(refined))
         assert rates[0] >= rates[1] >= rates[2]
         assert rates[2] < rates[0]
+
+    def test_rounds_read_the_preset_refine(self, seed0_products):
+        # one V and alpha: the self-training rounds read preset.refine
+        preset, run, held = seed0_products
+        p = replace(preset, refine=replace(preset.refine, top_v=100.0))
+        record = pl.run_benchmark(p, 0, rounds=1, run=run, held_out=held)
+        final, _, _ = pl.stlp_run(run.cloud, run.refined, run.partition,
+                                  replace(p.stlp, rounds=1), p.refine,
+                                  run.scene_mask)
+        assert record["final_labeled_rate"] == pl.labeled_rate(final)
+
+    def test_held_out_scan_predicted_once(self, seed0_products, monkeypatch):
+        # one prediction per round, one for the held-out scan
+        preset, run, held = seed0_products
+        calls = []
+        predict = pl.KnnClassifier.predict
+
+        def counted(self, cloud):
+            calls.append(cloud.count)
+            return predict(self, cloud)
+
+        monkeypatch.setattr(pl.KnnClassifier, "predict", counted)
+        pl.run_benchmark(preset, 0, rounds=2, run=run, held_out=held)
+        assert calls == [run.cloud.count] * 2 + [held.cloud.count]

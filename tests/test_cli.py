@@ -371,7 +371,7 @@ class TestCommandSurface:
     ACCEPTED = {
         "pseudo": [SCAN, SOURCE],
         "refine": [SCAN, REFINE, "--labels --confidence"],
-        "stlp": [SCAN, REFINE, SOURCE, KNN, "--gt --rounds --update"],
+        "stlp": [SCAN, REFINE, SOURCE, KNN, "--gt --rounds"],
         "infer": [SCAN, REFINE, KNN, "--labels --emit-unlabeled"],
     }
 
@@ -415,9 +415,11 @@ class TestCommandSurface:
         assert run([command, *args, "--jobs", 2, "--out", tmp_path / "x"]) == 1
 
     def test_jobs_on_eval_is_usage_error(self, fixture_dir, labeled_dir):
-        assert run(["eval", "--pred", labeled_dir / "labels.txt",
-                    "--gt", fixture_dir / "gt.ply",
-                    "--classes", fixture_dir / "classes.json", "--jobs", 2]) == 1
+        # eval takes neither --jobs nor --seed
+        for flag in (["--jobs", 2], ["--seed", 0]):
+            assert run(["eval", "--pred", labeled_dir / "labels.txt",
+                        "--gt", fixture_dir / "gt.ply",
+                        "--classes", fixture_dir / "classes.json", *flag]) == 1
 
 
 class TestDamagedInputs:

@@ -135,9 +135,9 @@ class TestStlpRound:
         values = assignment % 3
         prev = LabelField(values, 3)
         partition = SuperpointPartition(assignment)
-        config = StlpConfig(rounds=1, refine=RefineParams(top_v=100.0, alpha=0.5))
+        refine = RefineParams(top_v=100.0, alpha=0.5)
         out, _ = stlp_round(make_cloud(rng, n), prev, partition,
-                            EchoClassifier(), config, np.ones(3, bool))
+                            EchoClassifier(), refine, np.ones(3, bool))
         expected = galr(prev, partition, 0.5)
         assert np.array_equal(out.values, expected.values)
 
@@ -146,7 +146,7 @@ class TestStlpRound:
         partition = SuperpointPartition(np.zeros(10, dtype=np.int64))
         with pytest.raises(ValueError):
             stlp_round(cloud, LabelField.full_unlabeled(10, 2), partition,
-                       KnnClassifier(), StlpConfig(), np.ones(2, bool))
+                       KnnClassifier(), RefineParams(), np.ones(2, bool))
 
 
 class TestStlpRun:
@@ -166,8 +166,8 @@ class TestStlpRun:
 
     def test_zero_rounds_untouched(self, rng):
         cloud, y0, partition, gt = self._setup(rng)
-        final, clf, report = stlp_run(cloud, y0, partition,
-                                      StlpConfig(rounds=0), np.ones(4, bool))
+        final, clf, report = stlp_run(cloud, y0, partition, StlpConfig(rounds=0),
+                                      RefineParams(), np.ones(4, bool))
         assert final is y0
         assert report == []
         pred, _ = clf.predict(cloud)  # classifier usable
@@ -176,14 +176,14 @@ class TestStlpRun:
     def test_report_rows_match_rounds(self, rng):
         cloud, y0, partition, gt = self._setup(rng)
         _, _, report = stlp_run(cloud, y0, partition, StlpConfig(rounds=3),
-                                np.ones(4, bool), gt=gt)
+                                RefineParams(), np.ones(4, bool), gt=gt)
         assert [row["round"] for row in report] == [1, 2, 3]
         assert all("miou" in row and "labeled_rate" in row for row in report)
 
     def test_labeled_rate_grows_from_sparse_seeds(self, rng):
         cloud, y0, partition, gt = self._setup(rng)
         _, _, report = stlp_run(cloud, y0, partition, StlpConfig(rounds=1),
-                                np.ones(4, bool))
+                                RefineParams(), np.ones(4, bool))
         before = float((y0.values != UNLABELED).mean())
         assert report[0]["labeled_rate"] > before
 
@@ -192,72 +192,49 @@ class TestStlpRun:
         mask = np.array([True, True, True, False])
         values = np.where(y0.values == 3, UNLABELED, y0.values)
         y0 = LabelField(values, 4)
-        final, _, _ = stlp_run(cloud, y0, partition, StlpConfig(rounds=2), mask)
+        final, _, _ = stlp_run(cloud, y0, partition, StlpConfig(rounds=2),
+                               RefineParams(), mask)
         labeled = final.values != UNLABELED
         assert mask[final.values[labeled]].all()
 
     def test_determinism(self, rng):
         cloud, y0, partition, gt = self._setup(rng)
-        a = stlp_run(cloud, y0, partition, StlpConfig(rounds=2), np.ones(4, bool))
-        b = stlp_run(cloud, y0, partition, StlpConfig(rounds=2), np.ones(4, bool))
+        a = stlp_run(cloud, y0, partition, StlpConfig(rounds=2), RefineParams(),
+                     np.ones(4, bool))
+        b = stlp_run(cloud, y0, partition, StlpConfig(rounds=2), RefineParams(),
+                     np.ones(4, bool))
         assert np.array_equal(a[0].values, b[0].values)
-
-    def test_full_update_strategy_runs(self, rng):
-        cloud, y0, partition, gt = self._setup(rng)
-        final, _, report = stlp_run(cloud, y0, partition,
-                                    StlpConfig(rounds=2, update="full"),
-                                    np.ones(4, bool), gt=gt)
-        assert len(report) == 2
-        assert len(final) == cloud.count
 
 
 class TestInfer:
     def test_unanimous_block_identity(self, rng):
         cloud = make_cloud(rng, 30)
         labels = LabelField(np.ones(30, dtype=np.int64), 2)
-        clf = KnnClassifier(k=3).fit(cloud, labels)
+        pred, _ = KnnClassifier(k=3).fit(cloud, labels).predict(cloud)
         partition = SuperpointPartition(np.zeros(30, dtype=np.int64))
-        out = infer(cloud, clf, partition, 0.5)
+        out = infer(pred, partition, 0.5)
         assert np.all(out.values == 1)
 
     def test_majority_block_vote(self, rng):
         # 60/40 split at alpha 0.5: whole block goes to the majority
-        cloud = make_cloud(rng, 10)
         partition = SuperpointPartition(np.zeros(10, dtype=np.int64))
-
-        class Fixed:
-            def predict(self, cloud):
-                values = np.array([0] * 6 + [1] * 4)
-                return LabelField(values, 2), np.ones(10)
-
-        out = infer(cloud, Fixed(), partition, 0.5)
+        pred = LabelField(np.array([0] * 6 + [1] * 4), 2)
+        out = infer(pred, partition, 0.5)
         assert np.all(out.values == 0)
 
     def test_rejected_blocks_keep_raw_predictions(self, rng):
-        cloud = make_cloud(rng, 8)
         partition = SuperpointPartition(np.zeros(8, dtype=np.int64))
-
-        class Split:
-            def predict(self, cloud):
-                values = np.array([0, 1] * 4)
-                return LabelField(values, 2), np.ones(8)
-
-        out = infer(cloud, Split(), partition, 0.5)
+        pred = LabelField(np.array([0, 1] * 4), 2)
+        out = infer(pred, partition, 0.5)
         assert out.values.tolist() == [0, 1] * 4
-        unlabeled = infer(cloud, Split(), partition, 0.5, keep_rejected=False)
+        unlabeled = infer(pred, partition, 0.5, keep_rejected=False)
         assert np.all(unlabeled.values == UNLABELED)
-
-    def test_unfitted_classifier_propagates(self, rng):
-        cloud = make_cloud(rng, 5)
-        partition = SuperpointPartition(np.zeros(5, dtype=np.int64))
-        with pytest.raises(RuntimeError):
-            infer(cloud, KnnClassifier(), partition, 0.5)
 
     def test_output_labels_every_point(self, rng):
         cloud = make_cloud(rng, 100)
         values = rng.integers(0, 3, 100)
         values[50:] = UNLABELED
-        clf = KnnClassifier(k=5).fit(cloud, LabelField(values, 3))
+        pred, _ = KnnClassifier(k=5).fit(cloud, LabelField(values, 3)).predict(cloud)
         partition = SuperpointPartition(rng.integers(0, 5, 100) % 5)
-        out = infer(cloud, clf, partition, 0.5)
+        out = infer(pred, partition, 0.5)
         assert np.all(out.values != UNLABELED)

@@ -323,6 +323,22 @@ class TestPartitionIO:
         with pytest.raises(ValueError, match=f"bad.json has no '{key}' key"):
             load_partition_json(path)
 
+    @pytest.mark.parametrize("assignment, entry", [
+        ([0.5, 0.2, 0.9], "entry 0 is not an integer: 0.5"),
+        ([True, False], "entry 0 is not an integer: True"),
+        (5, "is not a list: 5"),
+    ])
+    def test_non_integer_entry_named(self, tmp_path, assignment, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "u": 1, "assignment": assignment}))
+        with pytest.raises(ValueError, match=f"bad.json: assignment {entry}"):
+            load_partition_json(path)
+
+    def test_empty_assignment_loads(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 0, "u": 0, "assignment": []}')
+        assert len(load_partition_json(path)) == 0
+
     def test_ply_label_channel_round_trip(self, tmp_path, rng):
         from pclabel import load_labeled_ply, save_ply
         from pclabel.superpoint import partition_from_labels, partition_to_labels

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -93,6 +94,24 @@ class TestViews:
         (tmp_path / "manifest.json").write_text("[1]")
         with pytest.raises(ValueError, match="manifest.json: view 0 is not an object: 1"):
             tensorio.load_views(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("width", "abc", "invalid literal for int"),
+        ("width", 3, "payload has 4 rows for a 3x2 grid"),
+        ("rotation", [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "rotation is not orthonormal"),
+    ])
+    def test_bad_entry_names_manifest_and_view(self, tmp_path, key, value, reason):
+        view = CameraView(
+            intrinsics=np.array([[50.0, 0, 1], [0, 50.0, 1], [0, 0, 1]]),
+            rotation=np.eye(3), translation=np.zeros(3), width=2, height=2,
+            pixel_logits=np.zeros((2, 2, 3), dtype=np.float32))
+        manifest = tensorio.save_views(tmp_path / "v", [view, view])
+        entries = json.loads(open(manifest).read())
+        entries[1][key] = value
+        with open(manifest, "w") as f:
+            json.dump(entries, f)
+        with pytest.raises(ValueError, match=f"manifest.json: view 1: {reason}"):
+            tensorio.load_views(manifest)
 
 
 class TestMaskAndClasses:
