@@ -20,10 +20,8 @@ from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
 from .projection import (
     MASKED_LOGIT,
     CameraView,
-    TextEmbeddings,
     aggregate_views,
     apply_scene_mask,
-    compute_logits,
     project_point,
     pseudo_labels_from_logits,
     pseudo_labels_from_views,
@@ -50,7 +48,6 @@ from .synth import (
     ViewRingSpec,
     corrupt_logits,
     generate_scene,
-    one_hot,
     render_views,
 )
 from .benchmark import (
@@ -69,8 +66,7 @@ __all__ = [
     "UNLABELED", "LabelField",
     "PointCloud", "SpatialIndex", "build_index", "estimate_normals",
     "load_ply", "load_labeled_ply", "save_ply",
-    "MASKED_LOGIT", "CameraView", "TextEmbeddings",
-    "project_point", "aggregate_views", "compute_logits",
+    "MASKED_LOGIT", "CameraView", "project_point", "aggregate_views",
     "apply_scene_mask", "rank_to_pseudo_labels",
     "pseudo_labels_from_logits", "pseudo_labels_from_views",
     "SuperpointParams", "SuperpointPartition", "oversegment", "partition_stats",
@@ -80,7 +76,7 @@ __all__ = [
     "ConfusionMatrix", "ConfidenceBin", "confusion", "miou",
     "confidence_bins", "labeled_rate", "metrics_report",
     "SceneSpec", "LogitNoiseSpec", "ViewRingSpec",
-    "generate_scene", "corrupt_logits", "render_views", "one_hot",
+    "generate_scene", "corrupt_logits", "render_views",
     "BenchmarkPreset", "BENCHMARK_PRESETS",
     "STANDARD_SEEDS", "get_benchmark", "label_scan", "eval_scan",
     "run_benchmark",

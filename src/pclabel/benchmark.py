@@ -157,11 +157,9 @@ def label_scan(preset: BenchmarkPreset, seed: int) -> LabelingRun:
     )
 
 
-def eval_scan(preset: BenchmarkPreset, seed: int, sample_index: int = 1) -> EvalScan:
+def eval_scan(preset: BenchmarkPreset, seed: int) -> EvalScan:
     """Held-out rescan of the same room with its reference partition."""
-    cloud, gt, _, normals = generate_scene(
-        preset.scene_for(seed).rescan(sample_index)
-    )
+    cloud, gt, _, normals = generate_scene(preset.scene_for(seed).rescan(1))
     partition = partition_cloud(cloud, preset.eval_superpoints, normals)
     return EvalScan(cloud=cloud, gt=gt, partition=partition)
 

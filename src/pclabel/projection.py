@@ -1,11 +1,10 @@
-"""Multi-view back-projection of pixel scores onto points and initial labels.
+"""Multi-view back-projection of pixel logits onto points and initial labels.
 
-A posed view carries either a per-pixel logit map or a per-pixel embedding
-map. Points are projected through the pinhole model z*[u,v,1]^T = K*(R*p+t),
-payloads sampled at the nearest pixel are averaged over all views that see a
-point, embeddings are turned into class logits against text prototypes, the
-scene-level mask removes absent classes, and softmax ranking yields the
-initial per-point labels with confidences.
+A posed view carries a per-pixel class-logit map. Points are projected
+through the pinhole model z*[u,v,1]^T = K*(R*p+t), logits sampled at the
+nearest pixel are averaged over all views that see a point, the scene-level
+mask removes absent classes, and softmax ranking yields the initial
+per-point labels with confidences.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ MIN_DEPTH = 1e-9
 
 @dataclass(frozen=True)
 class CameraView:
-    """Posed pinhole camera plus its per-pixel payload.
+    """Posed pinhole camera plus its per-pixel class logits (H, W, C).
 
-    Exactly one of pixel_logits (H, W, C) and pixel_embeddings (H, W, d) is
-    present. rotation/translation map world points into the camera frame.
+    rotation/translation map world points into the camera frame.
     """
 
     intrinsics: np.ndarray
@@ -39,8 +37,7 @@ class CameraView:
     translation: np.ndarray
     width: int
     height: int
-    pixel_logits: Optional[np.ndarray] = None
-    pixel_embeddings: Optional[np.ndarray] = None
+    pixel_logits: np.ndarray
 
     def __post_init__(self):
         k = np.asarray(self.intrinsics, dtype=np.float64)
@@ -56,54 +53,24 @@ class CameraView:
             raise ValueError("intrinsics must have a zero bottom-left block")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image grid must be positive")
-        if (self.pixel_logits is None) == (self.pixel_embeddings is None):
-            raise ValueError("exactly one of pixel_logits/pixel_embeddings required")
-        payload = self.pixel_logits if self.pixel_logits is not None else self.pixel_embeddings
-        payload = np.asarray(payload)
-        if payload.shape[:2] != (self.height, self.width) or payload.ndim != 3:
+        logits = np.asarray(self.pixel_logits)
+        if logits.ndim != 3 or logits.shape[:2] != (self.height, self.width):
             raise ValueError(
-                f"payload must be (H={self.height}, W={self.width}, channels), "
-                f"got {payload.shape}"
+                f"pixel_logits must be (H={self.height}, W={self.width}, C), "
+                f"got {logits.shape}"
             )
+        bad = np.argwhere(~np.isfinite(logits).all(axis=2))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"pixel_logits at row {row}, col {col} are not finite")
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        if self.pixel_logits is not None:
-            object.__setattr__(self, "pixel_logits", payload)
-        else:
-            object.__setattr__(self, "pixel_embeddings", payload)
-
-    @property
-    def payload(self) -> np.ndarray:
-        return self.pixel_logits if self.pixel_logits is not None else self.pixel_embeddings
-
-    @property
-    def payload_kind(self) -> str:
-        return "logits" if self.pixel_logits is not None else "embeddings"
+        object.__setattr__(self, "pixel_logits", logits)
 
     @property
     def channels(self) -> int:
-        return int(self.payload.shape[2])
-
-
-@dataclass(frozen=True)
-class TextEmbeddings:
-    """One prototype vector per class name."""
-
-    vectors: np.ndarray
-    class_names: Tuple[str, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.float64)
-        names = tuple(self.class_names)
-        if v.ndim != 2:
-            raise ValueError("prototype vectors must be (C, d)")
-        if v.shape[0] != len(names):
-            raise ValueError(
-                f"{v.shape[0]} prototype rows but {len(names)} class names"
-            )
-        object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "class_names", names)
+        return int(self.pixel_logits.shape[2])
 
 
 def project_point(p, view: CameraView):
@@ -162,7 +129,7 @@ def aggregate_views(
     views: Sequence[CameraView],
     occlusion_tolerance: Optional[float] = None,
 ):
-    """Average each point's payload over every view that sees it.
+    """Average each point's pixel logits over every view that sees it.
 
     Sampling is nearest-pixel; a point contributes in a view only when it is
     in front of the camera and its rounded pixel lies on the grid. With
@@ -173,9 +140,6 @@ def aggregate_views(
     """
     if not views:
         raise ValueError("at least one view is required")
-    kinds = {v.payload_kind for v in views}
-    if len(kinds) != 1:
-        raise ValueError(f"views mix payload kinds: {sorted(kinds)}")
     channels = {v.channels for v in views}
     if len(channels) != 1:
         raise ValueError(f"views disagree on channel count: {sorted(channels)}")
@@ -194,22 +158,11 @@ def aggregate_views(
             visible = np.zeros(n, dtype=bool)
             visible[valid] = depth[valid] <= zbuf[rows[valid], cols[valid]] + occlusion_tolerance
             valid = visible
-        acc[valid] += view.payload[rows[valid], cols[valid]]
+        acc[valid] += view.pixel_logits[rows[valid], cols[valid]]
         hits[valid] += 1
     seen = hits > 0
     acc[seen] /= hits[seen, None]
     return acc, hits
-
-
-def compute_logits(embeddings: np.ndarray, text: TextEmbeddings) -> np.ndarray:
-    """Class logits as inner products of point embeddings with prototypes."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2 or emb.shape[1] != text.vectors.shape[1]:
-        raise ValueError(
-            f"embedding dim {emb.shape} does not match prototypes "
-            f"{text.vectors.shape}"
-        )
-    return emb @ text.vectors.T
 
 
 def apply_scene_mask(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -270,21 +223,14 @@ def pseudo_labels_from_views(
     cloud: PointCloud,
     views: Sequence[CameraView],
     mask: Optional[np.ndarray] = None,
-    text: Optional[TextEmbeddings] = None,
     occlusion_tolerance: Optional[float] = None,
 ):
-    """Full initial-label path: aggregate, (embed->logits), mask, rank.
+    """Full initial-label path: aggregate, mask, rank.
 
     Points with no view correspondence come back UNLABELED with confidence 0.
     Returns (labels, confidence, hit_count).
     """
-    aggregate, hits = aggregate_views(cloud, views, occlusion_tolerance)
-    if views[0].payload_kind == "embeddings":
-        if text is None:
-            raise ValueError("embedding views require text prototypes")
-        logits = compute_logits(aggregate, text)
-    else:
-        logits = aggregate
+    logits, hits = aggregate_views(cloud, views, occlusion_tolerance)
     labels, confidence = pseudo_labels_from_logits(logits, mask)
     values = labels.values.copy()
     values[hits == 0] = UNLABELED

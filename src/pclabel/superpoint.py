@@ -239,22 +239,6 @@ def save_partition_json(partition: SuperpointPartition, path) -> None:
         f.write("\n")
 
 
-def partition_to_labels(partition: SuperpointPartition):
-    """Segment ids as a label field (rides the 16-bit PLY label channel)."""
-    from .labels import LabelField
-
-    u = partition.segment_count
-    if u >= 65535:
-        raise ValueError(f"{u} segments do not fit a 16-bit channel")
-    return LabelField(partition.assignment, max(u, 1))
-
-
-def partition_from_labels(values) -> SuperpointPartition:
-    """Rebuild a partition from a segment-id channel."""
-    ids = values.values if hasattr(values, "values") else np.asarray(values)
-    return SuperpointPartition(ids)
-
-
 def load_partition_json(path) -> SuperpointPartition:
     with open(path, "r", encoding="ascii") as f:
         payload = json.load(f)
@@ -271,7 +255,15 @@ def load_partition_json(path) -> SuperpointPartition:
             f"partition file {path}: assignment entry {bad} is not an "
             f"integer: {entries[bad]!r}"
         )
-    partition = SuperpointPartition(np.asarray(entries, dtype=np.int64))
+    try:
+        assignment = np.asarray(entries, dtype=np.int64)
+    except OverflowError:
+        bad = next(i for i, v in enumerate(entries) if not -2**63 <= v < 2**63)
+        raise ValueError(
+            f"partition file {path}: assignment entry {bad} is out of the "
+            f"int64 range: {entries[bad]!r}"
+        ) from None
+    partition = SuperpointPartition(assignment)
     if len(partition) != payload["n"] or partition.segment_count != payload["u"]:
         raise ValueError(
             f"partition file {path} is inconsistent: declared n={payload['n']} "

@@ -20,7 +20,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .labels import UNLABELED, LabelField
+from .labels import LabelField
 from .pointcloud import PointCloud
 from .projection import CameraView, project_to_pixels
 
@@ -61,7 +61,6 @@ class SceneSpec:
     )
     density: float = 450.0
     noise_sigma: float = 0.006
-    unlabeled_fraction: float = 0.0
     seed: int = 0
     sample_index: int = 0
 
@@ -74,8 +73,6 @@ class SceneSpec:
             raise ValueError("palette must include 'floor' and 'wall'")
         if not 0 <= self.object_count[0] <= self.object_count[1]:
             raise ValueError("object_count must be a (min, max) range")
-        if not 0.0 <= self.unlabeled_fraction < 1.0:
-            raise ValueError("unlabeled_fraction must lie in [0, 1)")
         if self.sample_index < 0:
             raise ValueError("sample_index must be >= 0")
 
@@ -224,13 +221,8 @@ def generate_scene(spec: SceneSpec):
     col = np.vstack(colors)
     lab = np.concatenate(labels)
     nrm = np.vstack(normals)
-    if spec.unlabeled_fraction > 0:
-        lab = np.where(
-            rng.random(lab.shape[0]) < spec.unlabeled_fraction, UNLABELED, lab
-        )
     mask = np.zeros(len(names), dtype=bool)
-    placed = lab[lab != UNLABELED]
-    mask[np.unique(placed)] = True
+    mask[np.unique(lab)] = True
     return (
         PointCloud(pos, col),
         LabelField(lab, len(names)),
@@ -286,14 +278,6 @@ def corrupt_logits(gt: LabelField, cloud: PointCloud, spec: LogitNoiseSpec) -> n
     else:
         logits[labeled, gt.values[labeled]] = correct[labeled]
     return logits
-
-
-def one_hot(labels: LabelField) -> np.ndarray:
-    """(N, C) indicator payload; unlabeled rows are all zero."""
-    out = np.zeros((len(labels), labels.num_classes), dtype=np.float64)
-    keep = labels.labeled_mask
-    out[np.flatnonzero(keep), labels.values[keep]] = 1.0
-    return out
 
 
 def _look_at(eye: np.ndarray, target: np.ndarray):

@@ -1,9 +1,9 @@
 """On-disk formats besides PLY: LF01 tensors, view manifests, masks, labels.
 
-LF01 is the score/embedding tensor file: 4-byte magic "LF01", then two
+LF01 is the logit/confidence tensor file: 4-byte magic "LF01", then two
 little-endian int32 (rows, columns), then row-major float32 data. View
-manifests are JSON arrays of posed views whose payloads live in sibling LF01
-files (one row per pixel, row-major). Scene masks are JSON arrays of the
+manifests are JSON arrays of posed views whose class logits live in sibling
+LF01 files (one row per pixel, row-major). Scene masks are JSON arrays of the
 class names present; label listings are newline-delimited ints with -1 for
 unlabeled. Full layouts in docs/formats.md.
 """
@@ -70,15 +70,15 @@ def load_confidence(path) -> np.ndarray:
 
 
 def save_views(directory, views: Sequence[CameraView]) -> str:
-    """Write payload_###.lf01 files plus manifest.json into a directory.
+    """Write payload_###.lf01 logit files plus manifest.json into a directory.
 
-    Returns the manifest path. Payload rows are pixels in row-major order.
+    Returns the manifest path. Tensor rows are pixels in row-major order.
     """
     os.makedirs(directory, exist_ok=True)
     manifest = []
     for i, view in enumerate(views):
         payload_name = f"payload_{i:03d}.lf01"
-        flat = view.payload.reshape(view.height * view.width, view.channels)
+        flat = view.pixel_logits.reshape(view.height * view.width, view.channels)
         save_tensor(os.path.join(directory, payload_name), flat)
         manifest.append({
             "intrinsics": view.intrinsics.tolist(),
@@ -95,14 +95,8 @@ def save_views(directory, views: Sequence[CameraView]) -> str:
     return manifest_path
 
 
-def load_views(manifest_path, payload_kind: str = "logits") -> List[CameraView]:
-    """Read a view manifest and its payload tensors.
-
-    payload_kind selects how the per-pixel channels are interpreted
-    ("logits" or "embeddings").
-    """
-    if payload_kind not in ("logits", "embeddings"):
-        raise ValueError(f"unknown payload kind {payload_kind!r}")
+def load_views(manifest_path) -> List[CameraView]:
+    """Read a view manifest and its per-pixel logit tensors."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     with open(manifest_path, "r", encoding="ascii") as f:
         manifest = json.load(f)
@@ -121,15 +115,13 @@ def load_views(manifest_path, payload_kind: str = "logits") -> List[CameraView]:
                     f"payload has {flat.shape[0]} rows for a "
                     f"{width}x{height} grid"
                 )
-            payload = flat.reshape(height, width, flat.shape[1])
             views.append(CameraView(
                 intrinsics=np.asarray(entry["intrinsics"], dtype=np.float64),
                 rotation=np.asarray(entry["rotation"], dtype=np.float64),
                 translation=np.asarray(entry["translation"], dtype=np.float64),
                 width=width,
                 height=height,
-                pixel_logits=payload if payload_kind == "logits" else None,
-                pixel_embeddings=payload if payload_kind == "embeddings" else None,
+                pixel_logits=flat.reshape(height, width, flat.shape[1]),
             ))
         except KeyError as e:
             raise ValueError(f"{manifest_path}: view {i} is missing {e}") from None

@@ -462,3 +462,27 @@ class TestDamagedInputs:
                         "end_header\n0 0 0 300 0 0\n")
         assert self._pseudo(fixture_dir, tmp_path / "o", cloud=path) == 2
         assert "wide.ply: line 11: bad value '300' for 'red'" in capsys.readouterr().err
+
+    def test_non_finite_view_logits_name_the_view(self, fixture_dir, tmp_path, capsys):
+        views = tmp_path / "views"
+        shutil.copytree(fixture_dir / "views", views)
+        payload = views / "payload_003.lf01"
+        data = payload.read_bytes()
+        payload.write_bytes(data[:12] + struct.pack("<f", float("nan")) + data[16:])
+        assert run(["pseudo", "--cloud", fixture_dir / "cloud.ply",
+                    "--classes", fixture_dir / "classes.json",
+                    "--views", views / "manifest.json", "--out", tmp_path / "o"]) == 2
+        assert ("manifest.json: view 3: pixel_logits at row 0, col 0 are not finite"
+                in capsys.readouterr().err)
+
+    def test_int64_overflowing_partition_entry(self, fixture_dir, labeled_dir,
+                                               tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 2, "u": 1, "assignment": [0, 100000000000000000000000]}')
+        assert run(["refine", "--cloud", fixture_dir / "cloud.ply",
+                    "--classes", fixture_dir / "classes.json",
+                    "--labels", labeled_dir / "labels.txt",
+                    "--confidence", labeled_dir / "confidence.lf01",
+                    "--partition", path, "--out", tmp_path / "o"]) == 2
+        assert ("huge.json: assignment entry 1 is out of the int64 range"
+                in capsys.readouterr().err)

@@ -5,11 +5,9 @@ from pclabel import (
     MASKED_LOGIT,
     CameraView,
     PointCloud,
-    TextEmbeddings,
     UNLABELED,
     aggregate_views,
     apply_scene_mask,
-    compute_logits,
     project_point,
     pseudo_labels_from_logits,
     pseudo_labels_from_views,
@@ -56,12 +54,6 @@ class TestCameraView:
         with pytest.raises(ValueError, match="orthonormal"):
             CameraView(np.eye(3), np.eye(3) * 1.1, np.zeros(3), 4, 4,
                        pixel_logits=np.zeros((4, 4, 1)))
-
-    def test_rejects_two_payloads(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            CameraView(np.eye(3), np.eye(3), np.zeros(3), 4, 4,
-                       pixel_logits=np.zeros((4, 4, 1)),
-                       pixel_embeddings=np.zeros((4, 4, 1)))
 
     def test_rejects_negative_focal(self):
         k = np.array([[-1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -140,7 +132,7 @@ class TestAggregate:
                     col = int(nearest_pixel(np.array(u)))
                     row = int(nearest_pixel(np.array(v)))
                     if 0 <= col < view.width and 0 <= row < view.height:
-                        total += view.payload[row, col]
+                        total += view.pixel_logits[row, col]
                         count += 1
                 assert hits[n] == count
                 expected = total / count if count else np.zeros(3)
@@ -154,14 +146,6 @@ class TestAggregate:
         assert np.array_equal(ha, hb)
         assert np.allclose(a, b, atol=1e-9)
 
-    def test_mixed_payload_kinds_rejected(self, rng):
-        logits_view = identity_view(4, 4)
-        emb_view = CameraView(np.eye(3), np.eye(3), np.zeros(3), 4, 4,
-                              pixel_embeddings=np.zeros((4, 4, 2)))
-        cloud = make_cloud(rng, 3)
-        with pytest.raises(ValueError, match="mix"):
-            aggregate_views(cloud, [logits_view, emb_view])
-
     def test_occlusion_tolerance(self):
         # two points on the same ray; with the depth test only the front
         # one contributes
@@ -174,34 +158,6 @@ class TestAggregate:
         assert hits_off.tolist() == [1, 1]
         _, hits_on = aggregate_views(cloud, [view], occlusion_tolerance=0.02)
         assert hits_on.tolist() == [1, 0]
-
-
-class TestLogits:
-    def test_selector_prototypes(self):
-        text = TextEmbeddings(np.eye(3, 5), ("a", "b", "c"))
-        emb = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
-        logits = compute_logits(emb, text)
-        assert np.allclose(logits, [[1.0, 2.0, 3.0]])
-
-    def test_zero_embedding(self):
-        text = TextEmbeddings(np.ones((4, 6)), ("a", "b", "c", "d"))
-        assert np.allclose(compute_logits(np.zeros((2, 6)), text), 0.0)
-
-    def test_matches_naive_product(self, rng):
-        emb = rng.standard_normal((10, 8))
-        text = TextEmbeddings(rng.standard_normal((5, 8)), tuple("abcde"))
-        logits = compute_logits(emb, text)
-        naive = np.zeros((10, 5))
-        for n in range(10):
-            for c in range(5):
-                for d in range(8):
-                    naive[n, c] += emb[n, d] * text.vectors[c, d]
-        assert np.allclose(logits, naive, atol=1e-6)
-
-    def test_dim_mismatch(self, rng):
-        text = TextEmbeddings(np.ones((2, 4)), ("a", "b"))
-        with pytest.raises(ValueError):
-            compute_logits(np.ones((3, 5)), text)
 
 
 class TestSceneMask:

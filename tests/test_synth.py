@@ -9,7 +9,6 @@ from pclabel import (
     confidence_bins,
     corrupt_logits,
     generate_scene,
-    one_hot,
     pseudo_labels_from_logits,
     render_views,
 )
@@ -60,11 +59,6 @@ class TestGenerateScene:
     def test_gt_covers_everything_by_default(self):
         _, gt, _, _ = generate_scene(SceneSpec(seed=5))
         assert gt.labeled_mask.all()
-
-    def test_unlabeled_fraction(self):
-        _, gt, _, _ = generate_scene(SceneSpec(seed=5, unlabeled_fraction=0.3))
-        rate = float(gt.labeled_mask.mean())
-        assert 0.6 < rate < 0.8
 
     def test_rescan_same_layout_new_sampling(self):
         spec = SceneSpec(seed=9)
@@ -137,13 +131,13 @@ class TestRenderViews:
         # the only point is the look-at target: it lands on the principal
         # pixel with its payload verbatim
         view = views[0]
-        assert np.allclose(view.payload[4, 4], [1.0, 2.0])
+        assert np.allclose(view.pixel_logits[4, 4], [1.0, 2.0])
 
     def test_back_projection_recovers_payload(self):
         # round trip: rendered views re-aggregated give each visible point
         # its own payload back; coverage is high on a dense ring
         cloud, gt, _, _ = generate_scene(SceneSpec(seed=1, density=200.0))
-        payload = one_hot(gt)
+        payload = np.eye(gt.num_classes)[gt.values]
         ring = ViewRingSpec(num_cameras=8, width=160, height=120, focal=90.0,
                             radius_frac=0.8, height_frac=0.7)
         views = render_views(cloud, payload, ring)
@@ -160,7 +154,7 @@ class TestRenderViews:
                            np.zeros((1, 3), dtype=np.uint8))
         views = render_views(cloud, np.ones((1, 3)), ViewRingSpec(
             num_cameras=1, width=8, height=8, focal=4.0))
-        payload = views[0].payload
+        payload = views[0].pixel_logits
         assert (np.abs(payload).sum(axis=2) > 0).sum() == 1
         assert np.allclose(payload[0, 0], 0.0)
 

@@ -73,17 +73,7 @@ class TestViews:
         assert len(back) == 3
         for original, loaded in zip(views, back):
             assert np.allclose(loaded.translation, original.translation)
-            assert np.array_equal(loaded.payload, original.payload)
-            assert loaded.payload_kind == "logits"
-
-    def test_embeddings_kind(self, tmp_path, rng):
-        view = CameraView(
-            intrinsics=np.array([[50.0, 0, 4], [0, 50.0, 3], [0, 0, 1]]),
-            rotation=np.eye(3), translation=np.zeros(3), width=8, height=6,
-            pixel_logits=rng.standard_normal((6, 8, 2)).astype(np.float32))
-        manifest = tensorio.save_views(tmp_path / "v", [view])
-        back = tensorio.load_views(manifest, payload_kind="embeddings")
-        assert back[0].payload_kind == "embeddings"
+            assert np.array_equal(loaded.pixel_logits, original.pixel_logits)
 
     def test_missing_key_reported(self, tmp_path):
         (tmp_path / "manifest.json").write_text('[{"width": 4}]')
@@ -99,6 +89,7 @@ class TestViews:
         ("width", "abc", "invalid literal for int"),
         ("width", 3, "payload has 4 rows for a 3x2 grid"),
         ("rotation", [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "rotation is not orthonormal"),
+        ("payload_path", "nan.lf01", "pixel_logits at row 1, col 0 are not finite"),
     ])
     def test_bad_entry_names_manifest_and_view(self, tmp_path, key, value, reason):
         view = CameraView(
@@ -106,6 +97,9 @@ class TestViews:
             rotation=np.eye(3), translation=np.zeros(3), width=2, height=2,
             pixel_logits=np.zeros((2, 2, 3), dtype=np.float32))
         manifest = tensorio.save_views(tmp_path / "v", [view, view])
+        nan_pixel = np.zeros((4, 3))
+        nan_pixel[2, 1] = np.nan
+        tensorio.save_tensor(tmp_path / "v" / "nan.lf01", nan_pixel)
         entries = json.loads(open(manifest).read())
         entries[1][key] = value
         with open(manifest, "w") as f:
