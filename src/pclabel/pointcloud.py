@@ -104,8 +104,14 @@ class SpatialIndex:
         d, i = self._tree.query(q, k=k)
         d = d.reshape(q.shape[0], k)
         i = i.reshape(q.shape[0], k).astype(np.int64)
-        order = np.lexsort((i, d), axis=-1)
-        return np.take_along_axis(i, order, axis=1), np.take_along_axis(d, order, axis=1)
+        # cKDTree rows come in distance order, so only a row holding a tied
+        # distance can be out of (distance, index) order.
+        tied = np.flatnonzero((d[:, 1:] == d[:, :-1]).any(axis=1))
+        if tied.size:
+            order = np.lexsort((i[tied], d[tied]), axis=-1)
+            i[tied] = np.take_along_axis(i[tied], order, axis=1)
+            d[tied] = np.take_along_axis(d[tied], order, axis=1)
+        return i, d
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:

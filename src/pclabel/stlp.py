@@ -1,15 +1,17 @@
 """Self-training with label propagation.
 
-Each round fits a classifier on the current pseudo labels, predicts
-everywhere, merges predictions into the unlabeled gaps (previous labels are
+Each round fits a classifier on the current pseudo labels, predicts the
+unlabeled gaps, merges those predictions into the gaps (previous labels are
 retained verbatim; only gap positions may adopt new, per-class-filtered
 predictions), and re-runs the superpoint vote. The rounds read the same
 RefineParams as the initial refinement: top_v for the per-class filter of
-the gaps and alpha for the vote. Inference applies that vote to a fitted
-classifier's predictions as post-processing.
+the gaps and alpha for the vote. Inference predicts every point and applies
+that vote to the predictions as post-processing.
 
 The classifier seat is a small behavioral contract: fit on labeled points
-only; predict a label everywhere. predict must be deterministic for fixed
+only; predict a label for every point of the cloud it is given (a round
+gives it the gap points alone, so a prediction must not depend on which
+other points are queried with it). predict must be deterministic for fixed
 inputs and configuration, return no UNLABELED values, and report
 confidences in [0, 1]. The bundled KnnClassifier (distance-weighted vote
 over position-plus-color features) is a deterministic desk-scale stand-in
@@ -137,20 +139,30 @@ def label_update(
     Previously labeled positions are retained verbatim. Gap positions adopt
     the prediction only if its class is present in the scene mask and it
     survives per-class top-V% selection computed over the gap positions.
+    Predictions and confidences are read at the gaps only; their values at
+    labeled positions, UNLABELED included, do not matter.
     """
     if len(prev) != len(pred):
         raise ValueError(f"previous field has {len(prev)} points, prediction {len(pred)}")
     if prev.num_classes != pred.num_classes:
         raise ValueError("class counts differ between previous and predicted labels")
-    if not pred.labeled_mask.all():
-        raise ValueError("predictions must label every point")
+    pred_conf = np.asarray(pred_conf, dtype=np.float64)
+    if pred_conf.shape != (len(prev),):
+        raise ValueError(f"confidence of {pred_conf.shape} does not match {len(prev)} labels")
     mask = np.asarray(scene_mask, dtype=bool)
     if mask.shape != (prev.num_classes,):
         raise ValueError(f"scene mask of {mask.shape} does not fit {prev.num_classes} classes")
-    gaps = ~prev.labeled_mask
-    candidates = np.where(gaps & mask[pred.values], pred.values, UNLABELED)
-    filtered = calr(prev.with_values(candidates), pred_conf, top_v)
-    return prev.with_values(np.where(gaps, filtered.values, prev.values))
+    gaps = np.flatnonzero(~prev.labeled_mask)
+    gap_pred = pred.values[gaps]
+    if (gap_pred == UNLABELED).any():
+        raise ValueError("predictions must label every gap")
+    candidates = np.where(mask[gap_pred], gap_pred, UNLABELED)
+    # Gaps keep their point order, so calr's ties still go to the lower
+    # point index.
+    filtered = calr(prev.with_values(candidates), pred_conf[gaps], top_v)
+    out = prev.values.copy()
+    out[gaps] = filtered.values
+    return prev.with_values(out)
 
 
 def stlp_round(
@@ -161,12 +173,24 @@ def stlp_round(
     refine: RefineParams,
     scene_mask: np.ndarray,
 ) -> Tuple[LabelField, KnnClassifier]:
-    """One train/predict/propagate cycle; returns the next label field."""
+    """One train/predict/propagate cycle; returns the next label field.
+
+    Only the gaps are predicted, since label_update reads nothing else; a
+    round without gaps does not call predict.
+    """
     if not prev.labeled_mask.any():
         raise ValueError("previous labels are entirely unlabeled")
     classifier.fit(cloud, prev)
-    pred, conf = classifier.predict(cloud)
-    merged = label_update(prev, pred, conf, scene_mask, refine.top_v)
+    gaps = np.flatnonzero(~prev.labeled_mask)
+    pred = np.full(len(prev), UNLABELED, dtype=np.int64)
+    conf = np.zeros(len(prev))
+    if gaps.size:
+        gap_pred, gap_conf = classifier.predict(
+            PointCloud(cloud.positions[gaps], cloud.colors[gaps])
+        )
+        pred[gaps] = gap_pred.values
+        conf[gaps] = gap_conf
+    merged = label_update(prev, prev.with_values(pred), conf, scene_mask, refine.top_v)
     return galr(merged, partition, refine.alpha), classifier
 
 

@@ -43,11 +43,12 @@ class SuperpointPartition:
         a = np.ascontiguousarray(np.asarray(self.assignment, dtype=np.int64))
         if a.ndim != 1:
             raise ValueError("assignment must be a 1-D id array")
-        if a.size:
-            ids = np.unique(a)
-            expected = np.arange(ids.size)
-            if ids[0] < 0 or not np.array_equal(ids, expected):
-                raise ValueError("segment ids must be dense in [0, U)")
+        # Dense ids are all below the point count, which also bounds the
+        # bincount's allocation.
+        if a.size and (
+            a.min() < 0 or a.max() >= a.size or not np.bincount(a).all()
+        ):
+            raise ValueError("segment ids must be dense in [0, U)")
         object.__setattr__(self, "assignment", a)
 
     def __len__(self) -> int:
@@ -62,6 +63,21 @@ class SuperpointPartition:
         order = np.argsort(self.assignment, kind="stable")
         sizes = np.bincount(self.assignment, minlength=self.segment_count)
         return np.split(order, np.cumsum(sizes)[:-1])
+
+
+def _distinct(keys: np.ndarray, return_counts: bool = False):
+    """np.unique of a 1-D integer array by sorting.
+
+    numpy's hash-based unique is far slower on a million int64 keys than a
+    sort plus a comparison of neighbors.
+    """
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    values = keys[first]
+    if not return_counts:
+        return values
+    return values, np.diff(np.append(np.flatnonzero(first), keys.size))
 
 
 def _first_occurrence_relabel(labels: np.ndarray, count: int) -> np.ndarray:
@@ -101,11 +117,11 @@ def _merge_small_segments(
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     keep = lo != hi
-    edges = np.unique(lo[keep] * labels.size + hi[keep])
+    edges = _distinct(lo[keep] * labels.size + hi[keep])
     a = labels[edges // labels.size]
     b = labels[edges % labels.size]
     inter = a != b
-    pairs, shared = np.unique(
+    pairs, shared = _distinct(
         np.minimum(a[inter], b[inter]) * count + np.maximum(a[inter], b[inter]),
         return_counts=True,
     )
@@ -136,10 +152,9 @@ def _merge_small_segments(
     for s, target in reversed(merges):
         resolve[s] = resolve[target]
     merged = np.asarray(resolve, dtype=np.int64)[labels]
-    survivors = np.unique(merged)
-    dense = np.empty(count, dtype=np.int64)
-    dense[survivors] = np.arange(survivors.size)
-    return _first_occurrence_relabel(dense[merged], survivors.size)
+    alive = np.bincount(merged, minlength=count) > 0
+    dense = np.cumsum(alive) - 1
+    return _first_occurrence_relabel(dense[merged], int(alive.sum()))
 
 
 def oversegment(

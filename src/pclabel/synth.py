@@ -221,8 +221,7 @@ def generate_scene(spec: SceneSpec):
     col = np.vstack(colors)
     lab = np.concatenate(labels)
     nrm = np.vstack(normals)
-    mask = np.zeros(len(names), dtype=bool)
-    mask[np.unique(lab)] = True
+    mask = np.bincount(lab, minlength=len(names)) > 0
     return (
         PointCloud(pos, col),
         LabelField(lab, len(names)),
@@ -254,14 +253,22 @@ def corrupt_logits(gt: LabelField, cloud: PointCloud, spec: LogitNoiseSpec) -> n
         flip_draw = rng.random(n)
         other_dist = np.full(n, np.inf)
         other_class = np.zeros(n, dtype=np.int64)
-        for cls in np.unique(gt.values[labeled]):
+        # Only distances below the blur radius move a logit. The bound sits
+        # one ulp past it so that every such distance is still found; a
+        # miss keeps an infinite distance.
+        reach = np.nextafter(spec.boundary_blur, np.inf)
+        present = np.bincount(gt.values[labeled], minlength=c)
+        for cls in np.flatnonzero(present):
             mine = np.flatnonzero(gt.values == cls)
             others = np.flatnonzero(gt.labeled_mask & (gt.values != cls))
             if others.size == 0:
                 continue
-            d, j = cKDTree(cloud.positions[others]).query(cloud.positions[mine], k=1)
-            other_dist[mine] = d
-            other_class[mine] = gt.values[others[j]]
+            d, j = cKDTree(cloud.positions[others]).query(
+                cloud.positions[mine], k=1, distance_upper_bound=reach
+            )
+            hit = j < others.size
+            other_dist[mine[hit]] = d[hit]
+            other_class[mine[hit]] = gt.values[others[j[hit]]]
         closeness = np.clip(1.0 - other_dist / spec.boundary_blur, 0.0, 1.0)
         flipped = gt.labeled_mask & (flip_draw < 0.5 * closeness)
         target = np.where(flipped, other_class, gt.values)

@@ -83,8 +83,16 @@ class TestProtocol:
         assert record["final_labeled_rate"] == pl.labeled_rate(final)
 
     def test_held_out_scan_predicted_once(self, seed0_products, monkeypatch):
-        # one prediction per round, one for the held-out scan
+        # one prediction per round, on that round's gaps, and one for the
+        # held-out scan
         preset, run, held = seed0_products
+        gaps, labels = [], run.refined
+        for _ in range(2):
+            gaps.append(int((~labels.labeled_mask).sum()))
+            labels, _ = pl.stlp_round(run.cloud, labels, run.partition,
+                                      preset.stlp.make_classifier(), preset.refine,
+                                      run.scene_mask)
+        assert 0 < gaps[0] < run.cloud.count
         calls = []
         predict = pl.KnnClassifier.predict
 
@@ -94,4 +102,4 @@ class TestProtocol:
 
         monkeypatch.setattr(pl.KnnClassifier, "predict", counted)
         pl.run_benchmark(preset, 0, rounds=2, run=run, held_out=held)
-        assert calls == [run.cloud.count] * 2 + [held.cloud.count]
+        assert calls == [g for g in gaps if g] + [held.cloud.count]

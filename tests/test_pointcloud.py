@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from pclabel import PointCloud, SpatialIndex, build_index, estimate_normals
 
@@ -80,6 +81,29 @@ class TestSpatialIndex:
             sidx, sdist = index.k_nearest(q, 5)
             assert bidx[row].tolist() == sidx.tolist()
             assert np.allclose(bdist[row], sdist)
+
+    def test_batch_matches_full_lexsort_on_lattice(self, rng):
+        # A shuffled integer lattice has exact distance ties in most rows,
+        # which cKDTree returns in no particular index order; off-lattice
+        # queries give rows without ties.
+        g = np.arange(5, dtype=np.float64)
+        pos = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
+        pos = pos[rng.permutation(len(pos))]
+        queries = np.vstack([pos, pos[:40] + 0.5, rng.random((40, 3)) * 4])
+        index = SpatialIndex(pos)
+        reordered = 0
+        for k in (1, 2, 7, 16, 27):
+            d, i = cKDTree(pos).query(queries, k=k)
+            d = d.reshape(len(queries), k)
+            i = i.reshape(len(queries), k).astype(np.int64)
+            order = np.lexsort((i, d), axis=-1)
+            want_i = np.take_along_axis(i, order, axis=1)
+            want_d = np.take_along_axis(d, order, axis=1)
+            got_i, got_d = index.k_nearest_batch(queries, k)
+            assert np.array_equal(got_i, want_i)
+            assert np.array_equal(got_d, want_d)
+            reordered += int((want_i != i).any(axis=1).sum())
+        assert reordered > 0
 
 
 class TestEstimateNormals:

@@ -1,22 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclabel import (
     KnnClassifier,
     LabelField,
     PointCloud,
     RefineParams,
+    SceneSpec,
     StlpConfig,
+    SuperpointParams,
     SuperpointPartition,
     UNLABELED,
+    calr,
     galr,
+    generate_scene,
     infer,
     label_update,
     stlp_round,
     stlp_run,
 )
 
+from pclabel.superpoint import partition_cloud
+
 from conftest import make_cloud
+
+
+def literal_full_round(cloud, prev, partition, classifier, refine, scene_mask):
+    """Literal oracle of one round: predict every point, let the gaps adopt
+    the per-class-filtered predictions of mask classes, then vote."""
+    classifier.fit(cloud, prev)
+    pred, conf = classifier.predict(cloud)
+    gaps = ~prev.labeled_mask
+    candidates = np.where(gaps & scene_mask[pred.values], pred.values, UNLABELED)
+    filtered = calr(prev.with_values(candidates), conf, refine.top_v)
+    merged = prev.with_values(np.where(gaps, filtered.values, prev.values))
+    return galr(merged, partition, refine.alpha)
 
 
 class EchoClassifier:
@@ -121,10 +141,42 @@ class TestLabelUpdate:
             assert out.labeled_mask.sum() >= was.sum()
 
     def test_rejects_unlabeled_predictions(self, rng):
-        prev = LabelField(rng.integers(0, 2, 5), 2)
+        prev = LabelField(np.array([0, 1, UNLABELED, 0, 1]), 2)
         pred = LabelField(np.array([0, 1, UNLABELED, 0, 1]), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="every gap"):
             label_update(prev, pred, np.ones(5) * 0.5, np.ones(2, bool), 50.0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_retention_and_gap_only_reads(self, data):
+        n = data.draw(st.integers(0, 30))
+        c = data.draw(st.integers(1, 4))
+
+        def ints(lo):
+            return st.lists(st.integers(lo, c - 1), min_size=n, max_size=n)
+
+        unit = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+        prev = LabelField(np.array(data.draw(ints(UNLABELED)), dtype=np.int64), c)
+        pred = np.array(data.draw(ints(0)), dtype=np.int64)
+        conf = np.array(data.draw(unit))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=c, max_size=c)),
+                        dtype=bool)
+        top_v = data.draw(st.floats(0.0, 100.0, exclude_min=True))
+        out = label_update(prev, prev.with_values(pred), conf, mask, top_v)
+
+        was = prev.labeled_mask
+        assert np.array_equal(out.values[was], prev.values[was])
+        adopted = ~was & out.labeled_mask
+        assert np.array_equal(out.values[adopted], pred[adopted])
+        assert mask[out.values[adopted]].all()
+
+        # Whatever sits at labeled positions, UNLABELED and non-finite
+        # confidences included, is never read.
+        other_pred = np.array(data.draw(ints(UNLABELED)), dtype=np.int64)
+        other_conf = np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)))
+        again = label_update(prev, prev.with_values(np.where(was, other_pred, pred)),
+                             np.where(was, other_conf, conf), mask, top_v)
+        assert np.array_equal(again.values, out.values)
 
 
 class TestStlpRound:
@@ -140,6 +192,58 @@ class TestStlpRound:
                             EchoClassifier(), refine, np.ones(3, bool))
         expected = galr(prev, partition, 0.5)
         assert np.array_equal(out.values, expected.values)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_full_prediction_round(self, seed):
+        rng = np.random.default_rng(seed)
+        n, c = 300, 4
+        cloud = make_cloud(rng, n)
+        assignment = rng.integers(0, 15, n)
+        assignment[:15] = np.arange(15)
+        partition = SuperpointPartition(assignment)
+        values = (assignment + (rng.random(n) < 0.2)) % c
+        values[rng.random(n) < rng.uniform(0.2, 0.9)] = UNLABELED
+        values[0] = 0
+        prev = LabelField(values, c)
+        mask = rng.random(c) < 0.8
+        mask[0] = True
+        refine = RefineParams(top_v=float(rng.uniform(10, 100)),
+                              alpha=float(rng.uniform(0, 1)))
+        for _ in range(2):  # the second round starts from the first's gaps
+            want = literal_full_round(cloud, prev, partition, KnnClassifier(k=7),
+                                      refine, mask)
+            got, _ = stlp_round(cloud, prev, partition, KnnClassifier(k=7),
+                                refine, mask)
+            assert np.array_equal(got.values, want.values)
+            if not got.labeled_mask.any():
+                break
+            prev = got
+
+    def test_matches_full_prediction_round_on_scene(self):
+        cloud, gt, mask, normals = generate_scene(SceneSpec(density=120.0, seed=4))
+        partition = partition_cloud(cloud, SuperpointParams(min_size=4), normals)
+        values = gt.values.copy()
+        values[np.random.default_rng(0).random(len(values)) < 0.85] = UNLABELED
+        prev = gt.with_values(values)
+        refine = RefineParams(top_v=30.0, alpha=0.5)
+        want = literal_full_round(cloud, prev, partition, KnnClassifier(), refine, mask)
+        got, _ = stlp_round(cloud, prev, partition, KnnClassifier(), refine, mask)
+        assert np.array_equal(got.values, want.values)
+
+    def test_no_gaps_skips_predict(self, rng):
+        class FitOnly(KnnClassifier):
+            def predict(self, cloud):
+                raise AssertionError("predict called without gaps")
+
+        n = 50
+        cloud = make_cloud(rng, n)
+        partition = SuperpointPartition(np.arange(n) // 10)
+        prev = LabelField(rng.integers(0, 3, n), 3)
+        refine = RefineParams(alpha=0.3)
+        mask = np.ones(3, bool)
+        want = literal_full_round(cloud, prev, partition, KnnClassifier(), refine, mask)
+        got, _ = stlp_round(cloud, prev, partition, FitOnly(), refine, mask)
+        assert np.array_equal(got.values, want.values)
 
     def test_entirely_unlabeled_prev_rejected(self, rng):
         cloud = make_cloud(rng, 10)

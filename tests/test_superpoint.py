@@ -13,6 +13,7 @@ from pclabel import (
     partition_stats,
 )
 from pclabel.superpoint import (
+    _distinct,
     _first_occurrence_relabel,
     _merge_small_segments,
     load_partition_json,
@@ -45,6 +46,22 @@ class TestPartitionType:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             SuperpointPartition(np.array([-1, 0]))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 8), max_size=12))
+    @example([])
+    @example([0])
+    @example([2**40, 0])
+    @example([0, 1, 2**63 - 1])
+    def test_accepts_exactly_the_dense_assignments(self, values):
+        a = np.array(values, dtype=np.int64)
+        ids = np.unique(a)
+        dense = ids.size == 0 or (ids[0] >= 0 and np.array_equal(ids, np.arange(ids.size)))
+        if dense:
+            assert np.array_equal(SuperpointPartition(a).assignment, a)
+        else:
+            with pytest.raises(ValueError, match=r"dense in \[0, U\)"):
+                SuperpointPartition(a)
 
     def test_segments_cover(self):
         p = SuperpointPartition(np.array([0, 1, 0, 2, 1]))
@@ -270,6 +287,23 @@ class TestMergeSmallSegments:
         labels, src, dst = _merge_case(raw_labels, edges)
         got = _merge_small_segments(labels, src, dst, min_size)
         assert got.tolist() == expected
+
+
+class TestDistinct:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=50)
+           | st.lists(st.integers(-3, 3), max_size=50))
+    @example([])
+    @example([7])
+    @example([4, 4, 4, 4])
+    def test_matches_np_unique(self, values):
+        keys = np.array(values, dtype=np.int64)
+        want, want_counts = np.unique(keys, return_counts=True)
+        got = _distinct(keys)
+        got_values, got_counts = _distinct(keys, return_counts=True)
+        for array, expected in ((got, want), (got_values, want), (got_counts, want_counts)):
+            assert array.dtype == expected.dtype
+            assert np.array_equal(array, expected)
 
 
 def _small_scene(rng):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from pclabel import (
+    LabelField,
     LogitNoiseSpec,
+    PointCloud,
     SceneSpec,
     ViewRingSpec,
     aggregate_views,
@@ -12,6 +15,46 @@ from pclabel import (
     pseudo_labels_from_logits,
     render_views,
 )
+from pclabel.benchmark import ROOM_SMALL
+
+
+def literal_corrupt_logits(gt, cloud, spec):
+    """Literal oracle: corrupt_logits with an unbounded boundary query."""
+    rng = np.random.default_rng(spec.seed)
+    n = cloud.count
+    c = gt.num_classes
+    logits = rng.random((n, c)) * spec.confusion_temperature
+    correct = rng.normal(spec.correct_mean, spec.correct_sigma, n)
+    labeled = np.flatnonzero(gt.labeled_mask)
+
+    if spec.boundary_blur > 0 and labeled.size:
+        flip_draw = rng.random(n)
+        other_dist = np.full(n, np.inf)
+        other_class = np.zeros(n, dtype=np.int64)
+        for cls in np.unique(gt.values[labeled]):
+            mine = np.flatnonzero(gt.values == cls)
+            others = np.flatnonzero(gt.labeled_mask & (gt.values != cls))
+            if others.size == 0:
+                continue
+            d, j = cKDTree(cloud.positions[others]).query(cloud.positions[mine], k=1)
+            other_dist[mine] = d
+            other_class[mine] = gt.values[others[j]]
+        closeness = np.clip(1.0 - other_dist / spec.boundary_blur, 0.0, 1.0)
+        flipped = gt.labeled_mask & (flip_draw < 0.5 * closeness)
+        target = np.where(flipped, other_class, gt.values)
+        logits[labeled, target[labeled]] = correct[labeled]
+        # Confidence dips toward the midpoint of the competing pair.
+        band = np.flatnonzero(gt.labeled_mask & (closeness > 0))
+        pull = 0.5 * closeness[band]
+        first = target[band]
+        second = np.where(flipped[band], gt.values[band], other_class[band])
+        a = logits[band, first]
+        b = logits[band, second]
+        logits[band, first] = (1.0 - pull) * a + pull * b
+        logits[band, second] = (1.0 - pull) * b + pull * a
+    else:
+        logits[labeled, gt.values[labeled]] = correct[labeled]
+    return logits
 
 
 class TestGenerateScene:
@@ -103,6 +146,37 @@ class TestCorruptLogits:
         bins = confidence_bins(labels, conf, gt, [0, 0.25, 0.5, 0.75, 1.0])
         accs = [b.accuracy for b in bins if b.accuracy is not None]
         assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_unbounded_query(self, seed):
+        cloud, gt, _, _ = generate_scene(SceneSpec(seed=seed))
+        values = gt.values.copy()
+        values[np.random.default_rng(seed).random(len(values)) < 0.1] = -1
+        for labels in (gt, gt.with_values(values)):
+            for spec in (LogitNoiseSpec(seed=seed), ROOM_SMALL.noise_for(seed),
+                         LogitNoiseSpec(boundary_blur=0.013, seed=seed)):
+                assert np.array_equal(corrupt_logits(labels, cloud, spec),
+                                      literal_corrupt_logits(labels, cloud, spec))
+
+    @pytest.mark.parametrize("blur", [0.12, 0.16, 0.1, 1 / 3, 0.7])
+    def test_points_at_the_blur_radius(self, blur):
+        # Class 1 points sit on the x axis at distances just below, at and
+        # just above the blur radius from the one class 0 point, at the
+        # origin. Clutter of 1e20 makes the pull of even a barely-in-band
+        # point visible in its own-class logit, which is otherwise 0.
+        below, above = np.nextafter(blur, 0.0), np.nextafter(blur, np.inf)
+        x = np.array([0.0, blur / 2, below, blur, above, 2 * blur])
+        cloud = PointCloud(np.column_stack([x, np.zeros((6, 2))]),
+                           np.zeros((6, 3), dtype=np.uint8))
+        gt = LabelField(np.array([0, 1, 1, 1, 1, 1]), 2)
+        for seed in range(5):
+            spec = LogitNoiseSpec(correct_mean=0.0, correct_sigma=0.0,
+                                  confusion_temperature=1e20,
+                                  boundary_blur=blur, seed=seed)
+            got = corrupt_logits(gt, cloud, spec)
+            assert np.array_equal(got, literal_corrupt_logits(gt, cloud, spec))
+            in_band = got[np.arange(6), gt.values] != 0
+            assert in_band.tolist() == [True, True, True, False, False, False]
 
     def test_mismatched_cloud_rejected(self):
         cloud, gt, _, _ = generate_scene(SceneSpec(seed=2))
