@@ -17,7 +17,6 @@ from pclabel import (
     refine_pipeline,
     run_benchmark,
 )
-from pclabel.benchmark import LabelingRun
 
 preset = get_benchmark("room-small")
 run = label_scan(preset, 0)
@@ -27,11 +26,9 @@ held_out = eval_scan(preset, 0)
 def rerun_with(refine):
     refined = refine_pipeline(run.raw_labels, run.raw_confidence,
                               run.partition, refine)
-    products = LabelingRun(run.cloud, run.gt, run.scene_mask, run.partition,
-                           run.raw_labels, run.raw_confidence, run.hit_count,
-                           refined)
     p = replace(preset, refine=refine)
-    return refined, run_benchmark(p, 0, run=products, held_out=held_out)
+    return refined, run_benchmark(p, 0, run=replace(run, refined=refined),
+                                  held_out=held_out)
 
 
 print("retention percentage -> held-out mIoU (rise, peak, fall):")

@@ -181,10 +181,11 @@ def run_benchmark(
     if held_out is None:
         held_out = eval_scan(preset, seed)
     config = preset.stlp if rounds is None else replace(preset.stlp, rounds=rounds)
-    final_labels, classifier, report = stlp_run(
+    final_labels, report = stlp_run(
         run.cloud, run.refined, run.partition, config, preset.refine,
         run.scene_mask, gt=run.gt,
     )
+    classifier = config.make_classifier().fit(run.cloud, final_labels)
     raw_predicted, _ = classifier.predict(held_out.cloud)
     predicted = infer(raw_predicted, held_out.partition, preset.refine.alpha)
     val = metrics_report(predicted, held_out.gt)

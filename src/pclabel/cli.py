@@ -63,8 +63,7 @@ def _emit(payload: dict, as_json: bool, text: Optional[str] = None) -> None:
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as f:
-        config = json.load(f)
+    config = tensorio.read_text(path)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
@@ -180,6 +179,10 @@ def _pseudo_labels(args, config, cloud, class_names, mask):
         labels, confidence = pseudo_labels_from_logits(logits, mask)
         return labels, confidence, None
     views = tensorio.load_views(views_path)
+    wrong = {v.channels for v in views} - {len(class_names)}
+    if wrong:
+        raise ValueError(f"{views_path}: views have {min(wrong)} classes, "
+                         f"class list has {len(class_names)}")
     occl = _setting(args, config, "occlusion_tolerance", kind=float)
     return pseudo_labels_from_views(cloud, views, mask, occlusion_tolerance=occl)
 
@@ -252,7 +255,7 @@ def cmd_stlp(args, config) -> int:
     refined = refine_pipeline(labels, confidence, partition, params)
     gt_path = _setting(args, config, "gt")
     gt = None if gt_path is None else _load_gt(gt_path, class_names)
-    final, _, report = stlp_run(cloud, refined, partition, stlp_config, params, mask, gt=gt)
+    final, report = stlp_run(cloud, refined, partition, stlp_config, params, mask, gt=gt)
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "labels.txt"), final)
     tensorio.save_report_jsonl(os.path.join(args.out, "report.jsonl"), report)
@@ -321,9 +324,12 @@ def cmd_sweep(args, config) -> int:
         raise UsageError(f"bad grid {args.grid!r}: expected comma-separated numbers")
     if not grid:
         raise UsageError("empty sweep grid")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     tasks = [(args.preset, seed, args.param, value) for value in grid]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))  # a pool forks all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_value, tasks))
     else:
         rows = [_sweep_value(t) for t in tasks]

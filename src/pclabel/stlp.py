@@ -1,12 +1,12 @@
 """Self-training with label propagation.
 
-Each round fits a classifier on the current pseudo labels, predicts the
-unlabeled gaps, merges those predictions into the gaps (previous labels are
-retained verbatim; only gap positions may adopt new, per-class-filtered
-predictions), and re-runs the superpoint vote. The rounds read the same
-RefineParams as the initial refinement: top_v for the per-class filter of
-the gaps and alpha for the vote. Inference predicts every point and applies
-that vote to the predictions as post-processing.
+Each round fits a classifier on the current pseudo labels, predicts only
+the unlabeled gaps, lets each gap adopt its prediction if the class is in
+the scene mask and survives the per-class filter (labels are retained
+verbatim), and re-runs the superpoint vote. The rounds read the same
+RefineParams as the initial refinement: top_v for the filter and alpha for
+the vote. A caller that predicts from the final labels fits its own
+classifier. Inference applies that vote to predictions as post-processing.
 
 The classifier seat is a small behavioral contract: fit on labeled points
 only; predict a label for every point of the cloud it is given (a round
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .labels import UNLABELED, LabelField
-from .metrics import confusion, labeled_rate, miou
+from .metrics import labeled_rate, metrics_report
 from .pointcloud import PointCloud
 from .refine import RefineParams, calr, galr
 from .superpoint import SuperpointPartition
@@ -134,32 +134,30 @@ def label_update(
     scene_mask: np.ndarray,
     top_v: float,
 ) -> LabelField:
-    """Merge new predictions into the gaps of the previous label field.
+    """Merge predictions for the gaps into the previous label field.
 
-    Previously labeled positions are retained verbatim. Gap positions adopt
-    the prediction only if its class is present in the scene mask and it
-    survives per-class top-V% selection computed over the gap positions.
-    Predictions and confidences are read at the gaps only; their values at
-    labeled positions, UNLABELED included, do not matter.
+    `pred` and `pred_conf` cover the unlabeled positions of `prev`, in point
+    order. Previously labeled positions are retained verbatim. A gap adopts
+    its prediction only if the class is present in the scene mask and the
+    prediction survives per-class top-V% selection over the gaps.
     """
-    if len(prev) != len(pred):
-        raise ValueError(f"previous field has {len(prev)} points, prediction {len(pred)}")
+    gaps = np.flatnonzero(~prev.labeled_mask)
+    if len(pred) != gaps.size:
+        raise ValueError(f"{len(pred)} predictions for {gaps.size} gaps")
     if prev.num_classes != pred.num_classes:
         raise ValueError("class counts differ between previous and predicted labels")
     pred_conf = np.asarray(pred_conf, dtype=np.float64)
-    if pred_conf.shape != (len(prev),):
-        raise ValueError(f"confidence of {pred_conf.shape} does not match {len(prev)} labels")
+    if pred_conf.shape != (gaps.size,):
+        raise ValueError(f"confidence of {pred_conf.shape} does not match {gaps.size} gaps")
     mask = np.asarray(scene_mask, dtype=bool)
     if mask.shape != (prev.num_classes,):
         raise ValueError(f"scene mask of {mask.shape} does not fit {prev.num_classes} classes")
-    gaps = np.flatnonzero(~prev.labeled_mask)
-    gap_pred = pred.values[gaps]
-    if (gap_pred == UNLABELED).any():
+    if (pred.values == UNLABELED).any():
         raise ValueError("predictions must label every gap")
-    candidates = np.where(mask[gap_pred], gap_pred, UNLABELED)
+    candidates = np.where(mask[pred.values], pred.values, UNLABELED)
     # Gaps keep their point order, so calr's ties still go to the lower
     # point index.
-    filtered = calr(prev.with_values(candidates), pred_conf[gaps], top_v)
+    filtered = calr(pred.with_values(candidates), pred_conf, top_v)
     out = prev.values.copy()
     out[gaps] = filtered.values
     return prev.with_values(out)
@@ -175,23 +173,19 @@ def stlp_round(
 ) -> Tuple[LabelField, KnnClassifier]:
     """One train/predict/propagate cycle; returns the next label field.
 
-    Only the gaps are predicted, since label_update reads nothing else; a
-    round without gaps does not call predict.
+    Only the gaps are predicted; a round without gaps predicts nothing and
+    returns the vote over `prev`.
     """
     if not prev.labeled_mask.any():
         raise ValueError("previous labels are entirely unlabeled")
     classifier.fit(cloud, prev)
     gaps = np.flatnonzero(~prev.labeled_mask)
-    pred = np.full(len(prev), UNLABELED, dtype=np.int64)
-    conf = np.zeros(len(prev))
     if gaps.size:
-        gap_pred, gap_conf = classifier.predict(
+        pred, conf = classifier.predict(
             PointCloud(cloud.positions[gaps], cloud.colors[gaps])
         )
-        pred[gaps] = gap_pred.values
-        conf[gaps] = gap_conf
-    merged = label_update(prev, prev.with_values(pred), conf, scene_mask, refine.top_v)
-    return galr(merged, partition, refine.alpha), classifier
+        prev = label_update(prev, pred, conf, scene_mask, refine.top_v)
+    return galr(prev, partition, refine.alpha), classifier
 
 
 def stlp_run(
@@ -202,13 +196,12 @@ def stlp_run(
     refine: RefineParams,
     scene_mask: np.ndarray,
     gt: Optional[LabelField] = None,
-) -> Tuple[LabelField, KnnClassifier, List[dict]]:
+) -> Tuple[LabelField, List[dict]]:
     """Run `config.rounds` propagation rounds from the initial labels.
 
-    Returns the final labels, a classifier fitted on them (for rounds=0 that
-    is y0 untouched and a classifier fit on y0), and one report row per
-    round: {"round", "labeled_rate"} plus mIoU fields when ground truth is
-    supplied.
+    Returns the final labels (y0 itself for rounds=0) and one report row per
+    round: {"round", "labeled_rate"} plus "miou", "macc" and the
+    "per_class_iou" list when ground truth is supplied.
     """
     classifier = config.make_classifier()
     labels = y0
@@ -219,15 +212,11 @@ def stlp_run(
         )
         row = {"round": t, "labeled_rate": labeled_rate(labels)}
         if gt is not None:
-            mean_iou, per_class, macc = miou(confusion(labels, gt))
-            row["miou"] = mean_iou
-            row["macc"] = macc
-            row["per_class_iou"] = [
-                None if np.isnan(v) else float(v) for v in per_class
-            ]
+            scores = metrics_report(labels, gt)
+            row.update(miou=scores["miou"], macc=scores["macc"],
+                       per_class_iou=list(scores["per_class_iou"].values()))
         report.append(row)
-    classifier.fit(cloud, labels)
-    return labels, classifier, report
+    return labels, report
 
 
 def infer(

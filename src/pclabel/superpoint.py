@@ -19,6 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
+from .tensorio import read_text
 
 EDGE_LENGTH_PERCENTILE = 95.0
 
@@ -255,8 +256,7 @@ def save_partition_json(partition: SuperpointPartition, path) -> None:
 
 
 def load_partition_json(path) -> SuperpointPartition:
-    with open(path, "r", encoding="ascii") as f:
-        payload = json.load(f)
+    payload = read_text(path, "ascii")
     for key in ("assignment", "n", "u"):
         if not isinstance(payload, dict) or key not in payload:
             raise ValueError(f"partition file {path} has no {key!r} key")

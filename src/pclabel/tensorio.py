@@ -23,6 +23,15 @@ from .projection import CameraView
 LF01_MAGIC = b"LF01"
 
 
+def read_text(path, encoding: str = "utf-8", parse=json.loads):
+    """parse(contents) of a text file; a bad byte or a parse error names the file."""
+    try:
+        with open(path, "r", encoding=encoding) as f:
+            return parse(f.read())
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def save_tensor(path, array: np.ndarray) -> None:
     """Write a 2-D array as an LF01 file (float32, row-major)."""
     a = np.ascontiguousarray(np.asarray(array, dtype=np.float32))
@@ -98,8 +107,7 @@ def save_views(directory, views: Sequence[CameraView]) -> str:
 def load_views(manifest_path) -> List[CameraView]:
     """Read a view manifest and its per-pixel logit tensors."""
     base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path, "r", encoding="ascii") as f:
-        manifest = json.load(f)
+    manifest = read_text(manifest_path, "ascii")
     if not isinstance(manifest, list):
         raise ValueError(f"{manifest_path}: manifest must be a JSON array")
     views = []
@@ -137,8 +145,7 @@ def save_class_names(path, class_names: Sequence[str]) -> None:
 
 
 def load_class_names(path) -> List[str]:
-    with open(path, "r", encoding="utf-8") as f:
-        names = json.load(f)
+    names = read_text(path)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError(f"{path}: class list must be a JSON array of strings")
     if len(set(names)) != len(names):
@@ -158,8 +165,7 @@ def save_scene_mask(path, mask: np.ndarray, class_names: Sequence[str]) -> None:
 
 
 def load_scene_mask(path, class_names: Sequence[str]) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        present = json.load(f)
+    present = read_text(path)
     if not isinstance(present, list):
         raise ValueError(f"{path}: scene mask must be a JSON array of class names")
     lookup = {name: i for i, name in enumerate(class_names)}
@@ -181,15 +187,15 @@ def save_labels_text(path, labels: LabelField) -> None:
 
 def load_labels_text(path, num_classes: int) -> LabelField:
     values = []
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path} line {lineno}: bad label {line!r}") from None
+    lines = read_text(path, "ascii", parse=str).split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise ValueError(f"{path} line {lineno}: bad label {line!r}") from None
     return LabelField(np.asarray(values, dtype=np.int64), num_classes)
 
 
@@ -202,10 +208,5 @@ def save_report_jsonl(path, rows: Sequence[dict]) -> None:
 
 
 def load_report_jsonl(path) -> List[dict]:
-    rows = []
-    with open(path, "r", encoding="ascii") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+    return read_text(path, "ascii", parse=lambda text: [
+        json.loads(line) for line in text.split("\n") if line.strip()])

@@ -97,8 +97,9 @@ def test_criterion_3_label_update_monotonicity(bench):
         for _ in range(3):
             classifier.fit(run.cloud, labels)
             pred, conf = classifier.predict(run.cloud)
-            merged = pl.label_update(labels, pred, conf, run.scene_mask,
-                                     preset.refine.top_v)
+            gaps = ~labels.labeled_mask
+            merged = pl.label_update(labels, pred.with_values(pred.values[gaps]),
+                                     conf[gaps], run.scene_mask, preset.refine.top_v)
             entering = labels.labeled_mask
             if not np.array_equal(merged.values[entering], labels.values[entering]):
                 violations += 1
@@ -112,8 +113,8 @@ def test_criterion_3_label_update_monotonicity(bench):
                 if not run.scene_mask[labels.values[labels.labeled_mask]].all():
                     violations += 1
         # the instrumented trace is the production path
-        final, _, _ = pl.stlp_run(run.cloud, run.refined, run.partition,
-                                  config, preset.refine, run.scene_mask)
+        final, _ = pl.stlp_run(run.cloud, run.refined, run.partition,
+                               config, preset.refine, run.scene_mask)
         assert np.array_equal(final.values, labels.values)
     _line(3, violations == 0,
           "label_update retains labeled positions verbatim and never emits "

@@ -77,9 +77,9 @@ class TestProtocol:
         preset, run, held = seed0_products
         p = replace(preset, refine=replace(preset.refine, top_v=100.0))
         record = pl.run_benchmark(p, 0, rounds=1, run=run, held_out=held)
-        final, _, _ = pl.stlp_run(run.cloud, run.refined, run.partition,
-                                  replace(p.stlp, rounds=1), p.refine,
-                                  run.scene_mask)
+        final, _ = pl.stlp_run(run.cloud, run.refined, run.partition,
+                               replace(p.stlp, rounds=1), p.refine,
+                               run.scene_mask)
         assert record["final_labeled_rate"] == pl.labeled_rate(final)
 
     def test_held_out_scan_predicted_once(self, seed0_products, monkeypatch):
@@ -103,3 +103,17 @@ class TestProtocol:
         monkeypatch.setattr(pl.KnnClassifier, "predict", counted)
         pl.run_benchmark(preset, 0, rounds=2, run=run, held_out=held)
         assert calls == [g for g in gaps if g] + [held.cloud.count]
+
+    def test_fits_once_per_round_and_once_for_held_out(self, seed0_products,
+                                                       monkeypatch):
+        preset, run, held = seed0_products
+        fits = []
+        fit = pl.KnnClassifier.fit
+
+        def counted(self, cloud, labels):
+            fits.append(cloud.count)
+            return fit(self, cloud, labels)
+
+        monkeypatch.setattr(pl.KnnClassifier, "fit", counted)
+        pl.run_benchmark(preset, 0, rounds=2, run=run, held_out=held)
+        assert fits == [run.cloud.count] * 3

@@ -128,6 +128,32 @@ class TestStlpCommand:
         assert run(self._stlp_args(fixture_dir, out, rounds=0)) == 0
         assert (out / "report.jsonl").read_text() == ""
 
+    def test_zero_rounds_on_empty_refinement(self, fixture_dir, tmp_path):
+        # alpha 1.0 leaves nothing labeled; no round runs, so nothing is fit
+        out = tmp_path / "empty"
+        assert run(self._stlp_args(fixture_dir, out, rounds=0) + ["--alpha", 1.0]) == 0
+        assert set((out / "labels.txt").read_text().split()) == {"-1"}
+        assert (out / "report.jsonl").read_text() == ""
+
+    def test_fits_and_predicts_once_per_round(self, fixture_dir, tmp_path,
+                                              monkeypatch):
+        from pclabel import KnnClassifier
+        calls = []
+        fit, predict = KnnClassifier.fit, KnnClassifier.predict
+
+        def counted_fit(self, cloud, labels):
+            calls.append("fit")
+            return fit(self, cloud, labels)
+
+        def counted_predict(self, cloud):
+            calls.append("predict")
+            return predict(self, cloud)
+
+        monkeypatch.setattr(KnnClassifier, "fit", counted_fit)
+        monkeypatch.setattr(KnnClassifier, "predict", counted_predict)
+        assert run(self._stlp_args(fixture_dir, tmp_path / "s", rounds=2)) == 0
+        assert calls == ["fit", "predict"] * 2
+
     def test_byte_identical_reruns(self, fixture_dir, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -192,6 +218,39 @@ class TestSweepCommand:
         assert run(["sweep", "--param", "T", "--grid", "0,1", "--seed", 0,
                     "--jobs", 2, "--out", parallel]) == 0
         assert parallel.read_bytes() == serial.read_bytes()
+
+    def test_pool_no_larger_than_grid(self, tmp_path, monkeypatch):
+        import pclabel.cli as cli
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        def fake_value(task):
+            return {"value": task[3], "miou": 0.5, "macc": 0.5, "labeled_rate": 1.0}
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_sweep_value", fake_value)
+        for jobs, grid, expected in ((64, "0,1", [2]), (2, "0,1,2", [2]), (1, "0,1", [])):
+            sizes.clear()
+            assert run(["sweep", "--param", "T", "--grid", grid, "--jobs", jobs,
+                        "--out", tmp_path / "x.csv"]) == 0
+            assert sizes == expected
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_usage_error(self, tmp_path, jobs):
+        assert run(["sweep", "--param", "T", "--grid", "0,1", "--jobs", jobs,
+                    "--out", tmp_path / "x.csv"]) == 1
 
     def test_bad_grid_usage_error(self, tmp_path):
         assert run(["sweep", "--param", "V", "--grid", "a,b",
@@ -486,3 +545,49 @@ class TestDamagedInputs:
                     "--partition", path, "--out", tmp_path / "o"]) == 2
         assert ("huge.json: assignment entry 1 is out of the int64 range"
                 in capsys.readouterr().err)
+
+    def test_view_channel_count_names_the_manifest(self, fixture_dir, tmp_path,
+                                                    capsys):
+        classes = tmp_path / "three.json"
+        classes.write_text(json.dumps(["wall", "floor", "chair"]))
+        manifest = fixture_dir / "views" / "manifest.json"
+        assert run(["pseudo", "--cloud", fixture_dir / "cloud.ply",
+                    "--classes", classes, "--views", manifest,
+                    "--out", tmp_path / "o"]) == 2
+        assert (f"{manifest}: views have 8 classes, class list has 3"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("reader, content", [
+        ("classes", b'["wall", '),
+        ("classes", b'["wall\xff"]'),
+        ("mask", b'["wall"]]'),
+        ("mask", b'["\xff"]'),
+        ("views", b'[{"width": }]'),
+        ("views", b'[\xff]'),
+        ("partition", b'{"n": 1,'),
+        ("partition", b'{"n": \xff}'),
+        ("config", b'{"top_v": 30'),
+        ("config", b'{"top_v": "\xff"}'),
+        ("labels", b'0\n\xff\n'),
+    ])
+    def test_decode_error_names_the_file(self, fixture_dir, labeled_dir, tmp_path,
+                                         capsys, reader, content):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        scan = {"cloud": fixture_dir / "cloud.ply",
+                "classes": fixture_dir / "classes.json"}
+        if reader in ("classes", "mask", "views"):
+            inputs = {**scan, "logits": fixture_dir / "logits.lf01", reader: bad}
+            if reader == "views":
+                del inputs["logits"]
+            command = "pseudo"
+        else:
+            inputs = {**scan, "labels": labeled_dir / "labels.txt",
+                      "confidence": labeled_dir / "confidence.lf01",
+                      "partition": labeled_dir / "partition.json", reader: bad}
+            command = "refine"
+        args = [command, "--out", tmp_path / "o"]
+        for key, path in inputs.items():
+            args += [f"--{key}", path]
+        assert run(args) == 2
+        assert f"error: {bad}: " in capsys.readouterr().err

@@ -22,6 +22,7 @@ from pclabel import (
     stlp_run,
 )
 
+from pclabel import stlp
 from pclabel.superpoint import partition_cloud
 
 from conftest import make_cloud
@@ -100,8 +101,8 @@ class TestKnnClassifier:
 class TestLabelUpdate:
     def test_fully_labeled_prev_unchanged(self, rng):
         prev = LabelField(rng.integers(0, 3, 30), 3)
-        pred = LabelField(rng.integers(0, 3, 30), 3)
-        out = label_update(prev, pred, rng.random(30), np.ones(3, bool), 50.0)
+        pred = LabelField(np.zeros(0, dtype=np.int64), 3)
+        out = label_update(prev, pred, np.zeros(0), np.ones(3, bool), 50.0)
         assert np.array_equal(out.values, prev.values)
 
     def test_all_unlabeled_prev_full_pass_through(self, rng):
@@ -114,8 +115,8 @@ class TestLabelUpdate:
         # prev [c0, β, β, β]; gap predictions all c1 with confidences
         # (0.9, 0.5, 0.1); V=34 keeps ceil(0.34*3)=2 of the gap pool
         prev = LabelField(np.array([0, UNLABELED, UNLABELED, UNLABELED]), 2)
-        pred = LabelField(np.array([0, 1, 1, 1]), 2)
-        conf = np.array([1.0, 0.9, 0.5, 0.1])
+        pred = LabelField(np.array([1, 1, 1]), 2)
+        conf = np.array([0.9, 0.5, 0.1])
         out = label_update(prev, pred, conf, np.ones(2, bool), 34.0)
         assert out.values.tolist() == [0, 1, 1, UNLABELED]
 
@@ -131,20 +132,30 @@ class TestLabelUpdate:
             n = int(rng.integers(5, 100))
             c = int(rng.integers(2, 5))
             prev = LabelField(rng.integers(-1, c, n), c)
-            pred = LabelField(rng.integers(0, c, n), c)
+            gaps = int((~prev.labeled_mask).sum())
+            pred = LabelField(rng.integers(0, c, gaps), c)
             mask = rng.random(c) < 0.8
             if not mask.any():
                 mask[0] = True
-            out = label_update(prev, pred, rng.random(n), mask, 40.0)
+            out = label_update(prev, pred, rng.random(gaps), mask, 40.0)
             was = prev.labeled_mask
             assert np.array_equal(out.values[was], prev.values[was])
             assert out.labeled_mask.sum() >= was.sum()
 
     def test_rejects_unlabeled_predictions(self, rng):
         prev = LabelField(np.array([0, 1, UNLABELED, 0, 1]), 2)
-        pred = LabelField(np.array([0, 1, UNLABELED, 0, 1]), 2)
+        pred = LabelField(np.array([UNLABELED]), 2)
         with pytest.raises(ValueError, match="every gap"):
-            label_update(prev, pred, np.ones(5) * 0.5, np.ones(2, bool), 50.0)
+            label_update(prev, pred, np.ones(1) * 0.5, np.ones(2, bool), 50.0)
+
+    def test_rejects_predictions_not_covering_the_gaps(self):
+        prev = LabelField(np.array([0, UNLABELED, UNLABELED, 1]), 2)
+        full = LabelField(np.array([0, 1, 1, 1]), 2)
+        with pytest.raises(ValueError, match="4 predictions for 2 gaps"):
+            label_update(prev, full, np.ones(4), np.ones(2, bool), 50.0)
+        with pytest.raises(ValueError, match="does not match 2 gaps"):
+            label_update(prev, LabelField(np.array([1, 1]), 2), np.ones(4),
+                         np.ones(2, bool), 50.0)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.data())
@@ -152,31 +163,24 @@ class TestLabelUpdate:
         n = data.draw(st.integers(0, 30))
         c = data.draw(st.integers(1, 4))
 
-        def ints(lo):
-            return st.lists(st.integers(lo, c - 1), min_size=n, max_size=n)
+        def ints(lo, size):
+            return st.lists(st.integers(lo, c - 1), min_size=size, max_size=size)
 
-        unit = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
-        prev = LabelField(np.array(data.draw(ints(UNLABELED)), dtype=np.int64), c)
-        pred = np.array(data.draw(ints(0)), dtype=np.int64)
-        conf = np.array(data.draw(unit))
+        prev = LabelField(np.array(data.draw(ints(UNLABELED, n)), dtype=np.int64), c)
+        was = prev.labeled_mask
+        gaps = int((~was).sum())
+        pred = np.array(data.draw(ints(0, gaps)), dtype=np.int64)
+        conf = np.array(data.draw(st.lists(st.floats(0.0, 1.0),
+                                           min_size=gaps, max_size=gaps)))
         mask = np.array(data.draw(st.lists(st.booleans(), min_size=c, max_size=c)),
                         dtype=bool)
         top_v = data.draw(st.floats(0.0, 100.0, exclude_min=True))
         out = label_update(prev, prev.with_values(pred), conf, mask, top_v)
 
-        was = prev.labeled_mask
         assert np.array_equal(out.values[was], prev.values[was])
-        adopted = ~was & out.labeled_mask
-        assert np.array_equal(out.values[adopted], pred[adopted])
-        assert mask[out.values[adopted]].all()
-
-        # Whatever sits at labeled positions, UNLABELED and non-finite
-        # confidences included, is never read.
-        other_pred = np.array(data.draw(ints(UNLABELED)), dtype=np.int64)
-        other_conf = np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)))
-        again = label_update(prev, prev.with_values(np.where(was, other_pred, pred)),
-                             np.where(was, other_conf, conf), mask, top_v)
-        assert np.array_equal(again.values, out.values)
+        adopted = out.labeled_mask[~was]
+        assert np.array_equal(out.values[~was][adopted], pred[adopted])
+        assert mask[pred[adopted]].all()
 
 
 class TestStlpRound:
@@ -230,11 +234,15 @@ class TestStlpRound:
         got, _ = stlp_round(cloud, prev, partition, KnnClassifier(), refine, mask)
         assert np.array_equal(got.values, want.values)
 
-    def test_no_gaps_skips_predict(self, rng):
+    def test_no_gaps_skips_predict(self, rng, monkeypatch):
         class FitOnly(KnnClassifier):
             def predict(self, cloud):
                 raise AssertionError("predict called without gaps")
 
+        def no_update(*args):
+            raise AssertionError("label_update called without gaps")
+
+        monkeypatch.setattr(stlp, "label_update", no_update)
         n = 50
         cloud = make_cloud(rng, n)
         partition = SuperpointPartition(np.arange(n) // 10)
@@ -244,6 +252,7 @@ class TestStlpRound:
         want = literal_full_round(cloud, prev, partition, KnnClassifier(), refine, mask)
         got, _ = stlp_round(cloud, prev, partition, FitOnly(), refine, mask)
         assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.values, galr(prev, partition, 0.3).values)
 
     def test_entirely_unlabeled_prev_rejected(self, rng):
         cloud = make_cloud(rng, 10)
@@ -270,24 +279,27 @@ class TestStlpRun:
 
     def test_zero_rounds_untouched(self, rng):
         cloud, y0, partition, gt = self._setup(rng)
-        final, clf, report = stlp_run(cloud, y0, partition, StlpConfig(rounds=0),
-                                      RefineParams(), np.ones(4, bool))
+        final, report = stlp_run(cloud, y0, partition, StlpConfig(rounds=0),
+                                 RefineParams(), np.ones(4, bool))
         assert final is y0
         assert report == []
-        pred, _ = clf.predict(cloud)  # classifier usable
-        assert len(pred) == cloud.count
+        # nothing is fitted, so an empty field passes through as well
+        empty = LabelField.full_unlabeled(cloud.count, 4)
+        final, report = stlp_run(cloud, empty, partition, StlpConfig(rounds=0),
+                                 RefineParams(), np.ones(4, bool))
+        assert final is empty and report == []
 
     def test_report_rows_match_rounds(self, rng):
         cloud, y0, partition, gt = self._setup(rng)
-        _, _, report = stlp_run(cloud, y0, partition, StlpConfig(rounds=3),
-                                RefineParams(), np.ones(4, bool), gt=gt)
+        _, report = stlp_run(cloud, y0, partition, StlpConfig(rounds=3),
+                             RefineParams(), np.ones(4, bool), gt=gt)
         assert [row["round"] for row in report] == [1, 2, 3]
         assert all("miou" in row and "labeled_rate" in row for row in report)
 
     def test_labeled_rate_grows_from_sparse_seeds(self, rng):
         cloud, y0, partition, gt = self._setup(rng)
-        _, _, report = stlp_run(cloud, y0, partition, StlpConfig(rounds=1),
-                                RefineParams(), np.ones(4, bool))
+        _, report = stlp_run(cloud, y0, partition, StlpConfig(rounds=1),
+                             RefineParams(), np.ones(4, bool))
         before = float((y0.values != UNLABELED).mean())
         assert report[0]["labeled_rate"] > before
 
@@ -296,8 +308,8 @@ class TestStlpRun:
         mask = np.array([True, True, True, False])
         values = np.where(y0.values == 3, UNLABELED, y0.values)
         y0 = LabelField(values, 4)
-        final, _, _ = stlp_run(cloud, y0, partition, StlpConfig(rounds=2),
-                               RefineParams(), mask)
+        final, _ = stlp_run(cloud, y0, partition, StlpConfig(rounds=2),
+                            RefineParams(), mask)
         labeled = final.values != UNLABELED
         assert mask[final.values[labeled]].all()
 
