@@ -93,7 +93,7 @@ def _setting(args, config: dict, key: str, kind=str, required: bool = False):
         return None
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
         raise ValueError(
             f"config key {key!r}: cannot read {value!r} as {kind.__name__}"
         ) from None
@@ -324,6 +324,8 @@ def cmd_sweep(args, config) -> int:
         raise UsageError(f"bad grid {args.grid!r}: expected comma-separated numbers")
     if not grid:
         raise UsageError("empty sweep grid")
+    if args.param == "T" and not all(v.is_integer() for v in grid):
+        raise UsageError(f"bad grid {args.grid!r}: round counts must be whole numbers")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     tasks = [(args.preset, seed, args.param, value) for value in grid]

@@ -139,6 +139,51 @@ def _read_body_binary(f, vertex_count, props, body_offset):
     return np.frombuffer(f.read(expected), dtype=dtype, count=vertex_count)
 
 
+# The ascii body grammar is that of str.split() and str.splitlines() on the
+# body decoded as ascii: tokens are separated by 0x09-0x0D and 0x1C-0x20,
+# lines end at 0x0A-0x0D and 0x1C-0x1E with "\r\n" one break, and a byte
+# >= 0x80 is part of a token (and never a number). bytes.split() splits on
+# the other six separators itself.
+_SEPARATORS_TO_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+# Rows converted per pass; bounds the token lists held at once.
+_BLOCK_ROWS = 1 << 14
+
+
+def _in_range(b, lo, hi):
+    return b - np.uint8(lo) <= hi - lo  # uint8 wraps below lo
+
+
+def _ascii_layout(body: bytes):
+    """(line index of each non-blank line, its value count, each value's start byte)."""
+    b = np.frombuffer(body, dtype=np.uint8)
+    breaks = np.flatnonzero(_in_range(b, 0x0A, 0x0D) | _in_range(b, 0x1C, 0x1E))
+    crlf = (b[breaks] == 0x0A) & (breaks > 0) & (b[breaks - 1] == 0x0D)
+    breaks = breaks[~crlf]
+    space = _in_range(b, 0x09, 0x0D) | _in_range(b, 0x1C, 0x20)
+    start = ~space
+    start[1:] &= space[:-1]
+    del space
+    starts = np.flatnonzero(start)
+    del start
+    counts = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))
+    lines = np.flatnonzero(counts)
+    return lines, counts[lines], starts
+
+
+def _convert(tokens, code):
+    """tokens as `code` by float()/int(), or None when one does not fit."""
+    try:
+        if code in ("f4", "f8"):
+            return np.array(tokens, dtype=np.float64).astype(code)
+        values = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    info = np.iinfo(code)
+    if values.min() < info.min or values.max() > info.max:
+        return None
+    return values.astype(code)
+
+
 def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
     dtype = np.dtype([(name, "<" + code) for name, code in props])
     # Each data row holds at least one value and, but for the last, a line
@@ -150,30 +195,44 @@ def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
             f"{found} bytes cannot hold the {vertex_count} declared vertices"
         )
     rows = np.zeros(vertex_count, dtype=dtype)
-    text = f.read().decode("ascii", errors="replace")
-    lines = text.splitlines()
-    seen = 0
-    for offset, line in enumerate(lines):
-        lineno = header_lines + 1 + offset
-        tokens = line.split()
-        if not tokens:
-            continue
-        if seen >= vertex_count:
-            raise PlyError(f"line {lineno}: more data rows than declared vertices")
-        if len(tokens) != len(props):
-            raise PlyError(
-                f"line {lineno}: expected {len(props)} values, found {len(tokens)}"
-            )
-        for (name, code), token in zip(props, tokens):
-            try:
-                rows[name][seen] = float(token) if code in ("f4", "f8") else int(token)
-            except (ValueError, OverflowError):
-                # OverflowError: an integer outside its property's type.
-                raise PlyError(f"line {lineno}: bad value {token!r} for {name!r}") from None
-        seen += 1
-    if seen < vertex_count:
+    body = f.read()
+    lines, counts, starts = _ascii_layout(body)
+    width = len(props)
+
+    def lineno(row):
+        return header_lines + 1 + int(lines[row])
+
+    # Non-blank line i is row i. Errors are reported at the first line that
+    # has one: a bad value, a wrong value count, or a row past the count.
+    wrong = np.flatnonzero(counts[:vertex_count] != width)
+    parsed = int(wrong[0]) if len(wrong) else min(len(lines), vertex_count)
+    # Rows [0, parsed) hold `width` values each; block k spans body bytes
+    # cuts[k]:cuts[k + 1], from its first value to the next row's.
+    cuts = [int(starts[i]) if i < len(starts) else len(body)
+            for i in width * np.append(np.arange(0, parsed, _BLOCK_ROWS), parsed)]
+    del starts
+    for block, lo in enumerate(range(0, parsed, _BLOCK_ROWS)):
+        tokens = body[cuts[block]:cuts[block + 1]].translate(_SEPARATORS_TO_SPACE).split()
+        columns = [_convert(tokens[j::width], code) for j, (_, code) in enumerate(props)]
+        if any(column is None for column in columns):
+            for i, token in enumerate(tokens):
+                name, code = props[i % width]
+                if _convert([token], code) is None:
+                    text = token.decode("ascii", errors="replace")
+                    raise PlyError(
+                        f"line {lineno(lo + i // width)}: bad value {text!r} for {name!r}"
+                    )
+        for (name, _), column in zip(props, columns):
+            rows[name][lo:lo + len(column)] = column
+    if len(wrong):
         raise PlyError(
-            f"truncated body: declared {vertex_count} vertices, found {seen} rows"
+            f"line {lineno(parsed)}: expected {width} values, found {counts[parsed]}"
+        )
+    if len(lines) > vertex_count:
+        raise PlyError(f"line {lineno(vertex_count)}: more data rows than declared vertices")
+    if len(lines) < vertex_count:
+        raise PlyError(
+            f"truncated body: declared {vertex_count} vertices, found {len(lines)} rows"
         )
     return rows
 

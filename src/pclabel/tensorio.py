@@ -193,9 +193,12 @@ def load_labels_text(path, num_classes: int) -> LabelField:
         if not line:
             continue
         try:
-            values.append(int(line))
+            value = int(line)
         except ValueError:
             raise ValueError(f"{path} line {lineno}: bad label {line!r}") from None
+        if not -2**63 <= value < 2**63:
+            raise ValueError(f"{path} line {lineno}: label {line!r} is out of the int64 range")
+        values.append(value)
     return LabelField(np.asarray(values, dtype=np.int64), num_classes)
 
 

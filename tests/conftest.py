@@ -3,12 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from pclabel import PointCloud  # noqa: E402
+
+# Property tests replay the same examples on every run, without a time limit.
+settings.register_profile("pclabel", derandomize=True, deadline=None)
+settings.load_profile("pclabel")
 
 
 def make_cloud(rng: np.random.Generator, n: int) -> PointCloud:

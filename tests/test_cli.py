@@ -256,6 +256,12 @@ class TestSweepCommand:
         assert run(["sweep", "--param", "V", "--grid", "a,b",
                     "--out", tmp_path / "x.csv"]) == 1
 
+    @pytest.mark.parametrize("grid", ["1.5", "0,2.5", "inf", "nan"])
+    def test_fractional_round_count_usage_error(self, tmp_path, grid):
+        out = tmp_path / "x.csv"
+        assert run(["sweep", "--param", "T", "--grid", grid, "--out", out]) == 1
+        assert not out.exists()
+
 
 class TestGoldenFixtures:
     """Committed oracle-run values for the seed-0 fixture."""
@@ -545,6 +551,25 @@ class TestDamagedInputs:
                     "--partition", path, "--out", tmp_path / "o"]) == 2
         assert ("huge.json: assignment entry 1 is out of the int64 range"
                 in capsys.readouterr().err)
+
+    def test_int64_overflowing_label_entry(self, fixture_dir, tmp_path, capsys):
+        pred = tmp_path / "p.txt"
+        pred.write_text("0\n99999999999999999999\n")
+        assert run(["eval", "--pred", pred, "--gt", fixture_dir / "gt.ply",
+                    "--classes", fixture_dir / "classes.json"]) == 2
+        assert (f"{pred} line 2: label '99999999999999999999' is out of the int64 range"
+                in capsys.readouterr().err)
+
+    def test_infinite_integer_setting(self, fixture_dir, labeled_dir, tmp_path, capsys):
+        config = tmp_path / "inf.json"
+        config.write_text('{"knn_k": 1e400}')
+        assert run(["infer", "--config", config,
+                    "--cloud", fixture_dir / "cloud.ply",
+                    "--classes", fixture_dir / "classes.json",
+                    "--labels", labeled_dir / "labels.txt",
+                    "--partition", labeled_dir / "partition.json",
+                    "--out", tmp_path / "o"]) == 2
+        assert "config key 'knn_k': cannot read inf as int" in capsys.readouterr().err
 
     def test_view_channel_count_names_the_manifest(self, fixture_dir, tmp_path,
                                                     capsys):

@@ -157,7 +157,7 @@ class TestLabelUpdate:
             label_update(prev, LabelField(np.array([1, 1]), 2), np.ones(4),
                          np.ones(2, bool), 50.0)
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.data())
     def test_retention_and_gap_only_reads(self, data):
         n = data.draw(st.integers(0, 30))

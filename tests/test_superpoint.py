@@ -47,7 +47,7 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             SuperpointPartition(np.array([-1, 0]))
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.integers(-3, 8), max_size=12))
     @example([])
     @example([0])
@@ -265,7 +265,7 @@ _CHAINED = ([0, 1, 2, 2, 2], [(0, 1), (1, 2), (2, 3), (3, 4)], 3)
 
 
 class TestMergeSmallSegments:
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(merge_cases())
     @example(_ISOLATED)
     @example(_TIED)
@@ -290,7 +290,7 @@ class TestMergeSmallSegments:
 
 
 class TestDistinct:
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=50)
            | st.lists(st.integers(-3, 3), max_size=50))
     @example([])

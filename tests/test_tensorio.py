@@ -1,8 +1,13 @@
 import json
 import struct
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pclabel import CameraView, LabelField, UNLABELED
 from pclabel import tensorio
@@ -43,6 +48,29 @@ class TestLF01:
         path = tmp_path / "e.lf01"
         tensorio.save_tensor(path, np.zeros((0, 4), dtype=np.float32))
         assert tensorio.load_tensor(path).shape == (0, 4)
+
+    @settings(max_examples=100)
+    @given(hnp.arrays(np.float32, st.tuples(st.integers(0, 6), st.integers(0, 6))))
+    def test_round_trip_bitwise(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/t.lf01"
+            tensorio.save_tensor(path, data)
+            back = tensorio.load_tensor(path)
+        assert back.shape == data.shape
+        assert back.tobytes() == data.tobytes()
+
+    def test_every_truncation_is_named(self, tmp_path, rng):
+        path = tmp_path / "cut.lf01"
+        tensorio.save_tensor(path, rng.standard_normal((3, 2)))
+        data = path.read_bytes()
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            try:
+                tensorio.load_tensor(path)
+            except ValueError as e:
+                assert str(e).startswith(f"{path}: "), (cut, str(e))
+            else:
+                assert cut == len(data)
 
     def test_confidence_round_trip(self, tmp_path, rng):
         conf = rng.random(9)
