@@ -173,8 +173,8 @@ def run_benchmark(
 ) -> dict:
     """Full train/evaluate cycle for one seed; returns the metric record.
 
-    Precomputed scan products may be passed in so sweeps over `rounds` do
-    not regenerate the scene.
+    Precomputed scan products may be passed in so sweeps do not regenerate
+    the scene; a V or alpha sweep passes `run` with `refined` recomputed.
     """
     if run is None:
         run = label_scan(preset, seed)

@@ -5,9 +5,10 @@ the config file, which wins over the parameter's default. Relative paths in
 a config file resolve against the file's directory. --seed selects the
 scene of synth and sweep; pseudo, refine, stlp and infer ignore it, and
 eval does not take it. stlp reads one --top-v/--alpha pair in the initial
-refinement and in every self-training round. Exit codes: 0 success, 1
-usage error, 2 data error. With --json the only stdout output is
-machine-readable JSON; informational messages always go to stderr.
+refinement and in every self-training round. sweep's grid values share
+one scan and re-run only refinement and self-training. Exit codes: 0
+success, 1 usage error, 2 data error. With --json the only stdout output
+is machine-readable JSON; informational messages always go to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from typing import List, Optional
 
@@ -214,11 +214,8 @@ def cmd_pseudo(args, config) -> int:
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "labels.txt"), labels)
     tensorio.save_confidence(os.path.join(args.out, "confidence.lf01"), confidence)
-    record = {
-        "out": args.out,
-        "labeled_rate": labeled_rate(labels),
-        "points": cloud.count,
-    }
+    record = {"out": args.out, "labeled_rate": labeled_rate(labels),
+              "points": cloud.count}
     if hits is not None:
         record["hit_rate"] = float((hits > 0).mean())
     _info(f"pseudo labels written to {args.out} (labeled rate {record['labeled_rate']:.4f})")
@@ -259,11 +256,8 @@ def cmd_stlp(args, config) -> int:
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "labels.txt"), final)
     tensorio.save_report_jsonl(os.path.join(args.out, "report.jsonl"), report)
-    record = {
-        "out": args.out,
-        "rounds": stlp_config.rounds,
-        "labeled_rate": labeled_rate(final),
-    }
+    record = {"out": args.out, "rounds": stlp_config.rounds,
+              "labeled_rate": labeled_rate(final)}
     _info(f"self-training finished: {stlp_config.rounds} rounds, "
           f"labeled rate {record['labeled_rate']:.4f}")
     _emit(record, args.json)
@@ -298,24 +292,6 @@ def cmd_eval(args, config) -> int:
     return 0
 
 
-def _sweep_value(task):
-    preset_name, seed, param, value = task
-    preset = bench.get_benchmark(preset_name)
-    if param == "V":
-        preset = replace(preset, refine=replace(preset.refine, top_v=value))
-    elif param == "alpha":
-        preset = replace(preset, refine=replace(preset.refine, alpha=value))
-    else:
-        preset = replace(preset, stlp=replace(preset.stlp, rounds=int(value)))
-    record = bench.run_benchmark(preset, seed)
-    return {
-        "value": value,
-        "miou": record["val_miou"],
-        "macc": record["val_macc"],
-        "labeled_rate": record["final_labeled_rate"],
-    }
-
-
 def cmd_sweep(args, config) -> int:
     seed = _setting(args, config, "seed", kind=int) or 0
     try:
@@ -326,26 +302,26 @@ def cmd_sweep(args, config) -> int:
         raise UsageError("empty sweep grid")
     if args.param == "T" and not all(v.is_integer() for v in grid):
         raise UsageError(f"bad grid {args.grid!r}: round counts must be whole numbers")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    tasks = [(args.preset, seed, args.param, value) for value in grid]
-    workers = min(args.jobs, len(tasks))  # a pool forks all its workers at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_value, tasks))
-    else:
-        rows = [_sweep_value(t) for t in tasks]
-    header = {"V": "top_v", "alpha": "alpha", "T": "rounds"}[args.param]
-    lines = [f"{header},miou,macc,labeled_rate"]
-    for row in rows:
-        value = int(row["value"]) if args.param == "T" else row["value"]
-        lines.append(f"{value},{row['miou']:.6f},{row['macc']:.6f},{row['labeled_rate']:.6f}")
+    section, key, kind = {"V": ("refine", "top_v", float), "alpha": ("refine", "alpha", float),
+                          "T": ("stlp", "rounds", int)}[args.param]
+    grid = [kind(v) for v in grid]
+    preset = bench.get_benchmark(args.preset)
+    # Every variant is built, and so checked, before the scans all of them share.
+    variants = [replace(preset, **{section: replace(getattr(preset, section), **{key: v})})
+                for v in grid]
+    run, held_out = bench.label_scan(preset, seed), bench.eval_scan(preset, seed)
+    lines = [f"{key},miou,macc,labeled_rate"]
+    for value, p in zip(grid, variants):
+        refined = refine_pipeline(run.raw_labels, run.raw_confidence, run.partition, p.refine)
+        r = bench.run_benchmark(p, seed, run=replace(run, refined=refined), held_out=held_out)
+        lines.append(f"{value},{r['val_miou']:.6f},{r['val_macc']:.6f},"
+                     f"{r['final_labeled_rate']:.6f}")
     csv_text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii") as f:
             f.write(csv_text)
         _info(f"sweep written to {args.out}")
-        _emit({"out": args.out, "rows": len(rows)}, args.json)
+        _emit({"out": args.out, "rows": len(grid)}, args.json)
     else:
         print(csv_text, end="")
     return 0
@@ -451,8 +427,6 @@ def build_parser() -> _Parser:
     p.add_argument("--param", choices=("V", "alpha", "T"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--preset", default="room-small")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes across grid values")
     _add_common(p, out="optional")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -174,7 +174,8 @@ def _convert(tokens, code):
     """tokens as `code` by float()/int(), or None when one does not fit."""
     try:
         if code in ("f4", "f8"):
-            return np.array(tokens, dtype=np.float64).astype(code)
+            with np.errstate(over="ignore"):  # beyond float32 is inf; PointCloud rejects it
+                return np.array(tokens, dtype=np.float64).astype(code)
         values = np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError):
         return None
@@ -249,16 +250,16 @@ def _load(path) -> Tuple[PointCloud, Optional[np.ndarray]]:
                 rows = _read_body_ascii(
                     f, vertex_count, props, header_lines, body_offset
                 )
-        except PlyError as e:
+            positions = np.stack(
+                [rows["x"].astype(np.float64), rows["y"].astype(np.float64),
+                 rows["z"].astype(np.float64)], axis=1,
+            ) if vertex_count else np.empty((0, 3))
+            colors = np.stack(
+                [rows["red"], rows["green"], rows["blue"]], axis=1
+            ) if vertex_count else np.empty((0, 3), dtype=np.uint8)
+            cloud = PointCloud(positions, colors)
+        except ValueError as e:  # PlyError, or a PointCloud check
             raise PlyError(f"{path}: {e}") from None
-    positions = np.stack(
-        [rows["x"].astype(np.float64), rows["y"].astype(np.float64),
-         rows["z"].astype(np.float64)], axis=1,
-    ) if vertex_count else np.empty((0, 3))
-    colors = np.stack(
-        [rows["red"], rows["green"], rows["blue"]], axis=1
-    ) if vertex_count else np.empty((0, 3), dtype=np.uint8)
-    cloud = PointCloud(positions, colors)
     labels = None
     if any(name == "label" for name, _ in props):
         raw = rows["label"].astype(np.int64) if vertex_count else np.empty(0, np.int64)

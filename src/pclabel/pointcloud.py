@@ -23,8 +23,10 @@ class PointCloud:
         pos = np.ascontiguousarray(np.asarray(self.positions, dtype=np.float64))
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
-        if not np.isfinite(pos).all():
-            raise ValueError("positions contain NaN or Inf")
+        finite = np.isfinite(pos)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise ValueError(f"position of point {bad} is not finite")
         col = np.asarray(self.colors)
         if col.shape != pos.shape:
             raise ValueError(f"colors must match positions shape, got {col.shape}")

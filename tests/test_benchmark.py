@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import pclabel as pl
-from pclabel.benchmark import LabelingRun
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +54,9 @@ class TestProtocol:
             p = replace(preset, refine=replace(preset.refine, top_v=v))
             refined = pl.refine_pipeline(run.raw_labels, run.raw_confidence,
                                          run.partition, p.refine)
-            run_v = LabelingRun(run.cloud, run.gt, run.scene_mask,
-                                run.partition, run.raw_labels,
-                                run.raw_confidence, run.hit_count, refined)
-            mious.append(pl.run_benchmark(p, 0, run=run_v, held_out=held)["val_miou"])
+            record = pl.run_benchmark(p, 0, run=replace(run, refined=refined),
+                                      held_out=held)
+            mious.append(record["val_miou"])
         assert mious[1] > mious[0] and mious[1] > mious[2]
 
     def test_alpha_sweep_labeled_rate_decreases(self, seed0_products):

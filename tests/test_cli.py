@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -210,44 +211,50 @@ class TestSweepCommand:
         assert lines[0] == "rounds,miou,macc,labeled_rate"
         assert len(lines) == 3
 
-    def test_parallel_grid_matches_serial(self, tmp_path):
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        assert run(["sweep", "--param", "T", "--grid", "0,1", "--seed", 0,
-                    "--jobs", 1, "--out", serial]) == 0
-        assert run(["sweep", "--param", "T", "--grid", "0,1", "--seed", 0,
-                    "--jobs", 2, "--out", parallel]) == 0
-        assert parallel.read_bytes() == serial.read_bytes()
+    # CSV SHA-256s of one small seed-0 grid per parameter.
+    @pytest.mark.parametrize("param,grid,sha256", [
+        ("V", "10,30", "5ed9fdb76913f675fe1b723f5d4af0a69227f92b3db5139ab3b3afe41710e9c8"),
+        ("alpha", "0.3,0.7", "fac1b3642d809cf3623672413d9fce99c6f2459585a7ebc8330d0a3ded5f221a"),
+        ("T", "0,1", "396469f3bea1b169f6236d3514a58fcfb741cf2c41c69c93bfa8fb3760fbc388"),
+    ])
+    def test_golden_csv(self, tmp_path, param, grid, sha256):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--param", param, "--grid", grid, "--seed", 0,
+                    "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
-    def test_pool_no_larger_than_grid(self, tmp_path, monkeypatch):
-        import pclabel.cli as cli
-        sizes = []
+    @pytest.fixture
+    def scan_calls(self, monkeypatch):
+        """Counts of label_scan and eval_scan calls, which still run."""
+        import pclabel.benchmark as bench
+        calls = {"label_scan": 0, "eval_scan": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(bench, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(bench, name, counted)
+        return calls
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+    def test_grid_values_share_one_scan(self, tmp_path, scan_calls):
+        assert run(["sweep", "--param", "V", "--grid", "10,30",
+                    "--out", tmp_path / "x.csv"]) == 0
+        assert scan_calls == {"label_scan": 1, "eval_scan": 1}
 
-            def __enter__(self):
-                return self
+    @pytest.mark.parametrize("param,grid,message", [
+        ("V", "30,0", "top_v must lie in (0, 100], got 0.0"),
+        ("T", "1,-1", "rounds must be >= 0"),
+        ("alpha", "0.5,2", "alpha must lie in [0, 1], got 2.0"),
+    ])
+    def test_bad_grid_value_fails_before_any_scan(self, tmp_path, capsys, scan_calls,
+                                                   param, grid, message):
+        out = tmp_path / "x.csv"
+        assert run(["sweep", "--param", param, "--grid", grid, "--out", out]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert scan_calls == {"label_scan": 0, "eval_scan": 0}
+        assert not out.exists()
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        def fake_value(task):
-            return {"value": task[3], "miou": 0.5, "macc": 0.5, "labeled_rate": 1.0}
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(cli, "_sweep_value", fake_value)
-        for jobs, grid, expected in ((64, "0,1", [2]), (2, "0,1,2", [2]), (1, "0,1", [])):
-            sizes.clear()
-            assert run(["sweep", "--param", "T", "--grid", grid, "--jobs", jobs,
-                        "--out", tmp_path / "x.csv"]) == 0
-            assert sizes == expected
-
-    @pytest.mark.parametrize("jobs", [0, -3])
+    # sweep has no --jobs flag: any value, in range or not, is a usage error
+    @pytest.mark.parametrize("jobs", [0, -3, 2])
     def test_jobs_below_one_usage_error(self, tmp_path, jobs):
         assert run(["sweep", "--param", "T", "--grid", "0,1", "--jobs", jobs,
                     "--out", tmp_path / "x.csv"]) == 1
@@ -426,8 +433,9 @@ class TestConfigFile:
 
 
 class TestCommandSurface:
-    # Each pipeline command accepts exactly the options it reads, plus
-    # --partition on pseudo, --top-v on infer and --seed, which they ignore.
+    # Each command accepts exactly the options it reads, plus --partition on
+    # pseudo, --top-v on infer and --seed on the four pipeline commands,
+    # which they ignore.
     COMMON = "-h --help --config --seed --json --out"
     SCAN = "--cloud --classes --partition"
     REFINE = "--top-v --alpha --angle-threshold --adjacency-k --min-size --normals-k"
@@ -438,6 +446,7 @@ class TestCommandSurface:
         "refine": [SCAN, REFINE, "--labels --confidence"],
         "stlp": [SCAN, REFINE, SOURCE, KNN, "--gt --rounds"],
         "infer": [SCAN, REFINE, KNN, "--labels --emit-unlabeled"],
+        "sweep": ["--param --grid --preset"],
     }
 
     @pytest.mark.parametrize("command", sorted(ACCEPTED))
@@ -446,7 +455,8 @@ class TestCommandSurface:
         actions = commands.choices[command]._actions
         accepted = {o for a in actions for o in a.option_strings}
         assert accepted == set(" ".join([self.COMMON, *self.ACCEPTED[command]]).split())
-        assert next(a for a in actions if a.dest == "out").required
+        # sweep prints its CSV when --out is absent
+        assert next(a for a in actions if a.dest == "out").required == (command != "sweep")
 
     @pytest.fixture(scope="class")
     def commands(self, fixture_dir, labeled_dir):
@@ -527,6 +537,25 @@ class TestDamagedInputs:
                         "end_header\n0 0 0 300 0 0\n")
         assert self._pseudo(fixture_dir, tmp_path / "o", cloud=path) == 2
         assert "wide.ply: line 11: bad value '300' for 'red'" in capsys.readouterr().err
+
+    def test_ascii_ply_non_finite_position(self, fixture_dir, tmp_path, capsys):
+        path = tmp_path / "c.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                        "property float x\nproperty float y\nproperty float z\n"
+                        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+                        "end_header\nnan 0 1e39 1 2 3\n")
+        assert self._pseudo(fixture_dir, tmp_path / "o", cloud=path) == 2
+        assert (capsys.readouterr().err
+                == f"error: {path}: position of point 0 is not finite\n")
+
+    def test_binary_ply_non_finite_position(self, fixture_dir, tmp_path, capsys):
+        path = tmp_path / "nan.ply"
+        data = (fixture_dir / "cloud.ply").read_bytes()
+        body = data.index(b"end_header\n") + len(b"end_header\n")
+        path.write_bytes(data[:body] + struct.pack("<f", float("nan")) + data[body + 4:])
+        assert self._pseudo(fixture_dir, tmp_path / "o", cloud=path) == 2
+        assert (f"error: {path}: position of point 0 is not finite"
+                in capsys.readouterr().err)
 
     def test_non_finite_view_logits_name_the_view(self, fixture_dir, tmp_path, capsys):
         views = tmp_path / "views"

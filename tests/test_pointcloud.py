@@ -22,7 +22,7 @@ class TestPointCloud:
     def test_rejects_nan(self):
         pos = np.zeros((2, 3))
         pos[1, 1] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="position of point 1 is not finite"):
             PointCloud(pos, np.zeros((2, 3), dtype=np.uint8))
 
     def test_rejects_out_of_range_colors(self):
