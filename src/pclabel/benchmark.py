@@ -21,7 +21,7 @@ from .metrics import labeled_rate, metrics_report
 from .pointcloud import PointCloud
 from .projection import pseudo_labels_from_views
 from .refine import RefineParams, refine_pipeline
-from .stlp import StlpConfig, infer, stlp_run
+from .stlp import KnnClassifier, StlpConfig, infer, stlp_run
 from .superpoint import SuperpointParams, SuperpointPartition, partition_cloud
 from .synth import (
     LogitNoiseSpec,
@@ -185,7 +185,7 @@ def run_benchmark(
         run.cloud, run.refined, run.partition, config, preset.refine,
         run.scene_mask, gt=run.gt,
     )
-    classifier = config.make_classifier().fit(run.cloud, final_labels)
+    classifier = KnnClassifier(config).fit(run.cloud, final_labels)
     raw_predicted, _ = classifier.predict(held_out.cloud)
     predicted = infer(raw_predicted, held_out.partition, preset.refine.alpha)
     val = metrics_report(predicted, held_out.gt)

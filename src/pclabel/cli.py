@@ -28,7 +28,7 @@ from .metrics import format_report, labeled_rate, metrics_report
 from .ply import load_labeled_ply, load_ply, save_ply
 from .projection import pseudo_labels_from_logits, pseudo_labels_from_views
 from .refine import RefineParams, refine_pipeline
-from .stlp import StlpConfig, infer, stlp_run
+from .stlp import KnnClassifier, StlpConfig, infer, stlp_run
 from .superpoint import (
     SuperpointParams,
     load_partition_json,
@@ -82,7 +82,9 @@ _PATH_KEYS = {
 def _setting(args, config: dict, key: str, kind=str, required: bool = False):
     """Flag, then config file, coerced to `kind`; None when neither sets the key.
 
-    A value that does not coerce is a data error naming the key.
+    A value that does not coerce is a data error naming the key; so are a
+    JSON boolean for a number and a fraction for an int (`int()` would
+    truncate it).
     """
     value = getattr(args, key, None)
     if value is None:
@@ -92,8 +94,11 @@ def _setting(args, config: dict, key: str, kind=str, required: bool = False):
             raise UsageError(f"missing required input --{key.replace('_', '-')}")
         return None
     try:
+        if (isinstance(value, bool) and kind is not str
+                or kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return kind(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: float() of a huge int
         raise ValueError(
             f"config key {key!r}: cannot read {value!r} as {kind.__name__}"
         ) from None
@@ -229,8 +234,8 @@ def cmd_refine(args, config) -> int:
     confidence = tensorio.load_confidence(
         _setting(args, config, "confidence", required=True)
     )
-    partition = _partition_for(args, config, cloud)
     params = _params(RefineParams, args, config)
+    partition = _partition_for(args, config, cloud)
     refined = refine_pipeline(labels, confidence, partition, params)
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "refined_labels.txt"), refined)
@@ -244,11 +249,11 @@ def cmd_refine(args, config) -> int:
 
 def cmd_stlp(args, config) -> int:
     cloud, class_names = _load_cloud_and_classes(args, config)
+    params = _params(RefineParams, args, config)
+    stlp_config = _params(StlpConfig, args, config)
     mask = _load_mask(args, config, class_names)
     labels, confidence, _ = _pseudo_labels(args, config, cloud, class_names, mask)
     partition = _partition_for(args, config, cloud)
-    params = _params(RefineParams, args, config)
-    stlp_config = _params(StlpConfig, args, config)
     refined = refine_pipeline(labels, confidence, partition, params)
     gt_path = _setting(args, config, "gt")
     gt = None if gt_path is None else _load_gt(gt_path, class_names)
@@ -267,9 +272,9 @@ def cmd_stlp(args, config) -> int:
 def cmd_infer(args, config) -> int:
     cloud, class_names = _load_cloud_and_classes(args, config)
     labels = _load_labels(args, config, "labels", class_names, cloud.count)
-    partition = _partition_for(args, config, cloud)
     params = _params(RefineParams, args, config)
-    classifier = _params(StlpConfig, args, config).make_classifier()
+    classifier = KnnClassifier(_params(StlpConfig, args, config))
+    partition = _partition_for(args, config, cloud)
     pred, _ = classifier.fit(cloud, labels).predict(cloud)
     predicted = infer(pred, partition, params.alpha,
                       keep_rejected=not args.emit_unlabeled)

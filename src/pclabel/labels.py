@@ -44,7 +44,3 @@ class LabelField:
     def with_values(self, values: np.ndarray) -> "LabelField":
         """Same class count, new per-point values."""
         return LabelField(values, self.num_classes)
-
-    @classmethod
-    def full_unlabeled(cls, n: int, num_classes: int) -> "LabelField":
-        return cls(np.full(n, UNLABELED, dtype=np.int64), num_classes)

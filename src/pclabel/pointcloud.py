@@ -126,7 +126,7 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
 DEGENERATE_EIGENGAP = 1e-12
 
 
-def estimate_normals(cloud: PointCloud, index: SpatialIndex, k: int = 16) -> np.ndarray:
+def estimate_normals(cloud: PointCloud, index: SpatialIndex, k: int) -> np.ndarray:
     """Per-point unit normals from the k-nearest neighborhood of each point.
 
     The normal is the eigenvector of the smallest eigenvalue of the

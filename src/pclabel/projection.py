@@ -140,6 +140,10 @@ def aggregate_views(
     """
     if not views:
         raise ValueError("at least one view is required")
+    if occlusion_tolerance is not None and not 0.0 <= occlusion_tolerance < np.inf:
+        raise ValueError(
+            f"occlusion_tolerance must be finite and >= 0, got {occlusion_tolerance}"
+        )
     channels = {v.channels for v in views}
     if len(channels) != 1:
         raise ValueError(f"views disagree on channel count: {sorted(channels)}")

@@ -13,10 +13,11 @@ only; predict a label for every point of the cloud it is given (a round
 gives it the gap points alone, so a prediction must not depend on which
 other points are queried with it). predict must be deterministic for fixed
 inputs and configuration, return no UNLABELED values, and report
-confidences in [0, 1]. The bundled KnnClassifier (distance-weighted vote
-over position-plus-color features) is a deterministic desk-scale stand-in
-for a learned segmentation network; any object with its fit/predict
-signatures that keeps the contract can take its place.
+confidences in [0, 1]. The bundled KnnClassifier(StlpConfig), a
+distance-weighted vote over position-plus-color features, is a
+deterministic desk-scale stand-in for a learned segmentation network; any
+object with its fit/predict signatures that keeps the contract can take
+its place.
 """
 
 from __future__ import annotations
@@ -34,40 +35,50 @@ from .refine import RefineParams, calr, galr
 from .superpoint import SuperpointPartition
 
 
+@dataclass(frozen=True)
+class StlpConfig:
+    """Round count and classifier settings."""
+
+    rounds: int = 2
+    knn_k: int = 15
+    color_weight: float = 0.5
+    knn_smoothing: float = 0.05
+    knn_confidence_scale: float = 0.1
+
+    def __post_init__(self):
+        if self.rounds < 0:
+            raise ValueError("rounds must be >= 0")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+        # Chained comparisons are false for NaN, so NaN fails each check.
+        if not 0.0 <= self.color_weight < np.inf:
+            raise ValueError(f"color_weight must be finite and >= 0, got {self.color_weight}")
+        if not 0.0 <= self.knn_smoothing < np.inf:
+            raise ValueError(f"knn_smoothing must be finite and >= 0, got {self.knn_smoothing}")
+        if not 0.0 < self.knn_confidence_scale < np.inf:
+            raise ValueError("knn_confidence_scale must be finite and > 0, "
+                             f"got {self.knn_confidence_scale}")
+
+
 class KnnClassifier:
     """Distance-weighted k-NN vote in position (+) scaled-color space.
 
-    Votes carry weight 1/(distance + smoothing). The smoothing radius (in
-    feature units, i.e. meters) controls how strongly nearby exemplars
-    outvote the rest of the neighborhood: near zero the closest exemplar
-    dominates (memorization), at a few point spacings the vote behaves like
-    a local majority and can denoise its own training labels.
+    Votes carry weight 1/(distance + config.knn_smoothing). The smoothing
+    radius (in feature units, i.e. meters) controls how strongly nearby
+    exemplars outvote the rest of the neighborhood: near zero the closest
+    exemplar dominates (memorization), at a few point spacings the vote
+    behaves like a local majority and can denoise its own training labels.
     """
 
-    def __init__(
-        self,
-        k: int = 15,
-        color_weight: float = 0.5,
-        smoothing: float = 0.05,
-        confidence_scale: float = 0.1,
-    ):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
-        if confidence_scale <= 0:
-            raise ValueError("confidence_scale must be positive")
-        self.k = k
-        self.color_weight = float(color_weight)
-        self.smoothing = float(smoothing)
-        self.confidence_scale = float(confidence_scale)
+    def __init__(self, config: StlpConfig = StlpConfig()):
+        self.config = config
         self._tree = None
         self._labels = None
         self._num_classes = 0
 
     def _features(self, cloud: PointCloud) -> np.ndarray:
         return np.hstack(
-            [cloud.positions, self.color_weight * (cloud.colors / 255.0)]
+            [cloud.positions, self.config.color_weight * (cloud.colors / 255.0)]
         )
 
     def fit(self, cloud: PointCloud, labels: LabelField) -> "KnnClassifier":
@@ -86,11 +97,11 @@ class KnnClassifier:
             raise RuntimeError("classifier is not fitted")
         n = cloud.count
         c = self._num_classes
-        k = min(self.k, self._labels.size)
+        k = min(self.config.knn_k, self._labels.size)
         dist, idx = self._tree.query(self._features(cloud), k=k)
         dist = dist.reshape(n, k)
         idx = idx.reshape(n, k)
-        weights = 1.0 / (dist + self.smoothing + 1e-12)
+        weights = 1.0 / (dist + self.config.knn_smoothing + 1e-12)
         votes = np.bincount(
             (np.arange(n)[:, None] * c + self._labels[idx]).ravel(),
             weights=weights.ravel(),
@@ -100,31 +111,8 @@ class KnnClassifier:
         fraction = votes[np.arange(n), winners] / votes.sum(axis=1)
         # Far from every exemplar the vote is an extrapolation, however
         # unanimous; damp confidence with the distance to the nearest one.
-        confidence = fraction * np.exp(-dist[:, 0] / self.confidence_scale)
+        confidence = fraction * np.exp(-dist[:, 0] / self.config.knn_confidence_scale)
         return LabelField(winners, c), np.clip(confidence, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class StlpConfig:
-    """Round count and classifier settings."""
-
-    rounds: int = 2
-    knn_k: int = 15
-    color_weight: float = 0.5
-    knn_smoothing: float = 0.05
-    knn_confidence_scale: float = 0.1
-
-    def __post_init__(self):
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
-
-    def make_classifier(self) -> KnnClassifier:
-        return KnnClassifier(
-            k=self.knn_k,
-            color_weight=self.color_weight,
-            smoothing=self.knn_smoothing,
-            confidence_scale=self.knn_confidence_scale,
-        )
 
 
 def label_update(
@@ -203,7 +191,7 @@ def stlp_run(
     round: {"round", "labeled_rate"} plus "miou", "macc" and the
     "per_class_iou" list when ground truth is supplied.
     """
-    classifier = config.make_classifier()
+    classifier = KnnClassifier(config)
     labels = y0
     report: List[dict] = []
     for t in range(1, config.rounds + 1):

@@ -33,6 +33,18 @@ class SuperpointParams:
     min_size: int = 20
     normals_k: int = 16
 
+    def __post_init__(self):
+        if not 0.0 < self.angle_threshold <= 180.0:
+            raise ValueError(
+                f"angle_threshold must lie in (0, 180] degrees, got {self.angle_threshold}"
+            )
+        if self.adjacency_k < 1:
+            raise ValueError(f"adjacency_k must be >= 1, got {self.adjacency_k}")
+        if self.min_size < 1:  # 1 merges nothing
+            raise ValueError(f"min_size must be >= 1, got {self.min_size}")
+        if self.normals_k < 3:
+            raise ValueError(f"normals_k must be >= 3, got {self.normals_k}")
+
 
 @dataclass(frozen=True)
 class SuperpointPartition:
@@ -162,9 +174,9 @@ def oversegment(
     cloud: PointCloud,
     normals: np.ndarray,
     index: SpatialIndex,
-    angle_threshold: float = 15.0,
-    adjacency_k: int = 10,
-    min_size: int = 20,
+    angle_threshold: float,
+    adjacency_k: int,
+    min_size: int,
 ) -> SuperpointPartition:
     """Partition a cloud into geometrically coherent segments.
 

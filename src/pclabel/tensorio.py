@@ -208,8 +208,3 @@ def save_report_jsonl(path, rows: Sequence[dict]) -> None:
         for row in rows:
             f.write(json.dumps(row, sort_keys=True))
             f.write("\n")
-
-
-def load_report_jsonl(path) -> List[dict]:
-    return read_text(path, "ascii", parse=lambda text: [
-        json.loads(line) for line in text.split("\n") if line.strip()])

@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from pclabel import PointCloud  # noqa: E402
+from pclabel import UNLABELED, LabelField, PointCloud  # noqa: E402
 
 # Property tests replay the same examples on every run, without a time limit.
 settings.register_profile("pclabel", derandomize=True, deadline=None)
@@ -21,6 +21,11 @@ def make_cloud(rng: np.random.Generator, n: int) -> PointCloud:
     positions = (rng.random((n, 3)) * 4.0 - 2.0).astype(np.float32).astype(np.float64)
     colors = rng.integers(0, 256, (n, 3), dtype=np.uint8)
     return PointCloud(positions, colors)
+
+
+def unlabeled(n: int, num_classes: int) -> LabelField:
+    """A label field with every point unlabeled."""
+    return LabelField(np.full(n, UNLABELED, dtype=np.int64), num_classes)
 
 
 @pytest.fixture

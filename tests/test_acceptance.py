@@ -6,6 +6,7 @@ Criteria 7-10 share one set of benchmark runs over the standard seeds.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,14 +87,9 @@ def test_criterion_3_label_update_monotonicity(bench):
     violations = 0
     for seed in pl.STANDARD_SEEDS:
         run = bench["runs"][seed]
-        config = pl.StlpConfig(
-            rounds=3, knn_k=preset.stlp.knn_k,
-            color_weight=preset.stlp.color_weight,
-            knn_smoothing=preset.stlp.knn_smoothing,
-            knn_confidence_scale=preset.stlp.knn_confidence_scale,
-        )
+        config = replace(preset.stlp, rounds=3)
         labels = run.refined
-        classifier = config.make_classifier()
+        classifier = pl.KnnClassifier(config)
         for _ in range(3):
             classifier.fit(run.cloud, labels)
             pred, conf = classifier.predict(run.cloud)

@@ -88,7 +88,7 @@ class TestProtocol:
         for _ in range(2):
             gaps.append(int((~labels.labeled_mask).sum()))
             labels, _ = pl.stlp_round(run.cloud, labels, run.partition,
-                                      preset.stlp.make_classifier(), preset.refine,
+                                      pl.KnnClassifier(preset.stlp), preset.refine,
                                       run.scene_mask)
         assert 0 < gaps[0] < run.cloud.count
         calls = []

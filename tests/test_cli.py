@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,7 +8,8 @@ import struct
 
 import pytest
 
-from pclabel.cli import build_parser, main
+from pclabel import StlpConfig
+from pclabel.cli import _params, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -645,3 +647,60 @@ class TestDamagedInputs:
             args += [f"--{key}", path]
         assert run(args) == 2
         assert f"error: {bad}: " in capsys.readouterr().err
+
+
+class TestSettingDomains:
+    """A setting outside its domain, or of the wrong type, is a data error
+    naming the setting (exit 2), before any stage runs on it."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, fixture_dir, labeled_dir):
+        """Each command's valid arguments, without --partition so that the
+        over-segmentation settings are read."""
+        scan = ["--cloud", fixture_dir / "cloud.ply",
+                "--classes", fixture_dir / "classes.json"]
+        return {
+            "pseudo": scan + ["--views", fixture_dir / "views" / "manifest.json"],
+            "refine": scan + ["--labels", labeled_dir / "labels.txt",
+                              "--confidence", labeled_dir / "confidence.lf01"],
+            "stlp": scan + ["--mask", fixture_dir / "mask.json",
+                            "--logits", fixture_dir / "logits.lf01"],
+            "infer": scan + ["--labels", labeled_dir / "labels.txt"],
+        }
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("infer", "--knn-smoothing", "nan"),
+        ("infer", "--knn-smoothing", "inf"),
+        ("infer", "--knn-confidence-scale", "nan"),
+        ("infer", "--color-weight", "nan"),
+        ("infer", "--color-weight", "inf"),
+        ("stlp", "--knn-confidence-scale", "nan"),
+        ("refine", "--min-size", "-5"),
+        ("refine", "--min-size", "0"),
+        ("pseudo", "--occlusion-tolerance", "nan"),
+        ("pseudo", "--occlusion-tolerance", "-1"),
+    ])
+    def test_out_of_domain_flag(self, inputs, tmp_path, capsys, command, flag, value):
+        assert run([command, *inputs[command], flag, value, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag[2:].replace('-', '_')} must " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("rounds", True, "int"),
+        ("knn_k", 15.9, "int"),
+        ("min_size", 4.5, "int"),
+        ("top_v", True, "float"),
+    ])
+    def test_config_value_of_another_type(self, inputs, tmp_path, capsys, key, value, kind):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"rounds": 1, key: value}))
+        assert run(["stlp", *inputs["stlp"], "--config", config,
+                    "--out", tmp_path / "o"]) == 2
+        assert (f"error: config key {key!r}: cannot read {value!r} as {kind}"
+                in capsys.readouterr().err)
+
+    def test_whole_float_reads_as_int(self):
+        config = {"knn_k": 15.0, "rounds": 3.0}
+        assert _params(StlpConfig, argparse.Namespace(), config) == StlpConfig(knn_k=15, rounds=3)

@@ -12,6 +12,8 @@ from pclabel import (
 )
 from pclabel.metrics import format_report
 
+from conftest import unlabeled
+
 
 def set_based_miou_oracle(pred, gt):
     """Independent per-class set-intersection implementation."""
@@ -40,7 +42,7 @@ class TestConfusion:
         assert cm.matrix.sum() == 50 and cm.ignored == 0
 
     def test_all_unlabeled_ignored(self, rng):
-        pred = LabelField.full_unlabeled(20, 3)
+        pred = unlabeled(20, 3)
         gt = LabelField(rng.integers(0, 3, 20), 3)
         cm = confusion(pred, gt)
         assert cm.ignored == 20
@@ -165,7 +167,7 @@ class TestLabeledRate:
         assert labeled_rate(LabelField(np.zeros(5, dtype=np.int64), 1)) == 1.0
 
     def test_empty(self):
-        assert labeled_rate(LabelField.full_unlabeled(5, 2)) == 0.0
+        assert labeled_rate(unlabeled(5, 2)) == 0.0
 
     def test_partial(self):
         values = np.full(10, UNLABELED)

@@ -11,7 +11,7 @@ from pclabel import LabelField, PointCloud, UNLABELED, load_labeled_ply, load_pl
 from pclabel import ply
 from pclabel.ply import PlyError, _body_bytes
 
-from conftest import make_cloud
+from conftest import make_cloud, unlabeled
 
 ASCII_HEADER = """ply
 format ascii 1.0
@@ -204,7 +204,7 @@ class TestRoundTrip:
 
     def test_all_unlabeled_encodes_sentinel(self, tmp_path, rng):
         cloud = make_cloud(rng, 4)
-        labels = LabelField.full_unlabeled(4, 3)
+        labels = unlabeled(4, 3)
         path = tmp_path / "u.ply"
         save_ply(cloud, path, labels=labels)
         row = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),

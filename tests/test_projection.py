@@ -158,6 +158,15 @@ class TestAggregate:
         assert hits_off.tolist() == [1, 1]
         _, hits_on = aggregate_views(cloud, [view], occlusion_tolerance=0.02)
         assert hits_on.tolist() == [1, 0]
+        _, hits_zero = aggregate_views(cloud, [view], occlusion_tolerance=0.0)
+        assert hits_zero.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_occlusion_tolerance_outside_domain(self, tolerance):
+        view = identity_view(4, 4, np.zeros((4, 4, 1), dtype=np.float32))
+        cloud = PointCloud(np.array([[0.0, 0.0, 1.0]]), np.zeros((1, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="occlusion_tolerance must be finite and >= 0"):
+            aggregate_views(cloud, [view], occlusion_tolerance=tolerance)
 
 
 class TestSceneMask:

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pclabel import (
     LabelField,
@@ -13,6 +15,32 @@ from pclabel import (
     galr,
     refine_pipeline,
 )
+
+
+def literal_calr_oracle(labels: LabelField, confidence: np.ndarray,
+                        top_v: float) -> np.ndarray:
+    """Per-class loop, transcribing the selection rule literally: each class
+    keeps its ceil(V * n_c / 100) most confident points, ties to the lower
+    point index."""
+    out = np.full(len(labels), UNLABELED, dtype=np.int64)
+    for c in range(labels.num_classes):
+        members = [i for i in range(len(labels)) if labels.values[i] == c]
+        ranked = sorted(members, key=lambda i: (-confidence[i], i))
+        for i in ranked[:math.ceil(top_v * len(members) / 100.0)]:
+            out[i] = c
+    return out
+
+
+@st.composite
+def calr_instances(draw):
+    c = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(-1, c - 1), max_size=40))
+    # A few distinct confidences, so ties at the cutoff are common.
+    conf = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0])
+                         | st.floats(0.0, 1.0),
+                         min_size=len(values), max_size=len(values)))
+    top_v = draw(st.floats(0.0, 100.0, exclude_min=True))
+    return LabelField(np.array(values, dtype=np.int64), c), np.array(conf), top_v
 
 
 def literal_galr_oracle(labels: LabelField, partition: SuperpointPartition,
@@ -120,6 +148,13 @@ class TestCalr:
         conf = np.array([0.5, 0.5, 0.5, 0.5])
         out = calr(labels, conf, 50.0)
         assert out.values.tolist() == [0, 0, UNLABELED, UNLABELED]
+
+    @given(calr_instances())
+    @example((LabelField(np.zeros(4, dtype=np.int64), 1), np.full(4, 0.5), 50.0))
+    def test_matches_literal_oracle(self, instance):
+        labels, conf, top_v = instance
+        assert np.array_equal(calr(labels, conf, top_v).values,
+                              literal_calr_oracle(labels, conf, top_v))
 
     def test_permutation_equivariance(self, rng):
         n = 120

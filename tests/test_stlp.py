@@ -25,7 +25,7 @@ from pclabel import (
 from pclabel import stlp
 from pclabel.superpoint import partition_cloud
 
-from conftest import make_cloud
+from conftest import make_cloud, unlabeled
 
 
 def literal_full_round(cloud, prev, partition, classifier, refine, scene_mask):
@@ -57,7 +57,7 @@ class TestKnnClassifier:
     def test_reproduces_training_labels_with_k1(self, rng):
         cloud = make_cloud(rng, 80)
         labels = LabelField(rng.integers(0, 4, 80), 4)
-        clf = KnnClassifier(k=1).fit(cloud, labels)
+        clf = KnnClassifier(StlpConfig(knn_k=1)).fit(cloud, labels)
         pred, conf = clf.predict(cloud)
         assert np.array_equal(pred.values, labels.values)
         assert np.all((conf >= 0) & (conf <= 1))
@@ -66,7 +66,7 @@ class TestKnnClassifier:
         cloud = make_cloud(rng, 40)
         values = rng.integers(0, 2, 40)
         values[10:] = UNLABELED
-        clf = KnnClassifier(k=3).fit(cloud, LabelField(values, 2))
+        clf = KnnClassifier(StlpConfig(knn_k=3)).fit(cloud, LabelField(values, 2))
         pred, _ = clf.predict(cloud)
         assert np.all(pred.values != UNLABELED)
 
@@ -77,12 +77,12 @@ class TestKnnClassifier:
     def test_fully_unlabeled_fit_raises(self, rng):
         cloud = make_cloud(rng, 5)
         with pytest.raises(ValueError):
-            KnnClassifier().fit(cloud, LabelField.full_unlabeled(5, 2))
+            KnnClassifier().fit(cloud, unlabeled(5, 2))
 
     def test_deterministic(self, rng):
         cloud = make_cloud(rng, 60)
         labels = LabelField(rng.integers(0, 3, 60), 3)
-        clf = KnnClassifier(k=5)
+        clf = KnnClassifier(StlpConfig(knn_k=5))
         a = clf.fit(cloud, labels).predict(cloud)
         b = clf.fit(cloud, labels).predict(cloud)
         assert np.array_equal(a[0].values, b[0].values)
@@ -93,7 +93,7 @@ class TestKnnClassifier:
         pos = np.array([[0.0, 0, 0], [0.1, 0, 0], [5.0, 0, 0]])
         cloud = PointCloud(pos, np.zeros((3, 3), dtype=np.uint8))
         train = PointCloud(pos[:2], np.zeros((2, 3), dtype=np.uint8))
-        clf = KnnClassifier(k=2).fit(train, LabelField(np.array([1, 1]), 2))
+        clf = KnnClassifier(StlpConfig(knn_k=2)).fit(train, LabelField(np.array([1, 1]), 2))
         _, conf = clf.predict(cloud)
         assert conf[2] < conf[0]
 
@@ -106,7 +106,7 @@ class TestLabelUpdate:
         assert np.array_equal(out.values, prev.values)
 
     def test_all_unlabeled_prev_full_pass_through(self, rng):
-        prev = LabelField.full_unlabeled(25, 3)
+        prev = unlabeled(25, 3)
         pred = LabelField(rng.integers(0, 3, 25), 3)
         out = label_update(prev, pred, rng.random(25), np.ones(3, bool), 100.0)
         assert np.array_equal(out.values, pred.values)
@@ -121,7 +121,7 @@ class TestLabelUpdate:
         assert out.values.tolist() == [0, 1, 1, UNLABELED]
 
     def test_masked_out_classes_discarded(self, rng):
-        prev = LabelField.full_unlabeled(20, 3)
+        prev = unlabeled(20, 3)
         pred = LabelField(np.full(20, 2), 3)
         mask = np.array([True, True, False])
         out = label_update(prev, pred, rng.random(20), mask, 100.0)
@@ -214,9 +214,9 @@ class TestStlpRound:
         refine = RefineParams(top_v=float(rng.uniform(10, 100)),
                               alpha=float(rng.uniform(0, 1)))
         for _ in range(2):  # the second round starts from the first's gaps
-            want = literal_full_round(cloud, prev, partition, KnnClassifier(k=7),
+            want = literal_full_round(cloud, prev, partition, KnnClassifier(StlpConfig(knn_k=7)),
                                       refine, mask)
-            got, _ = stlp_round(cloud, prev, partition, KnnClassifier(k=7),
+            got, _ = stlp_round(cloud, prev, partition, KnnClassifier(StlpConfig(knn_k=7)),
                                 refine, mask)
             assert np.array_equal(got.values, want.values)
             if not got.labeled_mask.any():
@@ -258,7 +258,7 @@ class TestStlpRound:
         cloud = make_cloud(rng, 10)
         partition = SuperpointPartition(np.zeros(10, dtype=np.int64))
         with pytest.raises(ValueError):
-            stlp_round(cloud, LabelField.full_unlabeled(10, 2), partition,
+            stlp_round(cloud, unlabeled(10, 2), partition,
                        KnnClassifier(), RefineParams(), np.ones(2, bool))
 
 
@@ -284,7 +284,7 @@ class TestStlpRun:
         assert final is y0
         assert report == []
         # nothing is fitted, so an empty field passes through as well
-        empty = LabelField.full_unlabeled(cloud.count, 4)
+        empty = unlabeled(cloud.count, 4)
         final, report = stlp_run(cloud, empty, partition, StlpConfig(rounds=0),
                                  RefineParams(), np.ones(4, bool))
         assert final is empty and report == []
@@ -326,7 +326,7 @@ class TestInfer:
     def test_unanimous_block_identity(self, rng):
         cloud = make_cloud(rng, 30)
         labels = LabelField(np.ones(30, dtype=np.int64), 2)
-        pred, _ = KnnClassifier(k=3).fit(cloud, labels).predict(cloud)
+        pred, _ = KnnClassifier(StlpConfig(knn_k=3)).fit(cloud, labels).predict(cloud)
         partition = SuperpointPartition(np.zeros(30, dtype=np.int64))
         out = infer(pred, partition, 0.5)
         assert np.all(out.values == 1)
@@ -350,7 +350,7 @@ class TestInfer:
         cloud = make_cloud(rng, 100)
         values = rng.integers(0, 3, 100)
         values[50:] = UNLABELED
-        pred, _ = KnnClassifier(k=5).fit(cloud, LabelField(values, 3)).predict(cloud)
+        pred, _ = KnnClassifier(StlpConfig(knn_k=5)).fit(cloud, LabelField(values, 3)).predict(cloud)
         partition = SuperpointPartition(rng.integers(0, 5, 100) % 5)
         out = infer(pred, partition, 0.5)
         assert np.all(out.values != UNLABELED)

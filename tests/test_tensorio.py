@@ -190,7 +190,8 @@ class TestReportJsonl:
         rows = [{"round": 1, "labeled_rate": 0.5},
                 {"round": 2, "labeled_rate": 0.75, "miou": 0.625}]
         tensorio.save_report_jsonl(tmp_path / "r.jsonl", rows)
-        assert tensorio.load_report_jsonl(tmp_path / "r.jsonl") == rows
+        lines = (tmp_path / "r.jsonl").read_text(encoding="ascii").splitlines()
+        assert [json.loads(line) for line in lines] == rows
 
     def test_stable_bytes(self, tmp_path):
         rows = [{"b": 1, "a": 2}]
