@@ -8,7 +8,6 @@ and a deterministic synthetic-scene substrate for desk-scale verification.
 from .labels import UNLABELED, LabelField
 from .metrics import (
     ConfidenceBin,
-    ConfusionMatrix,
     confidence_bins,
     confusion,
     labeled_rate,
@@ -18,14 +17,11 @@ from .metrics import (
 from .ply import load_labeled_ply, load_ply, save_ply
 from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
 from .projection import (
-    MASKED_LOGIT,
     CameraView,
     aggregate_views,
-    apply_scene_mask,
     project_point,
     pseudo_labels_from_logits,
     pseudo_labels_from_views,
-    rank_to_pseudo_labels,
 )
 from .refine import RefineParams, calr, galr, refine_pipeline
 from .stlp import (
@@ -66,14 +62,13 @@ __all__ = [
     "UNLABELED", "LabelField",
     "PointCloud", "SpatialIndex", "build_index", "estimate_normals",
     "load_ply", "load_labeled_ply", "save_ply",
-    "MASKED_LOGIT", "CameraView", "project_point", "aggregate_views",
-    "apply_scene_mask", "rank_to_pseudo_labels",
+    "CameraView", "project_point", "aggregate_views",
     "pseudo_labels_from_logits", "pseudo_labels_from_views",
     "SuperpointParams", "SuperpointPartition", "oversegment", "partition_stats",
     "RefineParams", "calr", "galr", "refine_pipeline",
     "KnnClassifier", "StlpConfig",
     "label_update", "stlp_round", "stlp_run", "infer",
-    "ConfusionMatrix", "ConfidenceBin", "confusion", "miou",
+    "ConfidenceBin", "confusion", "miou",
     "confidence_bins", "labeled_rate", "metrics_report",
     "SceneSpec", "LogitNoiseSpec", "ViewRingSpec",
     "generate_scene", "corrupt_logits", "render_views",

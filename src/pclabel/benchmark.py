@@ -122,7 +122,6 @@ class LabelingRun:
     partition: SuperpointPartition
     raw_labels: LabelField
     raw_confidence: np.ndarray
-    hit_count: np.ndarray
     refined: LabelField
 
 
@@ -141,7 +140,7 @@ def label_scan(preset: BenchmarkPreset, seed: int) -> LabelingRun:
     partition = partition_cloud(cloud, preset.train_superpoints)
     logits = corrupt_logits(gt, cloud, preset.noise_for(seed))
     views = render_views(cloud, logits, preset.ring)
-    raw_labels, raw_confidence, hit_count = pseudo_labels_from_views(
+    raw_labels, raw_confidence, _ = pseudo_labels_from_views(
         cloud, views, scene_mask, occlusion_tolerance=preset.occlusion_tolerance
     )
     refined = refine_pipeline(raw_labels, raw_confidence, partition, preset.refine)
@@ -152,7 +151,6 @@ def label_scan(preset: BenchmarkPreset, seed: int) -> LabelingRun:
         partition=partition,
         raw_labels=raw_labels,
         raw_confidence=raw_confidence,
-        hit_count=hit_count,
         refined=refined,
     )
 

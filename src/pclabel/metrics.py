@@ -1,9 +1,9 @@
 """Segmentation metrics and diagnostic reports.
 
-Unlabeled points (on either side) fall into an ignored bucket rather than
-the confusion matrix. Classes absent from both prediction and ground truth
-are excluded from the mIoU mean; mAcc averages recall over classes that
-appear in the ground truth.
+The confusion matrix is a plain (C, C) count array over the points labeled
+on both sides; a report counts the rest as ignored. Classes absent from
+both prediction and ground truth are excluded from the mIoU mean; mAcc
+averages recall over classes that appear in the ground truth.
 """
 
 from __future__ import annotations
@@ -16,32 +16,11 @@ import numpy as np
 from .labels import LabelField
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts with ground truth on rows, predictions on columns."""
+def confusion(pred: LabelField, gt: LabelField) -> np.ndarray:
+    """(C, C) int64 counts over points labeled on both sides.
 
-    matrix: np.ndarray
-    ignored: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.int64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"confusion matrix must be square, got {m.shape}")
-        if (m < 0).any() or self.ignored < 0:
-            raise ValueError("confusion counts must be non-negative")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @property
-    def total(self) -> int:
-        return int(self.matrix.sum()) + self.ignored
-
-
-def confusion(pred: LabelField, gt: LabelField) -> ConfusionMatrix:
-    """Exact per-class counts over points labeled on both sides."""
+    Ground truth is on rows, predictions on columns.
+    """
     if len(pred) != len(gt):
         raise ValueError(f"prediction has {len(pred)} points, ground truth {len(gt)}")
     if pred.num_classes != gt.num_classes:
@@ -51,20 +30,19 @@ def confusion(pred: LabelField, gt: LabelField) -> ConfusionMatrix:
     c = pred.num_classes
     scored = pred.labeled_mask & gt.labeled_mask
     flat = gt.values[scored] * c + pred.values[scored]
-    matrix = np.bincount(flat, minlength=c * c).reshape(c, c)
-    return ConfusionMatrix(matrix, int(len(pred) - scored.sum()))
+    return np.bincount(flat, minlength=c * c).reshape(c, c).astype(np.int64, copy=False)
 
 
-def miou(cm: ConfusionMatrix):
+def miou(cm: np.ndarray):
     """(mean IoU, per-class IoU with NaN for uncounted classes, mean accuracy)."""
-    tp = np.diag(cm.matrix).astype(np.float64)
-    gt_total = cm.matrix.sum(axis=1).astype(np.float64)
-    pred_total = cm.matrix.sum(axis=0).astype(np.float64)
+    tp = np.diag(cm).astype(np.float64)
+    gt_total = cm.sum(axis=1).astype(np.float64)
+    pred_total = cm.sum(axis=0).astype(np.float64)
     union = gt_total + pred_total - tp
     counted = union > 0
     if not counted.any():
         raise ValueError("confusion matrix has no countable class")
-    per_class = np.full(cm.num_classes, np.nan)
+    per_class = np.full(cm.shape[0], np.nan)
     per_class[counted] = tp[counted] / union[counted]
     seen = gt_total > 0
     macc = float(np.mean(tp[seen] / gt_total[seen])) if seen.any() else float("nan")
@@ -144,8 +122,8 @@ def metrics_report(
             name: (None if np.isnan(v) else float(v))
             for name, v in zip(names, per_class)
         },
-        "ignored": cm.ignored,
-        "total": cm.total,
+        "ignored": int(len(pred) - cm.sum()),
+        "total": len(pred),
         "labeled_rate": labeled_rate(pred),
     }
 

@@ -2,8 +2,8 @@
 
 A posed view carries a per-pixel class-logit map. Points are projected
 through the pinhole model z*[u,v,1]^T = K*(R*p+t), logits sampled at the
-nearest pixel are averaged over all views that see a point, the scene-level
-mask removes absent classes, and softmax ranking yields the initial
+nearest pixel are averaged over all views that see a point, and a softmax
+over the classes of the scene-level mask ranks them into the initial
 per-point labels with confidences.
 """
 
@@ -16,10 +16,6 @@ import numpy as np
 
 from .labels import UNLABELED, LabelField
 from .pointcloud import PointCloud
-
-# Masked-out logit entries take the most-negative finite float; softmax over
-# a row treats them as -inf (their weight underflows to exactly zero).
-MASKED_LOGIT = float(np.finfo(np.float64).min)
 
 # Camera-frame depths at or below this are "behind" the camera.
 MIN_DEPTH = 1e-9
@@ -169,48 +165,14 @@ def aggregate_views(
     return acc, hits
 
 
-def apply_scene_mask(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Force classes absent from the scene to the masked sentinel."""
-    logits = np.asarray(logits, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if logits.ndim != 2 or mask.shape != (logits.shape[1],):
-        raise ValueError(
-            f"mask of {mask.shape} does not fit logits of {logits.shape}"
-        )
-    if not mask.any():
-        raise ValueError("scene mask excludes every class")
-    out = logits.copy()
-    out[:, ~mask] = MASKED_LOGIT
-    return out
-
-
-def rank_to_pseudo_labels(filtered: np.ndarray) -> Tuple[LabelField, np.ndarray]:
-    """Per-row softmax over unmasked classes: argmax label + max probability.
-
-    Ties go to the lowest class id. Raises when a row is fully masked.
-    """
-    filtered = np.asarray(filtered, dtype=np.float64)
-    if filtered.ndim != 2 or filtered.shape[1] == 0:
-        raise ValueError(f"expected (N, C) logits, got {filtered.shape}")
-    unmasked = filtered != MASKED_LOGIT
-    dead = ~unmasked.any(axis=1)
-    if dead.any():
-        raise ValueError(f"row {int(np.flatnonzero(dead)[0])} is fully masked")
-    scores = np.where(unmasked, filtered, -np.inf)
-    rowmax = scores.max(axis=1, keepdims=True)
-    weights = np.exp(scores - rowmax)
-    probs = weights / weights.sum(axis=1, keepdims=True)
-    labels = np.argmax(scores, axis=1)
-    confidence = probs[np.arange(filtered.shape[0]), labels]
-    return LabelField(labels, filtered.shape[1]), confidence
-
-
 def pseudo_labels_from_logits(
     logits: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> Tuple[LabelField, np.ndarray]:
-    """Scene-mask filtering followed by ranking; mask None means all-true.
+    """Per-row softmax over the scene mask's classes: argmax label + its probability.
 
-    Rejects logits holding NaN or infinity, naming the first such row.
+    mask None means all classes; a masked class scores -inf, so its
+    probability is exactly zero. Ties go to the lowest class id. Rejects
+    logits holding NaN or infinity, naming the first such row.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
@@ -220,7 +182,16 @@ def pseudo_labels_from_logits(
         raise ValueError(f"logits row {int(bad[0])} is not finite")
     if mask is None:
         mask = np.ones(logits.shape[1], dtype=bool)
-    return rank_to_pseudo_labels(apply_scene_mask(logits, mask))
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (logits.shape[1],):
+        raise ValueError(f"mask of {mask.shape} does not fit logits of {logits.shape}")
+    if not mask.any():
+        raise ValueError("scene mask excludes every class")
+    scores = np.where(mask, logits, -np.inf)
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    labels = np.argmax(scores, axis=1)
+    confidence = weights[np.arange(logits.shape[0]), labels] / weights.sum(axis=1)
+    return LabelField(labels, logits.shape[1]), confidence
 
 
 def pseudo_labels_from_views(
@@ -229,7 +200,7 @@ def pseudo_labels_from_views(
     mask: Optional[np.ndarray] = None,
     occlusion_tolerance: Optional[float] = None,
 ):
-    """Full initial-label path: aggregate, mask, rank.
+    """Full initial-label path: aggregate, then masked softmax ranking.
 
     Points with no view correspondence come back UNLABELED with confidence 0.
     Returns (labels, confidence, hit_count).

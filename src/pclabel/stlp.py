@@ -32,7 +32,7 @@ from .labels import UNLABELED, LabelField
 from .metrics import labeled_rate, metrics_report
 from .pointcloud import PointCloud
 from .refine import RefineParams, calr, galr
-from .superpoint import SuperpointPartition
+from .superpoint import SuperpointPartition, require_integers
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class StlpConfig:
     knn_confidence_scale: float = 0.1
 
     def __post_init__(self):
+        require_integers(self, "rounds", "knn_k")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.knn_k < 1:

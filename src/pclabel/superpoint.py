@@ -24,6 +24,14 @@ from .tensorio import read_text
 EDGE_LENGTH_PERCENTILE = 95.0
 
 
+def require_integers(params, *names: str) -> None:
+    """Reject a named field that is not an int (numpy integers pass; bool does not)."""
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SuperpointParams:
     """Arguments of the over-segmentation stage."""
@@ -34,6 +42,7 @@ class SuperpointParams:
     normals_k: int = 16
 
     def __post_init__(self):
+        require_integers(self, "adjacency_k", "min_size", "normals_k")
         if not 0.0 < self.angle_threshold <= 180.0:
             raise ValueError(
                 f"angle_threshold must lie in (0, 180] degrees, got {self.angle_threshold}"
@@ -164,10 +173,8 @@ def _merge_small_segments(
     resolve = list(range(count))
     for s, target in reversed(merges):
         resolve[s] = resolve[target]
-    merged = np.asarray(resolve, dtype=np.int64)[labels]
-    alive = np.bincount(merged, minlength=count) > 0
-    dense = np.cumsum(alive) - 1
-    return _first_occurrence_relabel(dense[merged], int(alive.sum()))
+    # Absorbed ids go unused; the relabel compacts the survivors' ids.
+    return _first_occurrence_relabel(np.asarray(resolve, dtype=np.int64)[labels], count)
 
 
 def oversegment(
@@ -215,9 +222,10 @@ def oversegment(
         (np.ones(int(passes.sum()), dtype=np.int8), (src[passes], dst[passes])),
         shape=(n, n),
     )
-    count, labels = connected_components(graph, directed=False)
-    labels = _first_occurrence_relabel(labels.astype(np.int64), count)
-    labels = _merge_small_segments(labels, src, dst, min_size)
+    # scipy numbers the components in order of their lowest point index,
+    # which is the ascending-seed order the merge relies on.
+    _, labels = connected_components(graph, directed=False)
+    labels = _merge_small_segments(labels.astype(np.int64), src, dst, min_size)
     return SuperpointPartition(labels)
 
 
@@ -231,6 +239,10 @@ def partition_cloud(
     """
     index = build_index(cloud)
     if normals is None:
+        if params.normals_k > cloud.count:
+            raise ValueError(
+                f"normals_k={params.normals_k} exceeds point count {cloud.count}"
+            )
         normals = estimate_normals(cloud, index, params.normals_k)
     return oversegment(
         cloud, normals, index,

@@ -613,6 +613,21 @@ class TestDamagedInputs:
         assert (f"{manifest}: views have 8 classes, class list has 3"
                 in capsys.readouterr().err)
 
+    def test_too_few_points_for_normals_names_the_setting(self, fixture_dir, tmp_path,
+                                                          capsys):
+        cloud = tmp_path / "five.ply"
+        cloud.write_text("ply\nformat ascii 1.0\nelement vertex 5\n"
+                         "property float x\nproperty float y\nproperty float z\n"
+                         "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+                         "end_header\n" + "".join(f"{i} {i % 2} 0 0 0 0\n" for i in range(5)))
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n1\n0\n1\n0\n")
+        assert run(["infer", "--cloud", cloud, "--classes", fixture_dir / "classes.json",
+                    "--labels", labels, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "error: normals_k=16 exceeds point count 5" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("reader, content", [
         ("classes", b'["wall", '),
         ("classes", b'["wall\xff"]'),

@@ -1,21 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pclabel import (
-    MASKED_LOGIT,
     CameraView,
+    LabelField,
     PointCloud,
     UNLABELED,
     aggregate_views,
-    apply_scene_mask,
     project_point,
     pseudo_labels_from_logits,
     pseudo_labels_from_views,
-    rank_to_pseudo_labels,
 )
 from pclabel.projection import nearest_pixel
 
 from conftest import make_cloud
+
+# Oracle: the scene-mask and ranking steps as two passes joined by a
+# sentinel logit, the form they had before pseudo_labels_from_logits fused
+# them into one masked softmax.
+MASKED_LOGIT = float(np.finfo(np.float64).min)
+
+
+def literal_mask_then_rank(logits, mask):
+    logits = np.asarray(logits, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if logits.ndim != 2 or mask.shape != (logits.shape[1],):
+        raise ValueError(
+            f"mask of {mask.shape} does not fit logits of {logits.shape}"
+        )
+    if not mask.any():
+        raise ValueError("scene mask excludes every class")
+    out = logits.copy()
+    out[:, ~mask] = MASKED_LOGIT
+
+    filtered = np.asarray(out, dtype=np.float64)
+    if filtered.ndim != 2 or filtered.shape[1] == 0:
+        raise ValueError(f"expected (N, C) logits, got {filtered.shape}")
+    unmasked = filtered != MASKED_LOGIT
+    dead = ~unmasked.any(axis=1)
+    if dead.any():
+        raise ValueError(f"row {int(np.flatnonzero(dead)[0])} is fully masked")
+    scores = np.where(unmasked, filtered, -np.inf)
+    rowmax = scores.max(axis=1, keepdims=True)
+    weights = np.exp(scores - rowmax)
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    labels = np.argmax(scores, axis=1)
+    confidence = probs[np.arange(filtered.shape[0]), labels]
+    return LabelField(labels, filtered.shape[1]), confidence
+
+
+@st.composite
+def masked_logits(draw):
+    """(logits, mask): the mask keeps one class, some classes or all of
+    them; small-integer logits make ties common."""
+    n = draw(st.integers(0, 12))
+    c = draw(st.integers(1, 7))
+    value = st.integers(-3, 3).map(float) | st.floats(-1e100, 1e100)
+    logits = np.array(draw(st.lists(value, min_size=n * c, max_size=n * c)),
+                       dtype=np.float64).reshape(n, c)
+    kind = draw(st.sampled_from(["one", "some", "all"]))
+    if kind == "all":
+        mask = np.ones(c, dtype=bool)
+    elif kind == "one":
+        mask = np.zeros(c, dtype=bool)
+        mask[draw(st.integers(0, c - 1))] = True
+    else:
+        mask = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c)),
+                        dtype=bool)
+        mask[draw(st.integers(0, c - 1))] = True
+    return logits, mask
 
 
 def identity_view(width=8, height=8, payload=None, fx=1.0, cx=0.0, cy=0.0):
@@ -172,19 +227,27 @@ class TestAggregate:
 class TestSceneMask:
     def test_all_true_is_identity(self, rng):
         logits = rng.standard_normal((6, 4))
-        out = apply_scene_mask(logits, np.ones(4, dtype=bool))
-        assert np.array_equal(out, logits)
+        labels, conf = pseudo_labels_from_logits(logits, np.ones(4, dtype=bool))
+        plain_labels, plain_conf = pseudo_labels_from_logits(logits)
+        assert np.array_equal(labels.values, np.argmax(logits, axis=1))
+        assert np.array_equal(labels.values, plain_labels.values)
+        assert np.array_equal(conf, plain_conf)
 
     def test_single_class_forces_winner(self, rng):
         logits = rng.standard_normal((20, 5))
         mask = np.zeros(5, dtype=bool)
         mask[2] = True
-        labels, _ = rank_to_pseudo_labels(apply_scene_mask(logits, mask))
+        labels, conf = pseudo_labels_from_logits(logits, mask)
         assert np.all(labels.values == 2)
+        assert np.all(conf == 1.0)
 
     def test_all_false_rejected(self, rng):
-        with pytest.raises(ValueError):
-            apply_scene_mask(rng.standard_normal((3, 3)), np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match="scene mask excludes every class"):
+            pseudo_labels_from_logits(rng.standard_normal((3, 3)), np.zeros(3, dtype=bool))
+
+    def test_mask_of_another_length_rejected(self, rng):
+        with pytest.raises(ValueError, match=r"mask of \(2,\) does not fit logits of \(3, 3\)"):
+            pseudo_labels_from_logits(rng.standard_normal((3, 3)), np.ones(2, dtype=bool))
 
     def test_masked_classes_never_selected(self, rng):
         for _ in range(100):
@@ -193,19 +256,19 @@ class TestSceneMask:
             mask = rng.random(c) < 0.5
             if not mask.any():
                 mask[int(rng.integers(c))] = True
-            labels, _ = rank_to_pseudo_labels(apply_scene_mask(logits, mask))
+            labels, _ = pseudo_labels_from_logits(logits, mask)
             assert mask[labels.values].all()
 
 
 class TestRank:
     def test_uniform_tie(self):
-        labels, conf = rank_to_pseudo_labels(np.array([[0.0, 0.0]]))
+        labels, conf = pseudo_labels_from_logits(np.array([[0.0, 0.0]]))
         assert labels.values.tolist() == [0]
         assert np.allclose(conf, [0.5])
 
     def test_hand_evaluated_softmax(self):
         # logits (ln 9, 0): softmax gives 9/(9+1) = 0.9 for class 0
-        labels, conf = rank_to_pseudo_labels(np.array([[np.log(9.0), 0.0]]))
+        labels, conf = pseudo_labels_from_logits(np.array([[np.log(9.0), 0.0]]))
         assert labels.values.tolist() == [0]
         assert np.allclose(conf, [0.9])
 
@@ -213,29 +276,38 @@ class TestRank:
         for _ in range(50):
             c = int(rng.integers(2, 10))
             logits = rng.standard_normal((40, c))
-            _, conf = rank_to_pseudo_labels(logits)
+            _, conf = pseudo_labels_from_logits(logits)
             assert np.all(conf >= 1.0 / c - 1e-12)
             assert np.all(conf <= 1.0)
             assert np.all(conf > 0.0)
 
     def test_probabilities_sum_to_one(self, rng):
+        # The softmax runs over the mask's classes alone: masked classes
+        # carry no probability.
         logits = rng.standard_normal((30, 6)) * 5
         mask = np.array([True, False, True, True, False, True])
-        filtered = apply_scene_mask(logits, mask)
-        scores = np.where(filtered != MASKED_LOGIT, filtered, -np.inf)
-        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
-        sums = weights.sum(axis=1)
-        assert np.allclose(weights[:, mask].sum(axis=1) / sums, 1.0, atol=1e-6)
-
-    def test_fully_masked_row_rejected(self):
-        row = np.full((1, 3), MASKED_LOGIT)
-        with pytest.raises(ValueError, match="row 0"):
-            rank_to_pseudo_labels(row)
+        _, conf = pseudo_labels_from_logits(logits, mask)
+        kept = logits[:, mask]
+        weights = np.exp(kept - kept.max(axis=1, keepdims=True))
+        assert np.allclose(conf, 1.0 / weights.sum(axis=1), atol=1e-12)
 
     def test_non_finite_logits_name_first_row(self):
         logits = np.array([[1.0, 2.0], [np.nan, 0.0], [0.5, np.inf]])
         with pytest.raises(ValueError, match="row 1 is not finite"):
             pseudo_labels_from_logits(logits)
+
+    @settings(max_examples=400)
+    @given(masked_logits())
+    @example((np.zeros((2, 3)), np.array([True, True, True])))
+    @example((np.array([[5.0, 1.0, 1.0]]), np.array([False, True, True])))
+    @example((np.array([[2.0, 7.0, 2.0]]), np.array([True, False, True])))
+    def test_matches_literal_mask_then_rank(self, case):
+        logits, mask = case
+        labels, conf = pseudo_labels_from_logits(logits, mask)
+        want_labels, want_conf = literal_mask_then_rank(logits, mask)
+        assert labels.num_classes == want_labels.num_classes
+        assert labels.values.tobytes() == want_labels.values.tobytes()
+        assert conf.tobytes() == want_conf.tobytes()
 
 
 class TestViewPipeline:
@@ -250,13 +322,3 @@ class TestViewPipeline:
         assert hits.tolist() == [1, 0]
         assert labels.values[1] == UNLABELED
         assert conf[1] == 0.0
-
-    def test_logits_shortcut_matches_mask_then_rank(self, rng):
-        logits = rng.standard_normal((25, 4))
-        mask = np.array([True, True, False, True])
-        direct_labels, direct_conf = pseudo_labels_from_logits(logits, mask)
-        expected_labels, expected_conf = rank_to_pseudo_labels(
-            apply_scene_mask(logits, mask)
-        )
-        assert np.array_equal(direct_labels.values, expected_labels.values)
-        assert np.allclose(direct_conf, expected_conf)

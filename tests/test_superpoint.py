@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from pclabel import (
     PointCloud,
@@ -287,6 +289,27 @@ class TestMergeSmallSegments:
         labels, src, dst = _merge_case(raw_labels, edges)
         got = _merge_small_segments(labels, src, dst, min_size)
         assert got.tolist() == expected
+
+
+class TestComponentOrder:
+    """oversegment passes scipy's component labels to the merge unchanged,
+    relying on scipy numbering components in order of their lowest node."""
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=2 * n))))
+    @example((5, []))
+    @example((4, [(3, 0), (2, 1)]))
+    def test_components_are_numbered_by_first_occurrence(self, case):
+        n, edges = case
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        graph = csr_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
+                           shape=(n, n))
+        count, labels = connected_components(graph, directed=False)
+        labels = labels.astype(np.int64)
+        assert np.array_equal(labels, _first_occurrence_relabel(labels, count))
 
 
 class TestDistinct:
