@@ -29,10 +29,11 @@ colors = rng.integers(90, 160, (n, 3))
 cloud = PointCloud(positions, colors)
 print(f"cloud: {cloud.count} points")
 
-# Exact spatial queries: results are sorted by (distance, index).
+# Exact spatial queries, one row per query point, each sorted by
+# (distance, index).
 index = build_index(cloud)
-idx, dist = index.k_nearest(positions[0], 5)
-print(f"5 nearest of point 0: {idx.tolist()} at distances {np.round(dist, 4).tolist()}")
+idx, dist = index.k_nearest_batch(positions[:1], 5)
+print(f"5 nearest of point 0: {idx[0].tolist()} at distances {np.round(dist[0], 4).tolist()}")
 
 # Normals from neighborhood covariances. The plane z = x/2 has normal
 # proportional to (-1, 0, 2); the sign rule makes the largest component

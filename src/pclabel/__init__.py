@@ -19,7 +19,7 @@ from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
 from .projection import (
     CameraView,
     aggregate_views,
-    project_point,
+    project,
     pseudo_labels_from_logits,
     pseudo_labels_from_views,
 )
@@ -62,7 +62,7 @@ __all__ = [
     "UNLABELED", "LabelField",
     "PointCloud", "SpatialIndex", "build_index", "estimate_normals",
     "load_ply", "load_labeled_ply", "save_ply",
-    "CameraView", "project_point", "aggregate_views",
+    "CameraView", "project", "aggregate_views",
     "pseudo_labels_from_logits", "pseudo_labels_from_views",
     "SuperpointParams", "SuperpointPartition", "oversegment", "partition_stats",
     "RefineParams", "calr", "galr", "refine_pipeline",

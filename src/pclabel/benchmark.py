@@ -3,7 +3,9 @@
 One run covers a seeded room: scan A is labeled through the full pipeline
 (render views, back-project, rank, refine, self-train) and a held-out rescan
 B of the same room is used for full-coverage evaluation, with the reference
-partition of B serving as the inference-time geometric prior. Fixture
+partition of B serving as the inference-time geometric prior. `label_scan`
+builds scan A up to its refined labels, `eval_scan` builds B, and
+`run_benchmark` self-trains on the one and evaluates on the other. Fixture
 parameters live in the preset and are version-pinned: calibration headroom
 (raw quality band, refinement gain, propagation gain) was established by the
 committed runs over STANDARD_SEEDS.
@@ -166,18 +168,16 @@ def run_benchmark(
     preset: BenchmarkPreset,
     seed: int,
     rounds: Optional[int] = None,
-    run: Optional[LabelingRun] = None,
-    held_out: Optional[EvalScan] = None,
+    *,
+    run: LabelingRun,
+    held_out: EvalScan,
 ) -> dict:
-    """Full train/evaluate cycle for one seed; returns the metric record.
+    """Self-train on `run`, evaluate on `held_out`; returns the metric record.
 
-    Precomputed scan products may be passed in so sweeps do not regenerate
-    the scene; a V or alpha sweep passes `run` with `refined` recomputed.
+    `run` and `held_out` come from `label_scan` and `eval_scan` for the same
+    preset and seed, so a sweep builds them once; a V or alpha sweep passes
+    `run` with `refined` recomputed.
     """
-    if run is None:
-        run = label_scan(preset, seed)
-    if held_out is None:
-        held_out = eval_scan(preset, seed)
     config = preset.stlp if rounds is None else replace(preset.stlp, rounds=rounds)
     final_labels, report = stlp_run(
         run.cloud, run.refined, run.partition, config, preset.refine,

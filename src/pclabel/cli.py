@@ -150,7 +150,10 @@ def _load_gt(path, class_names) -> LabelField:
     _, values = load_labeled_ply(path)
     if values is None:
         raise ValueError(f"{path} has no label channel")
-    return LabelField(values, len(class_names))
+    try:
+        return LabelField(values, len(class_names))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _partition_for(args, config, cloud):

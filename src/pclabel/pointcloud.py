@@ -1,4 +1,8 @@
-"""Point-cloud container, exact spatial index, and surface-normal estimation."""
+"""Point-cloud container, exact spatial index, and surface-normal estimation.
+
+`SpatialIndex.k_nearest_batch` is the one neighbor query: normals and the
+over-segmentation graph both read it.
+"""
 
 from __future__ import annotations
 
@@ -42,57 +46,31 @@ class PointCloud:
     def count(self) -> int:
         return int(self.positions.shape[0])
 
-    def __len__(self) -> int:
-        return self.count
-
 
 class SpatialIndex:
     """Exact nearest-neighbor queries over a fixed set of points.
 
-    Query results are ordered by (distance, index): non-decreasing distance
-    with ties resolved toward the lower point index, so every caller sees one
-    deterministic answer. Read-only queries are safe from multiple threads.
+    Read-only queries are safe from multiple threads.
     """
 
     def __init__(self, positions: np.ndarray):
         pos = np.ascontiguousarray(np.asarray(positions, dtype=np.float64))
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
-        self._positions = pos
-        self._tree = cKDTree(pos) if pos.shape[0] else None
+        self._size = int(pos.shape[0])
+        self._tree = cKDTree(pos) if self._size else None
 
     @property
     def size(self) -> int:
-        return int(self._positions.shape[0])
-
-    def k_nearest(self, query, k: int):
-        """Indices and distances of the k nearest points to one query point.
-
-        k is clamped to the index size; k <= 0 returns empty arrays.
-        """
-        q = np.asarray(query, dtype=np.float64).reshape(3)
-        n = self.size
-        k = min(int(k), n)
-        if k <= 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        d, _ = self._tree.query(q, k=k)
-        d_k = float(np.max(np.atleast_1d(d)))
-        # Superset of candidates out to the kth distance (inflated past fp
-        # rounding), then exact ordering recomputed in plain arithmetic.
-        cand = np.asarray(
-            self._tree.query_ball_point(q, d_k * (1.0 + 1e-12)), dtype=np.int64
-        )
-        delta = self._positions[cand] - q
-        d2 = np.einsum("ij,ij->i", delta, delta)
-        order = np.lexsort((cand, d2))[:k]
-        return cand[order], np.sqrt(d2[order])
+        return self._size
 
     def k_nearest_batch(self, queries: np.ndarray, k: int):
         """Per-row k nearest for many query points at once.
 
-        Rows are ordered by (distance, index) among the returned neighbors;
-        exact tie resolution across the k-th boundary is only guaranteed by
-        the single-point `k_nearest`.
+        k is clamped to the index size; k <= 0 returns empty rows. Each row
+        is ordered by (distance, index) among the neighbors returned. Where
+        several points tie at the k-th distance, cKDTree chooses which of
+        them make up the row.
         """
         q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
         n = self.size

@@ -1,10 +1,11 @@
 """Multi-view back-projection of pixel logits onto points and initial labels.
 
 A posed view carries a per-pixel class-logit map. Points are projected
-through the pinhole model z*[u,v,1]^T = K*(R*p+t), logits sampled at the
-nearest pixel are averaged over all views that see a point, and a softmax
-over the classes of the scene-level mask ranks them into the initial
-per-point labels with confidences.
+through the pinhole model z*[u,v,1]^T = K*(R*p+t), the one projection
+`project` computes; logits sampled at the nearest pixel are averaged over
+all views that see a point, and a softmax over the classes of the
+scene-level mask ranks them into the initial per-point labels with
+confidences.
 """
 
 from __future__ import annotations
@@ -69,17 +70,22 @@ class CameraView:
         return int(self.pixel_logits.shape[2])
 
 
-def project_point(p, view: CameraView):
-    """Project one world point; None when it lies at or behind the camera.
+def project(
+    positions: np.ndarray,
+    intrinsics: np.ndarray,
+    rotation: np.ndarray,
+    translation: np.ndarray,
+):
+    """Pinhole projection of world points: z*[u,v,1]^T = K*(R*p+t).
 
-    Returns (u, v, depth) with continuous pixel coordinates and the
-    camera-frame depth; callers discard points outside the image grid.
+    Returns (uv (N, 2), depth (N,)): continuous pixel coordinates and the
+    camera-frame depth. uv is meaningful only where depth > MIN_DEPTH.
     """
-    q = view.rotation @ np.asarray(p, dtype=np.float64).reshape(3) + view.translation
-    if q[2] <= MIN_DEPTH:
-        return None
-    h = view.intrinsics @ q
-    return float(h[0] / h[2]), float(h[1] / h[2]), float(q[2])
+    q = positions @ np.asarray(rotation).T + np.asarray(translation).reshape(3)
+    h = q @ np.asarray(intrinsics).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = h[:, :2] / h[:, 2:3]
+    return uv, q[:, 2]
 
 
 def nearest_pixel(x: np.ndarray) -> np.ndarray:
@@ -101,12 +107,8 @@ def project_to_pixels(
     points lie in front of the camera with their rounded pixel on the
     width x height grid; rows/cols of points behind the camera are 0.
     """
-    q = positions @ np.asarray(rotation).T + np.asarray(translation).reshape(3)
-    depth = q[:, 2]
+    uv, depth = project(positions, intrinsics, rotation, translation)
     in_front = depth > MIN_DEPTH
-    h = q @ np.asarray(intrinsics).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uv = h[:, :2] / h[:, 2:3]
     n = positions.shape[0]
     cols = np.zeros(n, dtype=np.int64)
     rows = np.zeros(n, dtype=np.int64)
@@ -166,13 +168,13 @@ def aggregate_views(
 
 
 def pseudo_labels_from_logits(
-    logits: np.ndarray, mask: Optional[np.ndarray] = None
+    logits: np.ndarray, mask: np.ndarray
 ) -> Tuple[LabelField, np.ndarray]:
     """Per-row softmax over the scene mask's classes: argmax label + its probability.
 
-    mask None means all classes; a masked class scores -inf, so its
-    probability is exactly zero. Ties go to the lowest class id. Rejects
-    logits holding NaN or infinity, naming the first such row.
+    A masked class scores -inf, so its probability is exactly zero. Ties go
+    to the lowest class id. Rejects logits holding NaN or infinity, naming
+    the first such row.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
@@ -180,15 +182,17 @@ def pseudo_labels_from_logits(
     bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
     if bad.size:
         raise ValueError(f"logits row {int(bad[0])} is not finite")
-    if mask is None:
-        mask = np.ones(logits.shape[1], dtype=bool)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (logits.shape[1],):
         raise ValueError(f"mask of {mask.shape} does not fit logits of {logits.shape}")
     if not mask.any():
         raise ValueError("scene mask excludes every class")
     scores = np.where(mask, logits, -np.inf)
-    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    # Finite logits far apart overflow to -inf here, whose weight exp(-inf)
+    # is exactly 0.
+    with np.errstate(over="ignore"):
+        shifted = scores - scores.max(axis=1, keepdims=True)
+    weights = np.exp(shifted)
     labels = np.argmax(scores, axis=1)
     confidence = weights[np.arange(logits.shape[0]), labels] / weights.sum(axis=1)
     return LabelField(labels, logits.shape[1]), confidence
@@ -197,7 +201,7 @@ def pseudo_labels_from_logits(
 def pseudo_labels_from_views(
     cloud: PointCloud,
     views: Sequence[CameraView],
-    mask: Optional[np.ndarray] = None,
+    mask: np.ndarray,
     occlusion_tolerance: Optional[float] = None,
 ):
     """Full initial-label path: aggregate, then masked softmax ranking.

@@ -80,12 +80,6 @@ class SuperpointPartition:
     def segment_count(self) -> int:
         return int(self.assignment.max()) + 1 if self.assignment.size else 0
 
-    def segments(self) -> List[np.ndarray]:
-        """Member point indices per segment id."""
-        order = np.argsort(self.assignment, kind="stable")
-        sizes = np.bincount(self.assignment, minlength=self.segment_count)
-        return np.split(order, np.cumsum(sizes)[:-1])
-
 
 def _distinct(keys: np.ndarray, return_counts: bool = False):
     """np.unique of a 1-D integer array by sorting.

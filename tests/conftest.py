@@ -23,6 +23,12 @@ def make_cloud(rng: np.random.Generator, n: int) -> PointCloud:
     return PointCloud(positions, colors)
 
 
+def segment_members(partition) -> list:
+    """Member point indices of each segment id, ascending."""
+    return [np.flatnonzero(partition.assignment == s)
+            for s in range(partition.segment_count)]
+
+
 def unlabeled(n: int, num_classes: int) -> LabelField:
     """A label field with every point unlabeled."""
     return LabelField(np.full(n, UNLABELED, dtype=np.int64), num_classes)

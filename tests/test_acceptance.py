@@ -14,7 +14,9 @@ import pytest
 import pclabel as pl
 from pclabel import LabelField
 from pclabel.cli import main as cli_main
+from pclabel.projection import MIN_DEPTH, project_to_pixels
 
+from conftest import segment_members
 from test_refine import literal_galr_oracle, random_instance
 from test_metrics import set_based_miou_oracle
 from test_projection import random_view
@@ -123,7 +125,7 @@ def test_criterion_4_galr_block_constancy_and_idempotence():
         labels, partition = random_instance(rng)
         alpha = float(rng.choice([0.0, 0.3, 0.5, 0.9]))
         once = pl.galr(labels, partition, alpha)
-        for members in partition.segments():
+        for members in segment_members(partition):
             assert len(np.unique(once.values[members])) == 1
         twice = pl.galr(once, partition, alpha)
         assert np.array_equal(once.values, twice.values)
@@ -139,15 +141,17 @@ def test_criterion_5_projection_round_trip():
         view = random_view(rng, 64, 48, 1)
         p = rng.uniform(-4, 4, 3)
         q = view.rotation @ p + view.translation
-        result = pl.project_point(p, view)
+        uv, depth = pl.project(p[None], view.intrinsics, view.rotation, view.translation)
+        *_, valid = project_to_pixels(p[None], view.intrinsics, view.rotation,
+                                      view.translation, view.width, view.height)
         if q[2] <= 0:
-            assert result is None
+            assert depth[0] <= MIN_DEPTH and not valid[0]
             behind += 1
             continue
-        if result is None:  # 0 < depth <= epsilon gate
+        if depth[0] <= MIN_DEPTH:  # 0 < depth <= epsilon gate
             behind += 1
             continue
-        u, v, depth = result
+        (u, v), depth = uv[0], depth[0]
         recon = np.linalg.inv(view.intrinsics) @ np.array([u, v, 1.0]) * depth
         worst = max(worst, float(np.abs(recon - q).max()))
         checked += 1

@@ -591,6 +591,25 @@ class TestDamagedInputs:
         assert (f"{pred} line 2: label '99999999999999999999' is out of the int64 range"
                 in capsys.readouterr().err)
 
+    def test_out_of_range_label_names_the_listing(self, fixture_dir, tmp_path, capsys):
+        pred = tmp_path / "bad.txt"
+        pred.write_text("0\n99\n")
+        assert run(["eval", "--pred", pred, "--gt", fixture_dir / "gt.ply",
+                    "--classes", fixture_dir / "classes.json"]) == 2
+        assert (f"{pred} line 2: label 99 outside [0, 8) and not UNLABELED"
+                in capsys.readouterr().err)
+
+    def test_out_of_range_label_names_the_ply(self, fixture_dir, tmp_path, capsys):
+        from pclabel.ply import load_labeled_ply, save_ply
+        cloud, values = load_labeled_ply(fixture_dir / "gt.ply")
+        values[-1] = 99
+        gt = tmp_path / "gt.ply"
+        save_ply(cloud, gt, labels=values)
+        assert run(["eval", "--pred", tmp_path / "unused.txt", "--gt", gt,
+                    "--classes", fixture_dir / "classes.json"]) == 2
+        assert (f"{gt}: label 99 at point {cloud.count - 1} outside [0, 8)"
+                in capsys.readouterr().err)
+
     def test_infinite_integer_setting(self, fixture_dir, labeled_dir, tmp_path, capsys):
         config = tmp_path / "inf.json"
         config.write_text('{"knn_k": 1e400}')

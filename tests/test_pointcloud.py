@@ -37,19 +37,22 @@ class TestSpatialIndex:
     def test_collinear_endpoint(self):
         # 3-point collinear cloud, k=2, query at an endpoint.
         pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        idx, dist = SpatialIndex(pos).k_nearest([0.0, 0.0, 0.0], 2)
-        assert idx.tolist() == [0, 1]
-        assert np.allclose(dist, [0.0, 1.0])
+        idx, dist = SpatialIndex(pos).k_nearest_batch(np.zeros((1, 3)), 2)
+        assert idx.tolist() == [[0, 1]]
+        assert idx[0].tolist() == brute_force_knn(pos, np.zeros(3), 2).tolist()
+        assert np.allclose(dist, [[0.0, 1.0]])
 
     def test_k_equals_n_is_permutation(self, rng):
         cloud = make_cloud(rng, 40)
-        idx, _ = build_index(cloud).k_nearest(rng.random(3), 40)
-        assert sorted(idx.tolist()) == list(range(40))
+        query = rng.random((1, 3))
+        idx, _ = build_index(cloud).k_nearest_batch(query, 40)
+        assert sorted(idx[0].tolist()) == list(range(40))
+        assert idx[0].tolist() == brute_force_knn(cloud.positions, query[0], 40).tolist()
 
     def test_k_zero_empty(self, rng):
         cloud = make_cloud(rng, 5)
-        idx, dist = build_index(cloud).k_nearest(np.zeros(3), 0)
-        assert idx.size == 0 and dist.size == 0
+        idx, dist = build_index(cloud).k_nearest_batch(np.zeros((1, 3)), 0)
+        assert idx.shape == (1, 0) and dist.shape == (1, 0)
 
     def test_matches_brute_force(self, rng):
         # Randomized oracle check over full distance sorts.
@@ -59,28 +62,22 @@ class TestSpatialIndex:
             index = SpatialIndex(pos)
             query = rng.random(3) * 10
             k = int(rng.integers(1, n + 1))
-            got, dist = index.k_nearest(query, k)
+            got, dist = index.k_nearest_batch(query[None], k)
             expected = brute_force_knn(pos, query, k)
-            assert got.tolist() == expected.tolist()
-            assert np.all(np.diff(dist) >= 0)
-
-    def test_tie_break_prefers_lower_index(self):
-        # Four points equidistant from the origin; ties resolve by index.
-        pos = np.array([
-            [1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0],
-        ])
-        idx, _ = SpatialIndex(pos).k_nearest(np.zeros(3), 2)
-        assert idx.tolist() == [0, 1]
+            assert got[0].tolist() == expected.tolist()
+            assert np.all(np.diff(dist[0]) >= 0)
 
     def test_batch_matches_single(self, rng):
+        # A many-row query answers each row as a one-row query does.
         pos = rng.random((200, 3))
         index = SpatialIndex(pos)
         queries = rng.random((20, 3))
         bidx, bdist = index.k_nearest_batch(queries, 5)
         for row, q in enumerate(queries):
-            sidx, sdist = index.k_nearest(q, 5)
-            assert bidx[row].tolist() == sidx.tolist()
-            assert np.allclose(bdist[row], sdist)
+            sidx, sdist = index.k_nearest_batch(q[None], 5)
+            assert bidx[row].tolist() == sidx[0].tolist()
+            assert bidx[row].tolist() == brute_force_knn(pos, q, 5).tolist()
+            assert np.array_equal(bdist[row], sdist[0])
 
     def test_batch_matches_full_lexsort_on_lattice(self, rng):
         # A shuffled integer lattice has exact distance ties in most rows,

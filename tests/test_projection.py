@@ -9,11 +9,11 @@ from pclabel import (
     PointCloud,
     UNLABELED,
     aggregate_views,
-    project_point,
+    project,
     pseudo_labels_from_logits,
     pseudo_labels_from_views,
 )
-from pclabel.projection import nearest_pixel
+from pclabel.projection import MIN_DEPTH, nearest_pixel, project_to_pixels
 
 from conftest import make_cloud
 
@@ -21,6 +21,9 @@ from conftest import make_cloud
 # sentinel logit, the form they had before pseudo_labels_from_logits fused
 # them into one masked softmax.
 MASKED_LOGIT = float(np.finfo(np.float64).min)
+
+# The scene mask of a two-class test that masks nothing.
+ALL_TWO = np.ones(2, dtype=bool)
 
 
 def literal_mask_then_rank(logits, mask):
@@ -49,6 +52,21 @@ def literal_mask_then_rank(logits, mask):
     labels = np.argmax(scores, axis=1)
     confidence = probs[np.arange(filtered.shape[0]), labels]
     return LabelField(labels, filtered.shape[1]), confidence
+
+
+def literal_project_point(p, view):
+    """Oracle: one world point through the pinhole model; None when it lies
+    at or behind the camera, else (u, v, depth)."""
+    q = view.rotation @ np.asarray(p, dtype=np.float64).reshape(3) + view.translation
+    if q[2] <= MIN_DEPTH:
+        return None
+    h = view.intrinsics @ q
+    return float(h[0] / h[2]), float(h[1] / h[2]), float(q[2])
+
+
+def project_view(points, view):
+    return project(np.asarray(points, dtype=np.float64).reshape(-1, 3),
+                   view.intrinsics, view.rotation, view.translation)
 
 
 @st.composite
@@ -119,18 +137,21 @@ class TestCameraView:
 
 class TestProjectPoint:
     def test_optical_axis(self):
-        view = identity_view()
-        assert project_point([0.0, 0.0, 2.0], view) == (0.0, 0.0, 2.0)
+        uv, depth = project_view([0.0, 0.0, 2.0], identity_view())
+        assert uv.tolist() == [[0.0, 0.0]] and depth.tolist() == [2.0]
 
     def test_similar_triangles(self):
-        view = identity_view()
-        u, v, depth = project_point([2.0, 0.0, 2.0], view)
-        assert (u, v, depth) == (1.0, 0.0, 2.0)
+        uv, depth = project_view([2.0, 0.0, 2.0], identity_view())
+        assert uv.tolist() == [[1.0, 0.0]] and depth.tolist() == [2.0]
 
     def test_behind_camera_absent(self):
         view = identity_view()
-        assert project_point([0.0, 0.0, -1.0], view) is None
-        assert project_point([0.0, 0.0, 0.0], view) is None
+        points = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
+        _, depth = project_view(points, view)
+        assert (depth <= MIN_DEPTH).all()
+        *_, valid = project_to_pixels(points, view.intrinsics, view.rotation,
+                                      view.translation, view.width, view.height)
+        assert not valid.any()
 
     def test_round_trip_through_depth(self, rng):
         # Reconstructing the camera-frame point from (u, v, depth) recovers
@@ -138,12 +159,12 @@ class TestProjectPoint:
         for _ in range(200):
             view = random_view(rng, 32, 24, 1)
             p = rng.uniform(-3, 3, 3)
-            result = project_point(p, view)
+            uv, depth = project_view(p, view)
             q = view.rotation @ p + view.translation
             if q[2] <= 1e-9:
-                assert result is None
+                assert depth[0] <= MIN_DEPTH
                 continue
-            u, v, depth = result
+            (u, v), depth = uv[0], depth[0]
             recon = np.linalg.inv(view.intrinsics) @ np.array([u, v, 1.0]) * depth
             assert np.allclose(recon, q, atol=1e-6)
 
@@ -180,7 +201,7 @@ class TestAggregate:
                 total = np.zeros(3)
                 count = 0
                 for view in views:
-                    result = project_point(cloud.positions[n], view)
+                    result = literal_project_point(cloud.positions[n], view)
                     if result is None:
                         continue
                     u, v, _ = result
@@ -226,12 +247,12 @@ class TestAggregate:
 
 class TestSceneMask:
     def test_all_true_is_identity(self, rng):
+        # An all-true mask is the plain softmax over every class.
         logits = rng.standard_normal((6, 4))
         labels, conf = pseudo_labels_from_logits(logits, np.ones(4, dtype=bool))
-        plain_labels, plain_conf = pseudo_labels_from_logits(logits)
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
         assert np.array_equal(labels.values, np.argmax(logits, axis=1))
-        assert np.array_equal(labels.values, plain_labels.values)
-        assert np.array_equal(conf, plain_conf)
+        assert np.allclose(conf, 1.0 / weights.sum(axis=1), atol=1e-12)
 
     def test_single_class_forces_winner(self, rng):
         logits = rng.standard_normal((20, 5))
@@ -262,13 +283,13 @@ class TestSceneMask:
 
 class TestRank:
     def test_uniform_tie(self):
-        labels, conf = pseudo_labels_from_logits(np.array([[0.0, 0.0]]))
+        labels, conf = pseudo_labels_from_logits(np.array([[0.0, 0.0]]), ALL_TWO)
         assert labels.values.tolist() == [0]
         assert np.allclose(conf, [0.5])
 
     def test_hand_evaluated_softmax(self):
         # logits (ln 9, 0): softmax gives 9/(9+1) = 0.9 for class 0
-        labels, conf = pseudo_labels_from_logits(np.array([[np.log(9.0), 0.0]]))
+        labels, conf = pseudo_labels_from_logits(np.array([[np.log(9.0), 0.0]]), ALL_TWO)
         assert labels.values.tolist() == [0]
         assert np.allclose(conf, [0.9])
 
@@ -276,7 +297,7 @@ class TestRank:
         for _ in range(50):
             c = int(rng.integers(2, 10))
             logits = rng.standard_normal((40, c))
-            _, conf = pseudo_labels_from_logits(logits)
+            _, conf = pseudo_labels_from_logits(logits, np.ones(c, dtype=bool))
             assert np.all(conf >= 1.0 / c - 1e-12)
             assert np.all(conf <= 1.0)
             assert np.all(conf > 0.0)
@@ -294,7 +315,13 @@ class TestRank:
     def test_non_finite_logits_name_first_row(self):
         logits = np.array([[1.0, 2.0], [np.nan, 0.0], [0.5, np.inf]])
         with pytest.raises(ValueError, match="row 1 is not finite"):
-            pseudo_labels_from_logits(logits)
+            pseudo_labels_from_logits(logits, ALL_TWO)
+
+    def test_far_apart_finite_logits(self):
+        # The shifted losing score overflows to -inf; its weight is exactly 0.
+        labels, conf = pseudo_labels_from_logits(np.array([[1e308, -1e308]]), ALL_TWO)
+        assert labels.values.tolist() == [0]
+        assert conf.tolist() == [1.0]
 
     @settings(max_examples=400)
     @given(masked_logits())
@@ -318,7 +345,7 @@ class TestViewPipeline:
             np.array([[1.0, 1.0, 1.0], [0.0, 0.0, -5.0]]),
             np.zeros((2, 3), dtype=np.uint8),
         )
-        labels, conf, hits = pseudo_labels_from_views(cloud, [view])
+        labels, conf, hits = pseudo_labels_from_views(cloud, [view], ALL_TWO)
         assert hits.tolist() == [1, 0]
         assert labels.values[1] == UNLABELED
         assert conf[1] == 0.0

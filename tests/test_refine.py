@@ -16,6 +16,8 @@ from pclabel import (
     refine_pipeline,
 )
 
+from conftest import segment_members
+
 
 def literal_calr_oracle(labels: LabelField, confidence: np.ndarray,
                         top_v: float) -> np.ndarray:
@@ -200,7 +202,7 @@ class TestGalr:
         for _ in range(20):
             labels, partition = random_instance(rng)
             out = galr(labels, partition, 0.0)
-            for members in partition.segments():
+            for members in segment_members(partition):
                 if (labels.values[members] != UNLABELED).any():
                     assert np.all(out.values[members] != UNLABELED)
 
@@ -208,7 +210,7 @@ class TestGalr:
         for _ in range(50):
             labels, partition = random_instance(rng)
             out = galr(labels, partition, float(rng.uniform(0, 1)))
-            for members in partition.segments():
+            for members in segment_members(partition):
                 assert len(np.unique(out.values[members])) == 1
 
     def test_idempotent(self, rng):

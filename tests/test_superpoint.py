@@ -36,8 +36,7 @@ def assert_valid_partition(partition, n):
     u = partition.segment_count
     ids = np.unique(partition.assignment)
     assert np.array_equal(ids, np.arange(u))
-    sizes = np.array([len(s) for s in partition.segments()])
-    assert sizes.sum() == n
+    assert np.bincount(partition.assignment, minlength=u).sum() == n
 
 
 class TestPartitionType:
@@ -64,11 +63,6 @@ class TestPartitionType:
         else:
             with pytest.raises(ValueError, match=r"dense in \[0, U\)"):
                 SuperpointPartition(a)
-
-    def test_segments_cover(self):
-        p = SuperpointPartition(np.array([0, 1, 0, 2, 1]))
-        segs = p.segments()
-        assert [s.tolist() for s in segs] == [[0, 2], [1, 4], [3]]
 
 
 class TestOversegment:
