@@ -1,7 +1,10 @@
 """Point-cloud container, exact spatial index, and surface-normal estimation.
 
 `SpatialIndex.k_nearest_batch` is the one neighbor query: normals and the
-over-segmentation graph both read it.
+over-segmentation graph both read it. Both ask about the index's own points,
+so the index keeps that one answer and computes it once per point set (see
+`SpatialIndex`). Queries run on every core; each row is answered on its own,
+so the rows do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -50,7 +53,15 @@ class PointCloud:
 class SpatialIndex:
     """Exact nearest-neighbor queries over a fixed set of points.
 
-    Read-only queries are safe from multiple threads.
+    The index remembers one answer: its own points' nearest neighbors at
+    the largest k asked so far. Normals and the over-segmentation graph
+    both query the index's own points, at different k, so the second
+    query is served from the first. A smaller k is the row prefix, except
+    in rows where the k-th and (k+1)-th distances tie; those rows are
+    queried again at k, so every answer is the one a fresh query gives.
+    Concurrent callers may each compute and store that answer; the stored
+    value is replaced in one assignment and every stored answer is exact,
+    so each caller gets the same rows whichever one it reads.
     """
 
     def __init__(self, positions: np.ndarray):
@@ -59,6 +70,7 @@ class SpatialIndex:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
         self._size = int(pos.shape[0])
         self._tree = cKDTree(pos) if self._size else None
+        self._own = None  # (k, indices, distances) for the tree's own points
 
     @property
     def size(self) -> int:
@@ -73,15 +85,31 @@ class SpatialIndex:
         them make up the row.
         """
         q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-        n = self.size
-        k = min(int(k), n)
+        k = min(int(k), self.size)
         if k <= 0 or q.shape[0] == 0:
             m = q.shape[0]
             return (
                 np.empty((m, 0), dtype=np.int64),
                 np.empty((m, 0), dtype=np.float64),
             )
-        d, i = self._tree.query(q, k=k)
+        if q.shape[0] != self.size or not np.array_equal(q, self._tree.data):
+            return self._query(q, k)
+        own = self._own
+        if own is None or own[0] < k:
+            own = (k, *self._query(q, k))
+            self._own = own
+        i = own[1][:, :k].copy()
+        d = own[2][:, :k].copy()
+        if k < own[0]:
+            # The prefix holds the k nearest unless the k-th distance ties
+            # with the next; there cKDTree's pick at k may differ.
+            tied = np.flatnonzero(own[2][:, k - 1] == own[2][:, k])
+            if tied.size:
+                i[tied], d[tied] = self._query(q[tied], k)
+        return i, d
+
+    def _query(self, q: np.ndarray, k: int):
+        d, i = self._tree.query(q, k=k, workers=-1)
         d = d.reshape(q.shape[0], k)
         i = i.reshape(q.shape[0], k).astype(np.int64)
         # cKDTree rows come in distance order, so only a row holding a tied

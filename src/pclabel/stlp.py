@@ -61,6 +61,10 @@ class StlpConfig:
                              f"got {self.knn_confidence_scale}")
 
 
+# Entries (rows x k, rows x C) per predict block: 2 MB per float64 array.
+PREDICT_BLOCK = 1 << 18
+
+
 class KnnClassifier:
     """Distance-weighted k-NN vote in position (+) scaled-color space.
 
@@ -94,12 +98,29 @@ class KnnClassifier:
         return self
 
     def predict(self, cloud: PointCloud) -> Tuple[LabelField, np.ndarray]:
+        """Label and confidence of every point of `cloud`.
+
+        Rows are queried in blocks of at most PREDICT_BLOCK // max(k, C)
+        rows, so peak memory does not grow with n x k or n x C; time still
+        grows with n x min(config.knn_k, labeled count).
+        """
         if self._tree is None:
             raise RuntimeError("classifier is not fitted")
         n = cloud.count
-        c = self._num_classes
         k = min(self.config.knn_k, self._labels.size)
-        dist, idx = self._tree.query(self._features(cloud), k=k)
+        features = self._features(cloud)
+        winners = np.empty(n, dtype=np.int64)
+        confidence = np.empty(n, dtype=np.float64)
+        step = max(1, PREDICT_BLOCK // max(k, self._num_classes))
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            winners[rows], confidence[rows] = self._vote(features[rows], k)
+        return LabelField(winners, self._num_classes), np.clip(confidence, 0.0, 1.0)
+
+    def _vote(self, features: np.ndarray, k: int):
+        n = features.shape[0]
+        c = self._num_classes
+        dist, idx = self._tree.query(features, k=k, workers=-1)
         dist = dist.reshape(n, k)
         idx = idx.reshape(n, k)
         weights = 1.0 / (dist + self.config.knn_smoothing + 1e-12)
@@ -112,8 +133,7 @@ class KnnClassifier:
         fraction = votes[np.arange(n), winners] / votes.sum(axis=1)
         # Far from every exemplar the vote is an extrapolation, however
         # unanimous; damp confidence with the distance to the nearest one.
-        confidence = fraction * np.exp(-dist[:, 0] / self.config.knn_confidence_scale)
-        return LabelField(winners, c), np.clip(confidence, 0.0, 1.0)
+        return winners, fraction * np.exp(-dist[:, 0] / self.config.knn_confidence_scale)
 
 
 def label_update(

@@ -230,6 +230,59 @@ def generate_scene(spec: SceneSpec):
     )
 
 
+# Cells per axis are capped so that a cell key fits in an int64.
+_MAX_CELLS_PER_AXIS = 1 << 20
+
+
+def _nearest_other_class(positions: np.ndarray, gt: LabelField, reach: float):
+    """Distance to, and class of, each labeled point's nearest labeled point
+    of another class that lies closer than `reach`; inf and 0 where none does.
+
+    Each class queries a tree over only the other-class points in the 27
+    grid cells around its own points. Cells are at least 2 x reach on a
+    side, so those cells hold every point within reach. Where the two
+    nearest candidates tie, the row is answered by a tree over all
+    other-class points, since that tree decides which tied point is picked.
+    """
+    n = positions.shape[0]
+    other_dist = np.full(n, np.inf)
+    other_class = np.zeros(n, dtype=np.int64)
+    lo = positions.min(axis=0)
+    span = float((positions.max(axis=0) - lo).max())
+    side = max(2.0 * reach, span / _MAX_CELLS_PER_AXIS)
+    cell = np.floor((positions - lo) / side).astype(np.int64)
+    dims = cell.max(axis=0) + 1
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    # Key plus offset names each neighbor cell. Past the grid's edge it may
+    # name a cell on the far side instead, which only adds candidates.
+    step = np.arange(-1, 2)
+    offsets = ((step[:, None, None] * dims[1] + step[:, None]) * dims[2] + step).ravel()
+
+    labeled = gt.labeled_mask
+    for cls in np.flatnonzero(np.bincount(gt.values[labeled], minlength=gt.num_classes)):
+        mine = np.flatnonzero(gt.values == cls)
+        others = np.flatnonzero(labeled & (gt.values != cls))
+        near = np.unique(key[mine])[:, None] + offsets
+        cand = others[np.isin(key[others], near)]
+        if cand.size == 0:
+            continue
+        d, j = cKDTree(positions[cand]).query(
+            positions[mine], k=2, distance_upper_bound=reach, workers=-1
+        )
+        hit = j[:, 0] < cand.size
+        dist = d[hit, 0]
+        pick = cand[j[hit, 0]]
+        tie = np.flatnonzero(dist == d[hit, 1])
+        if tie.size:
+            dist[tie], jt = cKDTree(positions[others]).query(
+                positions[mine[hit][tie]], k=1, distance_upper_bound=reach, workers=-1
+            )
+            pick[tie] = others[jt]
+        other_dist[mine[hit]] = dist
+        other_class[mine[hit]] = gt.values[pick]
+    return other_dist, other_class
+
+
 def corrupt_logits(gt: LabelField, cloud: PointCloud, spec: LogitNoiseSpec) -> np.ndarray:
     """Fabricate (N, C) logits around the ground truth.
 
@@ -251,24 +304,12 @@ def corrupt_logits(gt: LabelField, cloud: PointCloud, spec: LogitNoiseSpec) -> n
 
     if spec.boundary_blur > 0 and labeled.size:
         flip_draw = rng.random(n)
-        other_dist = np.full(n, np.inf)
-        other_class = np.zeros(n, dtype=np.int64)
         # Only distances below the blur radius move a logit. The bound sits
         # one ulp past it so that every such distance is still found; a
         # miss keeps an infinite distance.
-        reach = np.nextafter(spec.boundary_blur, np.inf)
-        present = np.bincount(gt.values[labeled], minlength=c)
-        for cls in np.flatnonzero(present):
-            mine = np.flatnonzero(gt.values == cls)
-            others = np.flatnonzero(gt.labeled_mask & (gt.values != cls))
-            if others.size == 0:
-                continue
-            d, j = cKDTree(cloud.positions[others]).query(
-                cloud.positions[mine], k=1, distance_upper_bound=reach
-            )
-            hit = j < others.size
-            other_dist[mine[hit]] = d[hit]
-            other_class[mine[hit]] = gt.values[others[j[hit]]]
+        other_dist, other_class = _nearest_other_class(
+            cloud.positions, gt, np.nextafter(spec.boundary_blur, np.inf)
+        )
         closeness = np.clip(1.0 - other_dist / spec.boundary_blur, 0.0, 1.0)
         flipped = gt.labeled_mask & (flip_draw < 0.5 * closeness)
         target = np.where(flipped, other_class, gt.values)

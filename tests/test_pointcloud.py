@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from pclabel import PointCloud, SpatialIndex, build_index, estimate_normals
 
-from conftest import make_cloud
+from conftest import make_cloud, shuffled_lattice
 
 
 def brute_force_knn(positions, query, k):
@@ -101,6 +103,53 @@ class TestSpatialIndex:
             assert np.array_equal(got_d, want_d)
             reordered += int((want_i != i).any(axis=1).sum())
         assert reordered > 0
+
+
+class TestSharedQuery:
+    """A query of the index's own points is served from its largest earlier one."""
+
+    def test_smaller_k_matches_fresh_query(self):
+        # Rows whose k-th and (k+1)-th distances tie are queried again; on
+        # a lattice with duplicate points many rows do.
+        requeried = []
+
+        @given(st.integers(2, 5), st.integers(0, 12), st.integers(0, 2**32 - 1),
+               st.integers(2, 40).flatmap(
+                   lambda k1: st.tuples(st.just(k1), st.integers(1, k1 - 1))))
+        def check(side, duplicates, seed, ks):
+            pos = shuffled_lattice(np.random.default_rng(seed), side, duplicates)
+            k1, k2 = ks
+            index = SpatialIndex(pos)
+            i1, d1 = index.k_nearest_batch(pos, k1)
+            got_i, got_d = index.k_nearest_batch(pos.copy(), k2)
+            want_i, want_d = SpatialIndex(pos).k_nearest_batch(pos, k2)
+            assert np.array_equal(got_i, want_i) and np.array_equal(got_d, want_d)
+            # Other queries of the same shape are not read from the cache.
+            got_i, got_d = index.k_nearest_batch(pos[::-1], k2)
+            assert np.array_equal(got_i, want_i[::-1]) and np.array_equal(got_d, want_d[::-1])
+            assert np.array_equal(index.k_nearest_batch(pos, k1)[0], i1)
+            k1, k2 = min(k1, len(pos)), min(k2, len(pos))
+            if k2 < k1:
+                requeried.append(int((d1[:, k2 - 1] == d1[:, k2]).sum()))
+
+        check()
+        assert sum(requeried) > 0
+
+    def test_larger_k_replaces_the_cached_answer(self, rng):
+        pos = shuffled_lattice(rng, 4, 6)
+        index = SpatialIndex(pos)
+        for k in (3, 9, 5, 20, 20, 1):
+            got_i, got_d = index.k_nearest_batch(pos, k)
+            want_i, want_d = SpatialIndex(pos).k_nearest_batch(pos, k)
+            assert np.array_equal(got_i, want_i) and np.array_equal(got_d, want_d)
+
+    def test_answers_are_copies(self, rng):
+        pos = shuffled_lattice(rng, 3, 2)
+        index = SpatialIndex(pos)
+        want = index.k_nearest_batch(pos, 6)[0].copy()
+        index.k_nearest_batch(pos, 6)[0][:] = -1
+        index.k_nearest_batch(pos, 4)[0][:] = -1
+        assert np.array_equal(index.k_nearest_batch(pos, 6)[0], want)
 
 
 class TestEstimateNormals:

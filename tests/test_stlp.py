@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,33 @@ class TestKnnClassifier:
         clf = KnnClassifier(StlpConfig(knn_k=2)).fit(train, LabelField(np.array([1, 1]), 2))
         _, conf = clf.predict(cloud)
         assert conf[2] < conf[0]
+
+    @pytest.mark.parametrize("block", [1, 7, 40, 10**9])
+    def test_block_size_does_not_change_predictions(self, block, rng, monkeypatch):
+        cloud = make_cloud(rng, 300)
+        values = rng.integers(0, 3, 300)
+        values[::4] = UNLABELED
+        clf = KnnClassifier(StlpConfig(knn_k=7)).fit(cloud, LabelField(values, 3))
+        want = clf.predict(cloud)
+        monkeypatch.setattr(stlp, "PREDICT_BLOCK", block)
+        got = clf.predict(cloud)
+        assert np.array_equal(got[0].values, want[0].values)
+        assert np.array_equal(got[1], want[1])
+
+    def test_peak_memory_does_not_grow_with_k(self, rng):
+        # k is clamped to the labeled count, so a k past it queries every
+        # exemplar for every point: 1200 x 1200 entries, about 11 MiB per
+        # array in one block.
+        cloud = make_cloud(rng, 1200)
+        labels = LabelField(rng.integers(0, 5, 1200), 5)
+        clf = KnnClassifier(StlpConfig(knn_k=10**20)).fit(cloud, labels)
+        tracemalloc.start()
+        try:
+            clf.predict(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestLabelUpdate:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,20 +10,25 @@ from scipy.sparse.csgraph import connected_components
 
 from pclabel import (
     PointCloud,
+    SuperpointParams,
     SuperpointPartition,
     build_index,
     oversegment,
     partition_stats,
 )
+from pclabel import pointcloud
 from pclabel.superpoint import (
     _distinct,
     _first_occurrence_relabel,
     _merge_small_segments,
     load_partition_json,
+    partition_cloud,
     save_partition_json,
 )
 
-from conftest import make_cloud
+from conftest import make_cloud, record_queries
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def plane_cloud(rng, n=200):
@@ -283,6 +289,35 @@ class TestMergeSmallSegments:
         labels, src, dst = _merge_case(raw_labels, edges)
         got = _merge_small_segments(labels, src, dst, min_size)
         assert got.tolist() == expected
+
+
+class TestSharedQuery:
+    """Normals (k=16) and the graph (k=11) read one k-d query of the cloud."""
+
+    def test_one_query_per_cloud(self, rng, monkeypatch):
+        cloud = make_cloud(rng, 400)
+        calls = record_queries(monkeypatch, pointcloud)
+        partition_cloud(cloud, SuperpointParams(min_size=4))
+        assert [(c["k"], c["rows"]) for c in calls] == [(16, 400)]
+
+    def test_traced_component_count_reuses_the_query(self, rng, monkeypatch):
+        # The benchmark's trace counts components with a second
+        # oversegment(min_size=1) call on the same index.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import spans
+
+        cloud = make_cloud(rng, 400)
+        calls = record_queries(monkeypatch, pointcloud)
+        tracer = spans.Tracer()
+        with tracer.installed():
+            traced = partition_cloud(cloud, SuperpointParams(min_size=4))
+        assert len(calls) == 1
+        table = tracer.layer_table()
+        assert table["trace.components"]["calls"] == 1
+        counts = table["superpoint.oversegment"]["counts"]
+        assert counts["components"] > counts["segments"] == traced.segment_count
+        untraced = partition_cloud(cloud, SuperpointParams(min_size=4))
+        assert np.array_equal(traced.assignment, untraced.assignment)
 
 
 class TestComponentOrder:

@@ -15,11 +15,20 @@ from pclabel import (
     pseudo_labels_from_logits,
     render_views,
 )
+from pclabel import synth
 from pclabel.benchmark import ROOM_SMALL
 
+from conftest import record_queries, shuffled_lattice
 
-def literal_corrupt_logits(gt, cloud, spec):
-    """Literal oracle: corrupt_logits with an unbounded boundary query."""
+
+def literal_corrupt_logits(gt, cloud, spec, reach=np.inf):
+    """Literal oracle: corrupt_logits with one tree per class over all its
+    other-class points, queried within `reach` (unbounded by default).
+
+    Where several points tie as a point's nearest, cKDTree may pick another
+    one of them under a bounded query than under an unbounded one, so tie
+    cases pass the bound corrupt_logits uses.
+    """
     rng = np.random.default_rng(spec.seed)
     n = cloud.count
     c = gt.num_classes
@@ -36,9 +45,11 @@ def literal_corrupt_logits(gt, cloud, spec):
             others = np.flatnonzero(gt.labeled_mask & (gt.values != cls))
             if others.size == 0:
                 continue
-            d, j = cKDTree(cloud.positions[others]).query(cloud.positions[mine], k=1)
-            other_dist[mine] = d
-            other_class[mine] = gt.values[others[j]]
+            d, j = cKDTree(cloud.positions[others]).query(
+                cloud.positions[mine], k=1, distance_upper_bound=reach)
+            hit = j < others.size
+            other_dist[mine[hit]] = d[hit]
+            other_class[mine[hit]] = gt.values[others[j[hit]]]
         closeness = np.clip(1.0 - other_dist / spec.boundary_blur, 0.0, 1.0)
         flipped = gt.labeled_mask & (flip_draw < 0.5 * closeness)
         target = np.where(flipped, other_class, gt.values)
@@ -177,6 +188,39 @@ class TestCorruptLogits:
             assert np.array_equal(got, literal_corrupt_logits(gt, cloud, spec))
             in_band = got[np.arange(6), gt.values] != 0
             assert in_band.tolist() == [True, True, True, False, False, False]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_class_trees_on_lattice_ties(self, seed, monkeypatch):
+        # Integer lattices with repeated points of other classes: class
+        # boundaries hold exact distance ties, zero distances, and points
+        # at exactly each blur radius. Rows whose two nearest candidates
+        # tie are answered by the full per-class tree.
+        rng = np.random.default_rng(seed)
+        calls = record_queries(monkeypatch, synth)
+        for side in (3, 4, 6):
+            pos = shuffled_lattice(rng, side, int(rng.integers(1, 3 * side)))
+            cloud = PointCloud(pos, np.zeros(pos.shape, dtype=np.uint8))
+            classes = int(rng.integers(2, 5))
+            gt = LabelField(rng.integers(-1, classes, len(pos)), classes)
+            for blur in (0.5, 1.0, np.sqrt(2.0), 1.5, 2.0, 10.0):
+                spec = LogitNoiseSpec(boundary_blur=blur, seed=seed)
+                reach = np.nextafter(blur, np.inf)
+                assert np.array_equal(corrupt_logits(gt, cloud, spec),
+                                      literal_corrupt_logits(gt, cloud, spec, reach))
+        assert any(c["k"] == 1 for c in calls)
+
+    def test_far_apart_groups_build_small_trees(self, monkeypatch):
+        # Two tight two-class clusters 100 blur radii apart: each class's
+        # tree holds only the other-class points of its own cluster.
+        pos = np.array([[0.0, 0, 0], [0.05, 0, 0], [10.0, 0, 0], [10.05, 0, 0],
+                        [0.0, 0.05, 0], [10.0, 0.05, 0]])
+        cloud = PointCloud(pos, np.zeros(pos.shape, dtype=np.uint8))
+        gt = LabelField(np.array([0, 1, 2, 3, 0, 2]), 4)
+        spec = LogitNoiseSpec(boundary_blur=0.1, seed=3)
+        calls = record_queries(monkeypatch, synth)
+        got = corrupt_logits(gt, cloud, spec)
+        assert np.array_equal(got, literal_corrupt_logits(gt, cloud, spec))
+        assert [(c["rows"], c["points"]) for c in calls] == [(2, 1), (1, 2), (2, 1), (1, 2)]
 
     def test_mismatched_cloud_rejected(self):
         cloud, gt, _, _ = generate_scene(SceneSpec(seed=2))
