@@ -29,10 +29,11 @@ colors = rng.integers(90, 160, (n, 3))
 cloud = PointCloud(positions, colors)
 print(f"cloud: {cloud.count} points")
 
-# Exact spatial queries, one row per query point, each sorted by
-# (distance, index).
+# Exact neighbor queries of the cloud's own points: one row per point, the
+# point itself first, each sorted by (distance, index). The index answers
+# only for the cloud it was built over.
 index = build_index(cloud)
-idx, dist = index.k_nearest_batch(positions[:1], 5)
+idx, dist = index.neighbors(cloud.positions, 5)
 print(f"5 nearest of point 0: {idx[0].tolist()} at distances {np.round(dist[0], 4).tolist()}")
 
 # Normals from neighborhood covariances. The plane z = x/2 has normal

@@ -1,0 +1,28 @@
+"""The one domain rule for numeric settings and spec fields."""
+
+import math
+
+import numpy as np
+
+
+def require(name: str, value, low: float = -math.inf, high: float = math.inf, *,
+            integer: bool = False, open_low: bool = False) -> None:
+    """Raise a ValueError naming the setting unless value lies in its domain.
+
+    The domain runs from low to high, both included unless open_low. An
+    infinite bound is never reached, so NaN (which passes no comparison),
+    the infinities and values that are not numbers fail. An integer setting
+    must be an int or a numpy integer; a bool is not one.
+    """
+    if integer and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        inside = ((low < value if open_low else low <= value) and value <= high
+                  and -math.inf < value < math.inf)
+    except TypeError:
+        inside = False
+    if not inside:
+        rule = (f"lie in {'(' if open_low else '['}{low}, {high}]" if high < math.inf
+                else "be finite" if low == -math.inf
+                else f"be {'' if integer else 'finite and '}{'>' if open_low else '>='} {low}")
+        raise ValueError(f"{name} must {rule}, got {value}")

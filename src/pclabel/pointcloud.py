@@ -1,10 +1,9 @@
 """Point-cloud container, exact spatial index, and surface-normal estimation.
 
-`SpatialIndex.k_nearest_batch` is the one neighbor query: normals and the
-over-segmentation graph both read it. Both ask about the index's own points,
-so the index keeps that one answer and computes it once per point set (see
-`SpatialIndex`). Queries run on every core; each row is answered on its own,
-so the rows do not depend on the thread count.
+`SpatialIndex.neighbors` is the one neighbor query. It answers only for the
+points the index was built over, which is all that normals and the
+over-segmentation graph ask. Queries run on every core; each row is answered
+on its own, so the rows do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -13,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .domain import require
 
 
 @dataclass(frozen=True)
@@ -51,52 +52,48 @@ class PointCloud:
 
 
 class SpatialIndex:
-    """Exact nearest-neighbor queries over a fixed set of points.
+    """Exact k nearest neighbors of a fixed point set among its own points.
 
-    The index remembers one answer: its own points' nearest neighbors at
-    the largest k asked so far. Normals and the over-segmentation graph
-    both query the index's own points, at different k, so the second
-    query is served from the first. A smaller k is the row prefix, except
-    in rows where the k-th and (k+1)-th distances tie; those rows are
-    queried again at k, so every answer is the one a fresh query gives.
-    Concurrent callers may each compute and store that answer; the stored
-    value is replaced in one assignment and every stored answer is exact,
-    so each caller gets the same rows whichever one it reads.
+    Normals and the over-segmentation graph both ask for them, at different
+    k, so the index keeps its answer at the largest k asked and serves a
+    smaller k as the row prefix. Rows whose k-th and (k+1)-th distances tie
+    are queried again at k, so every answer is the one a fresh query gives.
+    Concurrent callers may each compute and store that answer; it is
+    replaced in one assignment and every stored answer is exact, so each
+    caller gets the same rows whichever one it reads.
     """
 
     def __init__(self, positions: np.ndarray):
         pos = np.ascontiguousarray(np.asarray(positions, dtype=np.float64))
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
-        self._size = int(pos.shape[0])
-        self._tree = cKDTree(pos) if self._size else None
-        self._own = None  # (k, indices, distances) for the tree's own points
+        self._points = pos
+        self._tree = cKDTree(pos) if pos.shape[0] else None
+        self._own = None  # (k, indices, distances)
 
     @property
     def size(self) -> int:
-        return self._size
+        return int(self._points.shape[0])
 
-    def k_nearest_batch(self, queries: np.ndarray, k: int):
-        """Per-row k nearest for many query points at once.
+    def neighbors(self, points: np.ndarray, k: int):
+        """(indices, distances) of each indexed point's k nearest indexed points.
 
-        k is clamped to the index size; k <= 0 returns empty rows. Each row
-        is ordered by (distance, index) among the neighbors returned. Where
-        several points tie at the k-th distance, cKDTree chooses which of
-        them make up the row.
+        `points` must be the positions the index was built over; another
+        cloud is a ValueError. k is clamped to the index size; k <= 0 gives
+        empty rows. Rows are ordered by (distance, index); where points tie
+        at the k-th distance, cKDTree picks which of them make up the row.
         """
-        q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+        q = np.asarray(points, dtype=np.float64)
+        if q.shape != self._points.shape or not np.array_equal(q, self._points):
+            raise ValueError(f"the index was built over {self.size} points, "
+                             f"not over this cloud of {len(q)} points")
         k = min(int(k), self.size)
-        if k <= 0 or q.shape[0] == 0:
-            m = q.shape[0]
-            return (
-                np.empty((m, 0), dtype=np.int64),
-                np.empty((m, 0), dtype=np.float64),
-            )
-        if q.shape[0] != self.size or not np.array_equal(q, self._tree.data):
-            return self._query(q, k)
+        if k <= 0:
+            return (np.empty((self.size, 0), dtype=np.int64),
+                    np.empty((self.size, 0), dtype=np.float64))
         own = self._own
         if own is None or own[0] < k:
-            own = (k, *self._query(q, k))
+            own = (k, *self._query(self._points, k))
             self._own = own
         i = own[1][:, :k].copy()
         d = own[2][:, :k].copy()
@@ -105,7 +102,7 @@ class SpatialIndex:
             # with the next; there cKDTree's pick at k may differ.
             tied = np.flatnonzero(own[2][:, k - 1] == own[2][:, k])
             if tied.size:
-                i[tied], d[tied] = self._query(q[tied], k)
+                i[tied], d[tied] = self._query(self._points[tied], k)
         return i, d
 
     def _query(self, q: np.ndarray, k: int):
@@ -143,11 +140,8 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex, k: int) -> np.ndarr
     (|x|, |y|, |z|) tuple is lexicographically largest.
     """
     n = cloud.count
-    if k < 3:
-        raise ValueError(f"neighborhood size k must be >= 3, got {k}")
-    if k > n:
-        raise ValueError(f"k={k} exceeds point count {n}")
-    idx, _ = index.k_nearest_batch(cloud.positions, k)
+    require("k", k, 3, n, integer=True)
+    idx, _ = index.neighbors(cloud.positions, k)
     nb = cloud.positions[idx]
     centered = nb - nb.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k

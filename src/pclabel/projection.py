@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .domain import require
 from .labels import UNLABELED, LabelField
 from .pointcloud import PointCloud
 
@@ -42,6 +43,9 @@ class CameraView:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if k.shape != (3, 3) or r.shape != (3, 3):
             raise ValueError("intrinsics and rotation must be 3x3")
+        for name, array in (("intrinsics", k), ("rotation", r), ("translation", t)):
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} is not finite")
         if np.abs(r.T @ r - np.eye(3)).max() > 1e-6:
             raise ValueError("rotation is not orthonormal within 1e-6")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
@@ -138,10 +142,8 @@ def aggregate_views(
     """
     if not views:
         raise ValueError("at least one view is required")
-    if occlusion_tolerance is not None and not 0.0 <= occlusion_tolerance < np.inf:
-        raise ValueError(
-            f"occlusion_tolerance must be finite and >= 0, got {occlusion_tolerance}"
-        )
+    if occlusion_tolerance is not None:
+        require("occlusion_tolerance", occlusion_tolerance, 0)
     channels = {v.channels for v in views}
     if len(channels) != 1:
         raise ValueError(f"views disagree on channel count: {sorted(channels)}")

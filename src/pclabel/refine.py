@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import require
 from .labels import UNLABELED, LabelField
 from .superpoint import SuperpointPartition
 
@@ -26,10 +27,8 @@ class RefineParams:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.top_v <= 100.0:
-            raise ValueError(f"top_v must lie in (0, 100], got {self.top_v}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        require("top_v", self.top_v, 0, 100, open_low=True)
+        require("alpha", self.alpha, 0, 1)
 
 
 def calr(labels: LabelField, confidence: np.ndarray, top_v: float) -> LabelField:
@@ -49,8 +48,7 @@ def calr(labels: LabelField, confidence: np.ndarray, top_v: float) -> LabelField
         raise ValueError(f"confidence at point {int(bad[0])} is not finite")
     if confidence.size and (confidence.min() < 0.0 or confidence.max() > 1.0):
         raise ValueError("confidences must lie in [0, 1]")
-    if not 0.0 < top_v <= 100.0:
-        raise ValueError(f"top_v must lie in (0, 100], got {top_v}")
+    require("top_v", top_v, 0, 100, open_low=True)
     out = labels.values.copy()
     for c in range(labels.num_classes):
         pool = np.flatnonzero(labels.values == c)
@@ -75,8 +73,7 @@ def galr(labels: LabelField, partition: SuperpointPartition, alpha: float) -> La
         raise ValueError(
             f"partition of {len(partition)} does not cover {len(labels)} labels"
         )
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    require("alpha", alpha, 0, 1)
     u = partition.segment_count
     if u == 0:
         return labels.with_values(labels.values.copy())

@@ -28,11 +28,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .domain import require
 from .labels import UNLABELED, LabelField
 from .metrics import labeled_rate, metrics_report
 from .pointcloud import PointCloud
 from .refine import RefineParams, calr, galr
-from .superpoint import SuperpointPartition, require_integers
+from .superpoint import SuperpointPartition
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,11 @@ class StlpConfig:
     knn_confidence_scale: float = 0.1
 
     def __post_init__(self):
-        require_integers(self, "rounds", "knn_k")
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
-        if self.knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
-        # Chained comparisons are false for NaN, so NaN fails each check.
-        if not 0.0 <= self.color_weight < np.inf:
-            raise ValueError(f"color_weight must be finite and >= 0, got {self.color_weight}")
-        if not 0.0 <= self.knn_smoothing < np.inf:
-            raise ValueError(f"knn_smoothing must be finite and >= 0, got {self.knn_smoothing}")
-        if not 0.0 < self.knn_confidence_scale < np.inf:
-            raise ValueError("knn_confidence_scale must be finite and > 0, "
-                             f"got {self.knn_confidence_scale}")
+        require("rounds", self.rounds, 0, integer=True)
+        require("knn_k", self.knn_k, 1, integer=True)
+        require("color_weight", self.color_weight, 0)
+        require("knn_smoothing", self.knn_smoothing, 0)
+        require("knn_confidence_scale", self.knn_confidence_scale, 0, open_low=True)
 
 
 # Entries (rows x k, rows x C) per predict block: 2 MB per float64 array.

@@ -18,18 +18,11 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .domain import require
 from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
 from .tensorio import read_text
 
 EDGE_LENGTH_PERCENTILE = 95.0
-
-
-def require_integers(params, *names: str) -> None:
-    """Reject a named field that is not an int (numpy integers pass; bool does not)."""
-    for name in names:
-        value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,17 +35,10 @@ class SuperpointParams:
     normals_k: int = 16
 
     def __post_init__(self):
-        require_integers(self, "adjacency_k", "min_size", "normals_k")
-        if not 0.0 < self.angle_threshold <= 180.0:
-            raise ValueError(
-                f"angle_threshold must lie in (0, 180] degrees, got {self.angle_threshold}"
-            )
-        if self.adjacency_k < 1:
-            raise ValueError(f"adjacency_k must be >= 1, got {self.adjacency_k}")
-        if self.min_size < 1:  # 1 merges nothing
-            raise ValueError(f"min_size must be >= 1, got {self.min_size}")
-        if self.normals_k < 3:
-            raise ValueError(f"normals_k must be >= 3, got {self.normals_k}")
+        require("angle_threshold", self.angle_threshold, 0, 180, open_low=True)
+        require("adjacency_k", self.adjacency_k, 1, integer=True)
+        require("min_size", self.min_size, 1, integer=True)  # 1 merges nothing
+        require("normals_k", self.normals_k, 3, integer=True)
 
 
 @dataclass(frozen=True)
@@ -81,7 +67,7 @@ class SuperpointPartition:
         return int(self.assignment.max()) + 1 if self.assignment.size else 0
 
 
-def _distinct(keys: np.ndarray, return_counts: bool = False):
+def _distinct(keys: np.ndarray) -> np.ndarray:
     """np.unique of a 1-D integer array by sorting.
 
     numpy's hash-based unique is far slower on a million int64 keys than a
@@ -90,10 +76,7 @@ def _distinct(keys: np.ndarray, return_counts: bool = False):
     keys = np.sort(keys)
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    values = keys[first]
-    if not return_counts:
-        return values
-    return values, np.diff(np.append(np.flatnonzero(first), keys.size))
+    return keys[first]
 
 
 def _first_occurrence_relabel(labels: np.ndarray, count: int) -> np.ndarray:
@@ -137,7 +120,8 @@ def _merge_small_segments(
     a = labels[edges // labels.size]
     b = labels[edges % labels.size]
     inter = a != b
-    pairs, shared = _distinct(
+    # With counts asked for, np.unique sorts, as fast as _distinct here.
+    pairs, shared = np.unique(
         np.minimum(a[inter], b[inter]) * count + np.maximum(a[inter], b[inter]),
         return_counts=True,
     )
@@ -189,16 +173,14 @@ def oversegment(
     normals = np.asarray(normals, dtype=np.float64)
     if normals.shape != (n, 3):
         raise ValueError(f"normals of {normals.shape} do not match cloud of {n}")
-    if not 0.0 < angle_threshold <= 180.0:
-        raise ValueError("angle_threshold must lie in (0, 180] degrees")
-    if adjacency_k < 1:
-        raise ValueError("adjacency_k must be >= 1")
+    require("angle_threshold", angle_threshold, 0, 180, open_low=True)
+    require("adjacency_k", adjacency_k, 1, integer=True)
     if n == 0:
         return SuperpointPartition(np.empty(0, dtype=np.int64))
     if n == 1:
         return SuperpointPartition(np.zeros(1, dtype=np.int64))
 
-    idx, dist = index.k_nearest_batch(cloud.positions, min(adjacency_k + 1, n))
+    idx, dist = index.neighbors(cloud.positions, min(adjacency_k + 1, n))
     not_self = idx != np.arange(n)[:, None]
     # Keep at most adjacency_k non-self neighbors per point.
     keep = np.cumsum(not_self, axis=1) <= adjacency_k

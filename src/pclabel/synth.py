@@ -20,6 +20,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .domain import require
 from .labels import LabelField
 from .pointcloud import PointCloud
 from .projection import CameraView, project_to_pixels
@@ -65,20 +66,19 @@ class SceneSpec:
     sample_index: int = 0
 
     def __post_init__(self):
-        if self.density <= 0:
-            raise ValueError("density must be positive")
-        if min(self.extents) <= 0:
-            raise ValueError("extents must be positive")
+        for name, size in (("extents", 3), ("object_count", 2)):
+            if len(getattr(self, name)) != size:
+                raise ValueError(f"{name} must hold {size} values, got {getattr(self, name)!r}")
+        for i, size in enumerate(self.extents):
+            require(f"extents[{i}]", size, 0, open_low=True)
+        require("object_count[0]", self.object_count[0], 0, integer=True)
+        require("object_count[1]", self.object_count[1], self.object_count[0], integer=True)
         if "floor" not in self.class_names or "wall" not in self.class_names:
             raise ValueError("palette must include 'floor' and 'wall'")
-        if not 0 <= self.object_count[0] <= self.object_count[1]:
-            raise ValueError("object_count must be a (min, max) range")
-        if self.sample_index < 0:
-            raise ValueError("sample_index must be >= 0")
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_names)
+        require("density", self.density, 0, open_low=True)
+        require("noise_sigma", self.noise_sigma, 0)
+        require("seed", self.seed, 0, integer=True)
+        require("sample_index", self.sample_index, 0, integer=True)
 
     def rescan(self, sample_index: int) -> "SceneSpec":
         """Same room layout, different scan of it."""
@@ -96,20 +96,22 @@ class LogitNoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.boundary_blur < 0:
-            raise ValueError("boundary blur radius must be >= 0")
-        if self.correct_sigma < 0 or self.confusion_temperature < 0:
-            raise ValueError("spreads must be >= 0")
+        require("correct_mean", self.correct_mean)
+        require("correct_sigma", self.correct_sigma, 0)
+        require("confusion_temperature", self.confusion_temperature, 0)
+        require("boundary_blur", self.boundary_blur, 0)
+        require("seed", self.seed, 0, integer=True)
 
 
 @dataclass(frozen=True)
 class ViewRingSpec:
     """Cameras on a ring inside the room, all facing the room center.
 
-    height_frac places the ring vertically; target_height_frac sets the
-    height of the aim point on the room's central axis, so rings can pitch
-    down toward the floor (partial coverage leaves regions for label
-    propagation to fill).
+    radius_frac in (0, 1] scales the ring to the room's half-width.
+    height_frac in [0, 1] places the ring vertically; target_height_frac in
+    [0, 1] sets the height of the aim point on the room's central axis, so
+    rings can pitch down toward the floor (partial coverage leaves regions
+    for label propagation to fill).
     """
 
     num_cameras: int = 8
@@ -121,12 +123,13 @@ class ViewRingSpec:
     target_height_frac: float = 0.5
 
     def __post_init__(self):
-        if self.num_cameras < 1:
-            raise ValueError("at least one camera is required")
-        if self.focal <= 0:
-            raise ValueError("focal length must be positive (zero focal is degenerate)")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image grid must be positive")
+        require("num_cameras", self.num_cameras, 1, integer=True)
+        require("width", self.width, 1, integer=True)
+        require("height", self.height, 1, integer=True)
+        require("focal", self.focal, 0, open_low=True)
+        require("radius_frac", self.radius_frac, 0, 1, open_low=True)
+        require("height_frac", self.height_frac, 0, 1)
+        require("target_height_frac", self.target_height_frac, 0, 1)
 
 
 class _SurfacePatch:

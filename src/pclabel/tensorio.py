@@ -24,11 +24,12 @@ LF01_MAGIC = b"LF01"
 
 
 def read_text(path, encoding: str = "utf-8", parse=json.loads):
-    """parse(contents) of a text file; a bad byte or a parse error names the file."""
+    """parse(contents) of a text file; a bad byte, a parse error or nesting
+    too deep to parse names the file."""
     try:
         with open(path, "r", encoding=encoding) as f:
             return parse(f.read())
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise ValueError(f"{path}: {e}") from None
 
 
@@ -108,8 +109,8 @@ def load_views(manifest_path) -> List[CameraView]:
     """Read a view manifest and its per-pixel logit tensors."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     manifest = read_text(manifest_path, "ascii")
-    if not isinstance(manifest, list):
-        raise ValueError(f"{manifest_path}: manifest must be a JSON array")
+    if not isinstance(manifest, list) or not manifest:
+        raise ValueError(f"{manifest_path}: manifest must be a non-empty JSON array")
     views = []
     for i, entry in enumerate(manifest):
         if not isinstance(entry, dict):

@@ -33,6 +33,32 @@ def shuffled_lattice(rng: np.random.Generator, side: int, duplicates: int) -> np
     return pos[rng.permutation(len(pos))]
 
 
+def brute_force_knn(positions, query, k):
+    """Independent oracle: full distance sort with (distance, index) ties."""
+    d2 = ((positions - query) ** 2).sum(axis=1)
+    order = np.lexsort((np.arange(len(positions)), d2))
+    return order[:k]
+
+
+def assert_knn_rows(positions, idx, dist):
+    """Each point's row of a k-NN answer over its own cloud against
+    brute_force_knn: the same distances, and the same indices in every row
+    where no other point ties with the row's k-th distance."""
+    k = idx.shape[1]
+    for row, point in enumerate(positions):
+        want = brute_force_knn(positions, point, k + 1)
+        want_d = np.sqrt(((positions[want] - point) ** 2).sum(axis=1))
+        assert np.allclose(dist[row], want_d[:k], rtol=0.0, atol=1e-12)
+        if len(want) == k or want_d[k] != want_d[k - 1]:
+            assert idx[row].tolist() == want[:k].tolist()
+
+
+# (cloud points, index points, shift of the index's points): an index
+# built over a subset of the cloud, over a superset, and over the same
+# number of points moved elsewhere.
+MISMATCHED_INDEX = [(400, 300, 0.0), (300, 400, 0.0), (400, 400, 0.5)]
+
+
 def record_queries(monkeypatch, *modules, workers=None) -> list:
     """Swap each module's cKDTree for a subclass that logs the keywords of
     every query, plus "rows" (query count) and "points" (tree size), into

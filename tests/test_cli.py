@@ -571,6 +571,27 @@ class TestDamagedInputs:
         assert ("manifest.json: view 3: pixel_logits at row 0, col 0 are not finite"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("field, value", [
+        ("intrinsics", float("nan")),
+        ("rotation", float("nan")),
+        ("translation", float("inf")),
+    ])
+    def test_non_finite_view_pose_names_the_view(self, fixture_dir, tmp_path, capsys,
+                                                 field, value):
+        views = tmp_path / "views"
+        shutil.copytree(fixture_dir / "views", views)
+        manifest = views / "manifest.json"
+        entries = json.loads(manifest.read_text())
+        array = entries[2][field]  # its first entry, or first row's first entry
+        (array[0] if isinstance(array[0], list) else array)[0] = value
+        manifest.write_text(json.dumps(entries))
+        assert run(["pseudo", "--cloud", fixture_dir / "cloud.ply",
+                    "--classes", fixture_dir / "classes.json",
+                    "--views", manifest, "--out", tmp_path / "o"]) == 2
+        assert (f"error: {manifest}: view 2: {field} is not finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_int64_overflowing_partition_entry(self, fixture_dir, labeled_dir,
                                                tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -654,6 +675,8 @@ class TestDamagedInputs:
         ("mask", b'["\xff"]'),
         ("views", b'[{"width": }]'),
         ("views", b'[\xff]'),
+        ("views", b'[]'),
+        pytest.param("classes", b"[" * 100_000, id="classes-nested-100000-deep"),
         ("partition", b'{"n": 1,'),
         ("partition", b'{"n": \xff}'),
         ("config", b'{"top_v": 30'),

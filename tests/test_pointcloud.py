@@ -6,14 +6,13 @@ from scipy.spatial import cKDTree
 
 from pclabel import PointCloud, SpatialIndex, build_index, estimate_normals
 
-from conftest import make_cloud, shuffled_lattice
-
-
-def brute_force_knn(positions, query, k):
-    """Independent oracle: full distance sort with (distance, index) ties."""
-    d2 = ((positions - query) ** 2).sum(axis=1)
-    order = np.lexsort((np.arange(len(positions)), d2))
-    return order[:k]
+from conftest import (
+    MISMATCHED_INDEX,
+    assert_knn_rows,
+    brute_force_knn,
+    make_cloud,
+    shuffled_lattice,
+)
 
 
 class TestPointCloud:
@@ -37,68 +36,51 @@ class TestPointCloud:
 
 class TestSpatialIndex:
     def test_collinear_endpoint(self):
-        # 3-point collinear cloud, k=2, query at an endpoint.
+        # 3-point collinear cloud, k=2: each endpoint's row holds no tie.
         pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        idx, dist = SpatialIndex(pos).k_nearest_batch(np.zeros((1, 3)), 2)
-        assert idx.tolist() == [[0, 1]]
-        assert idx[0].tolist() == brute_force_knn(pos, np.zeros(3), 2).tolist()
-        assert np.allclose(dist, [[0.0, 1.0]])
+        idx, dist = SpatialIndex(pos).neighbors(pos, 2)
+        assert idx[[0, 2]].tolist() == [[0, 1], [2, 1]]
+        assert idx[0].tolist() == brute_force_knn(pos, pos[0], 2).tolist()
+        assert np.allclose(dist[[0, 2]], [[0.0, 1.0], [0.0, 1.0]])
 
     def test_k_equals_n_is_permutation(self, rng):
         cloud = make_cloud(rng, 40)
-        query = rng.random((1, 3))
-        idx, _ = build_index(cloud).k_nearest_batch(query, 40)
-        assert sorted(idx[0].tolist()) == list(range(40))
-        assert idx[0].tolist() == brute_force_knn(cloud.positions, query[0], 40).tolist()
+        idx, dist = build_index(cloud).neighbors(cloud.positions, 40)
+        assert all(sorted(row) == list(range(40)) for row in idx.tolist())
+        assert_knn_rows(cloud.positions, idx, dist)
 
     def test_k_zero_empty(self, rng):
         cloud = make_cloud(rng, 5)
-        idx, dist = build_index(cloud).k_nearest_batch(np.zeros((1, 3)), 0)
-        assert idx.shape == (1, 0) and dist.shape == (1, 0)
+        idx, dist = build_index(cloud).neighbors(cloud.positions, 0)
+        assert idx.shape == (5, 0) and dist.shape == (5, 0)
 
     def test_matches_brute_force(self, rng):
         # Randomized oracle check over full distance sorts.
         for _ in range(100):
             n = int(rng.integers(1, 500))
             pos = rng.random((n, 3)) * 10
-            index = SpatialIndex(pos)
-            query = rng.random(3) * 10
             k = int(rng.integers(1, n + 1))
-            got, dist = index.k_nearest_batch(query[None], k)
-            expected = brute_force_knn(pos, query, k)
-            assert got[0].tolist() == expected.tolist()
-            assert np.all(np.diff(dist[0]) >= 0)
-
-    def test_batch_matches_single(self, rng):
-        # A many-row query answers each row as a one-row query does.
-        pos = rng.random((200, 3))
-        index = SpatialIndex(pos)
-        queries = rng.random((20, 3))
-        bidx, bdist = index.k_nearest_batch(queries, 5)
-        for row, q in enumerate(queries):
-            sidx, sdist = index.k_nearest_batch(q[None], 5)
-            assert bidx[row].tolist() == sidx[0].tolist()
-            assert bidx[row].tolist() == brute_force_knn(pos, q, 5).tolist()
-            assert np.array_equal(bdist[row], sdist[0])
+            got, dist = SpatialIndex(pos).neighbors(pos, k)
+            for row in rng.integers(0, n, 5):
+                assert got[row].tolist() == brute_force_knn(pos, pos[row], k).tolist()
+            assert np.all(np.diff(dist, axis=1) >= 0)
 
     def test_batch_matches_full_lexsort_on_lattice(self, rng):
         # A shuffled integer lattice has exact distance ties in most rows,
-        # which cKDTree returns in no particular index order; off-lattice
-        # queries give rows without ties.
+        # which cKDTree returns in no particular index order.
         g = np.arange(5, dtype=np.float64)
         pos = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
         pos = pos[rng.permutation(len(pos))]
-        queries = np.vstack([pos, pos[:40] + 0.5, rng.random((40, 3)) * 4])
         index = SpatialIndex(pos)
         reordered = 0
         for k in (1, 2, 7, 16, 27):
-            d, i = cKDTree(pos).query(queries, k=k)
-            d = d.reshape(len(queries), k)
-            i = i.reshape(len(queries), k).astype(np.int64)
+            d, i = cKDTree(pos).query(pos, k=k)
+            d = d.reshape(len(pos), k)
+            i = i.reshape(len(pos), k).astype(np.int64)
             order = np.lexsort((i, d), axis=-1)
             want_i = np.take_along_axis(i, order, axis=1)
             want_d = np.take_along_axis(d, order, axis=1)
-            got_i, got_d = index.k_nearest_batch(queries, k)
+            got_i, got_d = index.neighbors(pos, k)
             assert np.array_equal(got_i, want_i)
             assert np.array_equal(got_d, want_d)
             reordered += int((want_i != i).any(axis=1).sum())
@@ -120,14 +102,12 @@ class TestSharedQuery:
             pos = shuffled_lattice(np.random.default_rng(seed), side, duplicates)
             k1, k2 = ks
             index = SpatialIndex(pos)
-            i1, d1 = index.k_nearest_batch(pos, k1)
-            got_i, got_d = index.k_nearest_batch(pos.copy(), k2)
-            want_i, want_d = SpatialIndex(pos).k_nearest_batch(pos, k2)
+            i1, d1 = index.neighbors(pos, k1)
+            # An equal copy of the points is the same cloud.
+            got_i, got_d = index.neighbors(pos.copy(), k2)
+            want_i, want_d = SpatialIndex(pos).neighbors(pos, k2)
             assert np.array_equal(got_i, want_i) and np.array_equal(got_d, want_d)
-            # Other queries of the same shape are not read from the cache.
-            got_i, got_d = index.k_nearest_batch(pos[::-1], k2)
-            assert np.array_equal(got_i, want_i[::-1]) and np.array_equal(got_d, want_d[::-1])
-            assert np.array_equal(index.k_nearest_batch(pos, k1)[0], i1)
+            assert np.array_equal(index.neighbors(pos, k1)[0], i1)
             k1, k2 = min(k1, len(pos)), min(k2, len(pos))
             if k2 < k1:
                 requeried.append(int((d1[:, k2 - 1] == d1[:, k2]).sum()))
@@ -139,17 +119,17 @@ class TestSharedQuery:
         pos = shuffled_lattice(rng, 4, 6)
         index = SpatialIndex(pos)
         for k in (3, 9, 5, 20, 20, 1):
-            got_i, got_d = index.k_nearest_batch(pos, k)
-            want_i, want_d = SpatialIndex(pos).k_nearest_batch(pos, k)
+            got_i, got_d = index.neighbors(pos, k)
+            want_i, want_d = SpatialIndex(pos).neighbors(pos, k)
             assert np.array_equal(got_i, want_i) and np.array_equal(got_d, want_d)
 
     def test_answers_are_copies(self, rng):
         pos = shuffled_lattice(rng, 3, 2)
         index = SpatialIndex(pos)
-        want = index.k_nearest_batch(pos, 6)[0].copy()
-        index.k_nearest_batch(pos, 6)[0][:] = -1
-        index.k_nearest_batch(pos, 4)[0][:] = -1
-        assert np.array_equal(index.k_nearest_batch(pos, 6)[0], want)
+        want = index.neighbors(pos, 6)[0].copy()
+        index.neighbors(pos, 6)[0][:] = -1
+        index.neighbors(pos, 4)[0][:] = -1
+        assert np.array_equal(index.neighbors(pos, 6)[0], want)
 
 
 class TestEstimateNormals:
@@ -215,6 +195,15 @@ class TestEstimateNormals:
             estimate_normals(cloud, index, 2)
         with pytest.raises(ValueError):
             estimate_normals(cloud, index, 11)
+
+    @pytest.mark.parametrize("cloud_n, index_n, shift", MISMATCHED_INDEX)
+    def test_index_over_other_points_refused(self, rng, cloud_n, index_n, shift):
+        full = make_cloud(rng, 400)
+        cloud = PointCloud(full.positions[:cloud_n], full.colors[:cloud_n])
+        index = SpatialIndex(full.positions[:index_n] + shift)
+        with pytest.raises(ValueError, match=f"built over {index_n} points, "
+                                             f"not over this cloud of {cloud_n} points"):
+            estimate_normals(cloud, index, 16)
 
     def test_degenerate_line_is_deterministic(self):
         # Collinear points: two smallest eigenvalues tie; the tie rule picks

@@ -23,7 +23,7 @@ from pclabel import (
 )
 from pclabel import pointcloud, stlp, synth
 
-from conftest import record_queries, shuffled_lattice
+from conftest import assert_knn_rows, record_queries, shuffled_lattice
 
 
 def lattice_cloud(seed):
@@ -37,9 +37,10 @@ def lattice_cloud(seed):
 def run_sites(cloud, labels):
     """The outputs of the three query sites on one cloud."""
     index = SpatialIndex(cloud.positions)
-    out = [*index.k_nearest_batch(cloud.positions, 16),
-           *index.k_nearest_batch(cloud.positions, 11),
-           *index.k_nearest_batch(cloud.positions + 0.5, 9)]
+    out = [*index.neighbors(cloud.positions, 16),
+           *index.neighbors(cloud.positions, 11),
+           # A fresh index: k=9 is queried, not read from a cached answer.
+           *SpatialIndex(cloud.positions).neighbors(cloud.positions, 9)]
     pred, conf = KnnClassifier(StlpConfig(knn_k=9)).fit(cloud, labels).predict(cloud)
     out += [pred.values, conf]
     out.append(corrupt_logits(labels, cloud, LogitNoiseSpec(boundary_blur=1.0, seed=4)))
@@ -58,6 +59,8 @@ def test_threaded_matches_serial(seed, monkeypatch):
     assert len(serial_calls) == len(threaded_calls)
     for got, want in zip(threaded, serial):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    for i, d in zip(threaded[0:6:2], threaded[1:6:2]):
+        assert_knn_rows(cloud.positions, i, d)
 
 
 def test_concurrent_callers_of_one_fresh_index(monkeypatch):
@@ -67,7 +70,7 @@ def test_concurrent_callers_of_one_fresh_index(monkeypatch):
     cloud, _ = lattice_cloud(7)
     pos = cloud.positions
     ks = (16, 11, 4, 16, 27)
-    want = {k: SpatialIndex(pos).k_nearest_batch(pos, k) for k in ks}
+    want = {k: SpatialIndex(pos).neighbors(pos, k) for k in ks}
     record_queries(monkeypatch, pointcloud, workers=2)
     callers = min(os.cpu_count() or 1, 8) + 2
     index = SpatialIndex(pos)
@@ -79,7 +82,7 @@ def test_concurrent_callers_of_one_fresh_index(monkeypatch):
 
     def ask(slot):
         start.wait(timeout=60)
-        results[slot] = [index.k_nearest_batch(pos, k) for k in order(slot)]
+        results[slot] = [index.neighbors(pos, k) for k in order(slot)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
