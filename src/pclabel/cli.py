@@ -2,12 +2,13 @@
 
 Commands read a JSON config file (--config) and/or flags; a flag wins over
 the config file, which wins over the parameter's default. Relative paths in
-a config file resolve against the file's directory. --seed selects the
-scene of synth and sweep; pseudo, refine, stlp and infer ignore it, and
-eval does not take it. stlp reads one --top-v/--alpha pair in the initial
-refinement and in every self-training round. sweep's grid values share
-one scan and re-run only refinement and self-training. Exit codes: 0
-success, 1 usage error, 2 data error. With --json the only stdout output
+a config file resolve against the file's directory, and a key that no
+command reads is a data error. --seed selects the scene of synth and sweep;
+pseudo, refine, stlp and infer ignore it, and eval does not take it. stlp
+reads one --top-v/--alpha pair in the initial refinement and in every
+self-training round. sweep's grid values share one scan and re-run only
+refinement and self-training. Exit codes: 0 success, 1 usage error, 2 data
+error. With --json the only stdout output
 is machine-readable JSON; informational messages always go to stderr.
 """
 
@@ -68,6 +69,8 @@ def _load_config(path: Optional[str]) -> dict:
         raise ValueError(f"{path}: config must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
     for key, value in list(config.items()):
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}: config key {key!r} is not read by any command")
         if key in _PATH_KEYS and isinstance(value, str):
             config[key] = os.path.join(base, value)
     return config
@@ -76,6 +79,10 @@ def _load_config(path: Optional[str]) -> dict:
 _PATH_KEYS = {
     "cloud", "logits", "views", "mask", "classes", "partition", "gt",
     "labels", "confidence", "pred",
+}
+# Every key some command reads through _setting or _params.
+_CONFIG_KEYS = _PATH_KEYS | {"occlusion_tolerance", "seed"} | {
+    f.name for cls in (SuperpointParams, RefineParams, StlpConfig) for f in fields(cls)
 }
 
 
@@ -135,11 +142,10 @@ def _load_mask(args, config, class_names):
 
 def _load_labels(args, config, key, class_names, count) -> LabelField:
     """A label listing that must cover `count` points."""
-    labels = tensorio.load_labels_text(
-        _setting(args, config, key, required=True), len(class_names)
-    )
+    path = _setting(args, config, key, required=True)
+    labels = tensorio.load_labels_text(path, len(class_names))
     if len(labels) != count:
-        raise ValueError(f"{len(labels)} labels for {count} points")
+        raise ValueError(f"{path}: {len(labels)} labels for {count} points")
     return labels
 
 
@@ -163,7 +169,7 @@ def _partition_for(args, config, cloud):
     partition = load_partition_json(part_path)
     if len(partition) != cloud.count:
         raise ValueError(
-            f"partition covers {len(partition)} points, cloud has {cloud.count}"
+            f"{part_path}: partition covers {len(partition)} points, cloud has {cloud.count}"
         )
     return partition
 
@@ -177,13 +183,11 @@ def _pseudo_labels(args, config, cloud, class_names, mask):
     if logits_path is not None:
         logits = tensorio.load_tensor(logits_path)
         if logits.shape[0] != cloud.count:
-            raise ValueError(
-                f"logits cover {logits.shape[0]} points, cloud has {cloud.count}"
-            )
+            raise ValueError(f"{logits_path}: logits cover {logits.shape[0]} points, "
+                             f"cloud has {cloud.count}")
         if logits.shape[1] != len(class_names):
-            raise ValueError(
-                f"logits have {logits.shape[1]} classes, class list has {len(class_names)}"
-            )
+            raise ValueError(f"{logits_path}: logits have {logits.shape[1]} classes, "
+                             f"class list has {len(class_names)}")
         labels, confidence = pseudo_labels_from_logits(logits, mask)
         return labels, confidence, None
     views = tensorio.load_views(views_path)
@@ -234,9 +238,11 @@ def cmd_pseudo(args, config) -> int:
 def cmd_refine(args, config) -> int:
     cloud, class_names = _load_cloud_and_classes(args, config)
     labels = _load_labels(args, config, "labels", class_names, cloud.count)
-    confidence = tensorio.load_confidence(
-        _setting(args, config, "confidence", required=True)
-    )
+    confidence_path = _setting(args, config, "confidence", required=True)
+    confidence = tensorio.load_confidence(confidence_path)
+    if confidence.shape != (cloud.count,):
+        raise ValueError(f"{confidence_path}: confidence of {confidence.shape} "
+                         f"does not match {cloud.count} labels")
     params = _params(RefineParams, args, config)
     partition = _partition_for(args, config, cloud)
     refined = refine_pipeline(labels, confidence, partition, params)

@@ -253,16 +253,14 @@ def _load(path) -> Tuple[PointCloud, Optional[np.ndarray]]:
             positions = np.stack(
                 [rows["x"].astype(np.float64), rows["y"].astype(np.float64),
                  rows["z"].astype(np.float64)], axis=1,
-            ) if vertex_count else np.empty((0, 3))
-            colors = np.stack(
-                [rows["red"], rows["green"], rows["blue"]], axis=1
-            ) if vertex_count else np.empty((0, 3), dtype=np.uint8)
+            )
+            colors = np.stack([rows["red"], rows["green"], rows["blue"]], axis=1)
             cloud = PointCloud(positions, colors)
         except ValueError as e:  # PlyError, or a PointCloud check
             raise PlyError(f"{path}: {e}") from None
     labels = None
     if any(name == "label" for name, _ in props):
-        raw = rows["label"].astype(np.int64) if vertex_count else np.empty(0, np.int64)
+        raw = rows["label"].astype(np.int64)
         labels = np.where(raw == LABEL_SENTINEL_U16, UNLABELED, raw)
     return cloud, labels
 

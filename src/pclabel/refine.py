@@ -75,8 +75,6 @@ def galr(labels: LabelField, partition: SuperpointPartition, alpha: float) -> La
         )
     require("alpha", alpha, 0, 1)
     u = partition.segment_count
-    if u == 0:
-        return labels.with_values(labels.values.copy())
     c = labels.num_classes
     labeled = labels.labeled_mask
     counts = np.zeros((u, c), dtype=np.int64)

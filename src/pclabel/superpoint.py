@@ -175,6 +175,7 @@ def oversegment(
         raise ValueError(f"normals of {normals.shape} do not match cloud of {n}")
     require("angle_threshold", angle_threshold, 0, 180, open_low=True)
     require("adjacency_k", adjacency_k, 1, integer=True)
+    require("min_size", min_size, 1, integer=True)
     if n == 0:
         return SuperpointPartition(np.empty(0, dtype=np.int64))
     if n == 1:

@@ -5,8 +5,9 @@ sampled at a target density with Gaussian jitter; ground truth and analytic
 normals come straight from the generating surfaces. corrupt_logits fabricates
 per-point class scores whose confidence correlates with correctness and which
 blur across class boundaries, so refinement and self-training have realistic
-work to do. render_views turns per-point payloads into posed per-pixel maps
-for the back-projection path.
+work to do; a point's nearest point of another class comes from one k-d tree
+per class, built over that class's own points. render_views turns per-point
+payloads into posed per-pixel maps for the back-projection path.
 
 All randomness flows from one seeded generator per operation; the draw order
 is fixed by the implementation, so equal specs give bit-identical outputs.
@@ -233,56 +234,40 @@ def generate_scene(spec: SceneSpec):
     )
 
 
-# Cells per axis are capped so that a cell key fits in an int64.
-_MAX_CELLS_PER_AXIS = 1 << 20
-
-
 def _nearest_other_class(positions: np.ndarray, gt: LabelField, reach: float):
     """Distance to, and class of, each labeled point's nearest labeled point
     of another class that lies closer than `reach`; inf and 0 where none does.
 
-    Each class queries a tree over only the other-class points in the 27
-    grid cells around its own points. Cells are at least 2 x reach on a
-    side, so those cells hold every point within reach. Where the two
-    nearest candidates tie, the row is answered by a tree over all
-    other-class points, since that tree decides which tied point is picked.
+    Each class present gets one tree over its own points, queried by the
+    labeled other-class points in the class's bounding box grown by `reach`,
+    which holds every point within reach. A point's nearest other class is
+    the one at the least distance. Where classes tie there, a tree over all
+    of the row's other-class points answers, since it decides which tied
+    point is picked.
     """
-    n = positions.shape[0]
-    other_dist = np.full(n, np.inf)
-    other_class = np.zeros(n, dtype=np.int64)
-    lo = positions.min(axis=0)
-    span = float((positions.max(axis=0) - lo).max())
-    side = max(2.0 * reach, span / _MAX_CELLS_PER_AXIS)
-    cell = np.floor((positions - lo) / side).astype(np.int64)
-    dims = cell.max(axis=0) + 1
-    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
-    # Key plus offset names each neighbor cell. Past the grid's edge it may
-    # name a cell on the far side instead, which only adds candidates.
-    step = np.arange(-1, 2)
-    offsets = ((step[:, None, None] * dims[1] + step[:, None]) * dims[2] + step).ravel()
-
     labeled = gt.labeled_mask
-    for cls in np.flatnonzero(np.bincount(gt.values[labeled], minlength=gt.num_classes)):
-        mine = np.flatnonzero(gt.values == cls)
+    classes = np.flatnonzero(np.bincount(gt.values[labeled], minlength=gt.num_classes))
+    dist = np.full((classes.size, positions.shape[0]), np.inf)
+    for row, cls in zip(dist, classes):
+        own = positions[gt.values == cls]
+        near = labeled & (gt.values != cls)
+        for axis, lo, hi in zip(positions.T, own.min(axis=0), own.max(axis=0)):
+            # Even rounded, this gap never exceeds the query's distance to any class point.
+            near &= np.maximum(lo - axis, axis - hi) <= reach
+        row[near] = cKDTree(own).query(
+            positions[near], k=1, distance_upper_bound=reach, workers=-1
+        )[0]
+    other_dist = dist.min(axis=0)
+    hit = other_dist < np.inf
+    other_class = np.where(hit, classes[dist.argmin(axis=0)], 0)
+    tie = np.flatnonzero(hit & ((dist == other_dist).sum(axis=0) > 1))
+    for cls in np.unique(gt.values[tie]):
+        rows = tie[gt.values[tie] == cls]
         others = np.flatnonzero(labeled & (gt.values != cls))
-        near = np.unique(key[mine])[:, None] + offsets
-        cand = others[np.isin(key[others], near)]
-        if cand.size == 0:
-            continue
-        d, j = cKDTree(positions[cand]).query(
-            positions[mine], k=2, distance_upper_bound=reach, workers=-1
-        )
-        hit = j[:, 0] < cand.size
-        dist = d[hit, 0]
-        pick = cand[j[hit, 0]]
-        tie = np.flatnonzero(dist == d[hit, 1])
-        if tie.size:
-            dist[tie], jt = cKDTree(positions[others]).query(
-                positions[mine[hit][tie]], k=1, distance_upper_bound=reach, workers=-1
-            )
-            pick[tie] = others[jt]
-        other_dist[mine[hit]] = dist
-        other_class[mine[hit]] = gt.values[pick]
+        j = cKDTree(positions[others]).query(
+            positions[rows], k=1, distance_upper_bound=reach, workers=-1
+        )[1]
+        other_class[rows] = gt.values[others[j]]
     return other_dist, other_class
 
 

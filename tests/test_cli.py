@@ -6,9 +6,10 @@ import re
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
-from pclabel import StlpConfig
+from pclabel import StlpConfig, cli, tensorio
 from pclabel.cli import _params, build_parser, main
 
 
@@ -433,6 +434,53 @@ class TestConfigFile:
         assert run([command, "--config", config, "--out", tmp_path / "o"]) == 2
         assert f"{key!r}: cannot read {value!r} as {kind}" in capsys.readouterr().err
 
+    def test_unread_key_is_named_data_error(self, fixture_dir, labeled_dir, tmp_path, capsys):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({
+            "cloud": str(fixture_dir / "cloud.ply"),
+            "classes": str(fixture_dir / "classes.json"),
+            "labels": str(labeled_dir / "labels.txt"),
+            "confidence": str(labeled_dir / "confidence.lf01"),
+            "partition": str(labeled_dir / "partition.json"),
+            "top_V": 1,
+        }))
+        assert run(["refine", "--config", config, "--out", tmp_path / "r"]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {config}: config key 'top_V' is not read by any command\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_every_read_key_is_accepted(self, fixture_dir, labeled_dir, tmp_path, monkeypatch):
+        # Run every command, recording each key it looks up; a config holding
+        # all of them loads, and no accepted key goes unread.
+        read = set()
+        lookup = cli._setting
+
+        def recording(args, config, key, *rest, **kwargs):
+            read.add(key)
+            return lookup(args, config, key, *rest, **kwargs)
+
+        monkeypatch.setattr(cli, "_setting", recording)
+        scan = ["--cloud", fixture_dir / "cloud.ply",
+                "--classes", fixture_dir / "classes.json"]
+        part = ["--partition", labeled_dir / "partition.json"]
+        labels = ["--labels", labeled_dir / "labels.txt"]
+        out = tmp_path / "o"
+        assert run(["synth", "--out", out]) == 0
+        assert run(["pseudo", *scan, "--views", out / "views" / "manifest.json",
+                    "--out", out]) == 0
+        assert run(["refine", *scan, *labels, "--confidence", labeled_dir / "confidence.lf01",
+                    "--out", out]) == 0
+        assert run(["stlp", *scan, *part, "--logits", out / "logits.lf01",
+                    "--gt", out / "gt.ply", "--rounds", 0, "--out", out]) == 0
+        assert run(["infer", *scan, *part, *labels, "--out", out]) == 0
+        assert run(["eval", "--classes", fixture_dir / "classes.json",
+                    "--gt", fixture_dir / "gt.ply", "--pred", out / "pred_labels.txt"]) == 0
+        assert run(["sweep", "--param", "V", "--grid", "x"]) == 1
+        config = tmp_path / "all.json"
+        config.write_text(json.dumps({key: "x" for key in read}))
+        cli._load_config(str(config))
+        assert read == cli._CONFIG_KEYS
+
 
 class TestCommandSurface:
     # Each command accepts exactly the options it reads, plus --partition on
@@ -591,6 +639,36 @@ class TestDamagedInputs:
         assert (f"error: {manifest}: view 2: {field} is not finite"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, short", [
+        ("refine", "confidence"), ("infer", "labels"),
+        ("refine", "partition"), ("pseudo", "logits"),
+    ])
+    def test_count_mismatch_names_the_file(self, fixture_dir, labeled_dir, tmp_path,
+                                           capsys, command, short):
+        inputs = {
+            "cloud": fixture_dir / "cloud.ply",
+            "classes": fixture_dir / "classes.json",
+            "labels": labeled_dir / "labels.txt",
+            "confidence": labeled_dir / "confidence.lf01",
+            "partition": labeled_dir / "partition.json",
+            "logits": fixture_dir / "logits.lf01",
+        }
+        path = inputs[short] = tmp_path / inputs[short].name
+        if short == "confidence":
+            tensorio.save_confidence(path, np.full(5, 0.5))
+        elif short == "labels":
+            path.write_text("0\n" * 5)
+        elif short == "partition":
+            path.write_text('{"n": 3, "u": 1, "assignment": [0, 0, 0]}')
+        else:
+            tensorio.save_tensor(path, np.zeros((5, 8)))
+        reads = {"pseudo": ("cloud", "classes", "logits"),
+                 "refine": ("cloud", "classes", "labels", "confidence", "partition"),
+                 "infer": ("cloud", "classes", "labels", "partition")}[command]
+        flags = [a for key in reads for a in (f"--{key}", inputs[key])]
+        assert run([command, *flags, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_int64_overflowing_partition_entry(self, fixture_dir, labeled_dir,
                                                tmp_path, capsys):

@@ -193,6 +193,19 @@ class TestRoundTrip:
         save_ply(cloud, tmp_path / "e.ply")
         assert load_ply(tmp_path / "e.ply").count == 0
 
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_empty_body_gives_typed_empty_arrays(self, tmp_path, binary):
+        path = tmp_path / "e.ply"
+        if binary:
+            save_ply(make_cloud(np.random.default_rng(0), 0), path, labels=unlabeled(0, 3))
+        else:
+            path.write_text(ASCII_HEADER.format(n=0).replace(
+                "end_header", "property ushort label\nend_header"))
+        cloud, labels = load_labeled_ply(path)
+        assert (cloud.positions.shape, cloud.positions.dtype) == ((0, 3), np.float64)
+        assert (cloud.colors.shape, cloud.colors.dtype) == ((0, 3), np.uint8)
+        assert (labels.shape, labels.dtype) == ((0,), np.int64)
+
     def test_label_channel_round_trip(self, tmp_path, rng):
         cloud = make_cloud(rng, 30)
         values = rng.integers(0, 5, 30)

@@ -189,6 +189,11 @@ class TestGalr:
         out = galr(labels, partition, 0.0)
         assert out.values.tolist() == [0, UNLABELED, UNLABELED]
 
+    def test_empty_partition(self):
+        labels = LabelField(np.empty(0, dtype=np.int64), 3)
+        out = galr(labels, SuperpointPartition(np.empty(0, dtype=np.int64)), 0.5)
+        assert (out.values.shape, out.values.dtype, out.num_classes) == ((0,), np.int64, 3)
+
     def test_matches_literal_oracle(self, rng):
         # 100 seeded instances across the alpha grid, bit-equal output
         for trial in range(100):

@@ -178,6 +178,13 @@ class TestOversegment:
         with pytest.raises(ValueError):
             oversegment(cloud, normals, build_index(cloud), 181.0, 4, 1)
 
+    @pytest.mark.parametrize("min_size", [0, -3, 2.5, float("nan"), True])
+    def test_min_size_validated(self, rng, min_size):
+        cloud = make_cloud(rng, 10)
+        normals = np.tile([0.0, 0.0, 1.0], (10, 1))
+        with pytest.raises(ValueError, match="^min_size must "):
+            oversegment(cloud, normals, build_index(cloud), 10.0, 4, min_size)
+
     def test_mismatched_normals(self, rng):
         cloud = make_cloud(rng, 10)
         with pytest.raises(ValueError, match="match"):

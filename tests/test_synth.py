@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from pclabel import (
@@ -66,6 +68,23 @@ def literal_corrupt_logits(gt, cloud, spec, reach=np.inf):
     else:
         logits[labeled, gt.values[labeled]] = correct[labeled]
     return logits
+
+
+@st.composite
+def tie_prone_scenes(draw):
+    """A small cloud with repeated points and unlabeled points, 1-5 classes,
+    and a tiny, moderate or huge blur radius. Half-integer coordinates make
+    exact distance ties common."""
+    coord = st.one_of(st.integers(-6, 6).map(lambda v: v / 2), st.floats(-3, 3))
+    points = draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=30))
+    pos = np.array(points + draw(st.lists(st.sampled_from(points), max_size=10)))
+    classes = draw(st.integers(1, 5))
+    values = draw(st.lists(st.integers(-1, classes - 1),
+                           min_size=len(pos), max_size=len(pos)))
+    blur = draw(st.one_of(st.floats(1e-12, 1e-9), st.floats(0.1, 2.0),
+                          st.floats(1e3, 1e12)))
+    cloud = PointCloud(pos, np.zeros(pos.shape, dtype=np.uint8))
+    return cloud, LabelField(np.array(values), classes), blur
 
 
 class TestGenerateScene:
@@ -211,7 +230,8 @@ class TestCorruptLogits:
 
     def test_far_apart_groups_build_small_trees(self, monkeypatch):
         # Two tight two-class clusters 100 blur radii apart: each class's
-        # tree holds only the other-class points of its own cluster.
+        # tree holds only its own points, and only the other-class points
+        # of its own cluster query it.
         pos = np.array([[0.0, 0, 0], [0.05, 0, 0], [10.0, 0, 0], [10.05, 0, 0],
                         [0.0, 0.05, 0], [10.0, 0.05, 0]])
         cloud = PointCloud(pos, np.zeros(pos.shape, dtype=np.uint8))
@@ -220,7 +240,34 @@ class TestCorruptLogits:
         calls = record_queries(monkeypatch, synth)
         got = corrupt_logits(gt, cloud, spec)
         assert np.array_equal(got, literal_corrupt_logits(gt, cloud, spec))
-        assert [(c["rows"], c["points"]) for c in calls] == [(2, 1), (1, 2), (2, 1), (1, 2)]
+        assert [(c["rows"], c["points"]) for c in calls] == [(1, 2), (2, 1), (1, 2), (2, 1)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tie_between_classes_uses_the_full_tree(self, seed, monkeypatch):
+        # Point 0 lies exactly 0.05 from a class-2 and a class-1 point, so
+        # two classes tie as its nearest. Its row is answered by a tree over
+        # all its other-class points, which picks among the tied points as
+        # the oracle's does.
+        pos = np.array([[0.0, 0, 0], [0.05, 0, 0], [-0.05, 0, 0], [0.0, 0.5, 0]])
+        cloud = PointCloud(pos, np.zeros(pos.shape, dtype=np.uint8))
+        gt = LabelField(np.array([0, 2, 1, 1]), 3)
+        spec = LogitNoiseSpec(boundary_blur=0.1, confusion_temperature=0.0, seed=seed)
+        calls = record_queries(monkeypatch, synth)
+        got = corrupt_logits(gt, cloud, spec)
+        assert np.array_equal(
+            got, literal_corrupt_logits(gt, cloud, spec, np.nextafter(0.1, np.inf)))
+        assert [(c["rows"], c["points"]) for c in calls][-1] == (1, 3)
+        # That tree picks the class-2 point; the lower tied class id is 1.
+        assert np.flatnonzero(got[0]).tolist() == [0, 2]
+
+    @settings(max_examples=300)
+    @given(tie_prone_scenes(), st.integers(0, 1000))
+    def test_matches_literal_oracle(self, scene, seed):
+        cloud, gt, blur = scene
+        spec = LogitNoiseSpec(boundary_blur=blur, seed=seed)
+        assert np.array_equal(
+            corrupt_logits(gt, cloud, spec),
+            literal_corrupt_logits(gt, cloud, spec, np.nextafter(blur, np.inf)))
 
     def test_mismatched_cloud_rejected(self):
         cloud, gt, _, _ = generate_scene(SceneSpec(seed=2))
