@@ -1,16 +1,18 @@
 """Command-line surface: synth | pseudo | refine | stlp | infer | eval | sweep.
 
-Commands read a JSON config file (--config) and/or flags; a flag wins over
-the config file, which wins over the parameter's default. Relative paths in
-a config file resolve against the file's directory, and a key that no
-command reads is a data error. --seed selects the scene of synth and sweep;
+Each setting is declared once, in _SETTINGS, with the type its value is
+read as. It is a flag (--top-v) on the commands that read it and a key
+(top_v) of the JSON config file given by --config; a flag wins over the
+config file, which wins over the parameter's default. A str setting is a
+path and must be a JSON string in the config file, where a relative path
+resolves against the file's directory; a key that no command reads is a
+data error. --seed selects the scene of synth and sweep;
 pseudo, refine, stlp and infer ignore it, and eval does not take it. stlp
 reads one --top-v/--alpha pair in the initial refinement and in every
 self-training round. sweep's grid values share one scan and re-run only
 refinement and self-training. Exit codes: 0 success, 1 usage error, 2 data
 error. With --json the only stdout output
-is machine-readable JSON; informational messages always go to stderr.
-"""
+is machine-readable JSON; informational messages always go to stderr."""
 
 from __future__ import annotations
 
@@ -69,39 +71,60 @@ def _load_config(path: Optional[str]) -> dict:
         raise ValueError(f"{path}: config must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
     for key, value in list(config.items()):
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}: config key {key!r} is not read by any command")
-        if key in _PATH_KEYS and isinstance(value, str):
+        if _SETTINGS[key] is str and isinstance(value, str):
             config[key] = os.path.join(base, value)
     return config
 
 
-_PATH_KEYS = {
-    "cloud", "logits", "views", "mask", "classes", "partition", "gt",
-    "labels", "confidence", "pred",
+# Every setting some command reads, with the type its value is read as; a
+# str setting is a path. Each is a config key and, on the commands that
+# read it, a flag: --top-v for top_v.
+_SETTINGS = {
+    **dict.fromkeys(("cloud", "logits", "views", "mask", "classes", "partition", "gt",
+                     "labels", "confidence", "pred"), str),
+    "occlusion_tolerance": float,
+    "seed": int,
+    **{f.name: type(f.default)
+       for cls in (SuperpointParams, RefineParams, StlpConfig) for f in fields(cls)},
 }
-# Every key some command reads through _setting or _params.
-_CONFIG_KEYS = _PATH_KEYS | {"occlusion_tolerance", "seed"} | {
-    f.name for cls in (SuperpointParams, RefineParams, StlpConfig) for f in fields(cls)
+_HELP = {
+    "cloud": "input cloud (PLY)",
+    "classes": "class list JSON",
+    "partition": "precomputed partition JSON",
+    "mask": "scene mask JSON (class names present)",
+    "logits": "point logits (LF01)",
+    "views": "view manifest JSON",
+    "labels": "label listing (text)",
+    "confidence": "confidence tensor (LF01, one column)",
+    "gt": "ground truth (label PLY or text listing)",
+    "pred": "predicted label listing (text)",
+    "seed": "scene seed (synth, sweep)",
+    "top_v": "CALR percentage kept per class",
+    "alpha": "GALR overlap threshold",
+    "angle_threshold": "over-segmentation angle in degrees",
+    "rounds": "self-training rounds",
 }
 
 
-def _setting(args, config: dict, key: str, kind=str, required: bool = False):
-    """Flag, then config file, coerced to `kind`; None when neither sets the key.
+def _setting(args, key: str, required: bool = False):
+    """The flag or config value of a setting, read as its type in _SETTINGS;
+    None when neither sets it.
 
-    A value that does not coerce is a data error naming the key; so are a
-    JSON boolean for a number and a fraction for an int (`int()` would
-    truncate it).
+    A value that does not read is a data error naming the key; so are a
+    path that is not a string, a JSON boolean for a number and a fraction
+    for an int (`int()` would truncate it).
     """
     value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key)
     if value is None:
         if required:
             raise UsageError(f"missing required input --{key.replace('_', '-')}")
         return None
+    kind = _SETTINGS[key]
     try:
-        if (isinstance(value, bool) and kind is not str
+        if (not isinstance(value, str) if kind is str
+                else isinstance(value, bool)
                 or kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return kind(value)
@@ -111,38 +134,28 @@ def _setting(args, config: dict, key: str, kind=str, required: bool = False):
         ) from None
 
 
-def _params(cls, args, config: dict):
-    """A parameter dataclass filled from flags, then config, then its defaults.
-
-    Each value set by a flag or the config file is coerced to the type of
-    the field's default.
-    """
-    values = {}
-    for f in fields(cls):
-        value = _setting(args, config, f.name, kind=type(f.default))
-        if value is not None:
-            values[f.name] = value
-    return cls(**values)
+def _params(cls, args):
+    """A parameter dataclass from the settings given, then its defaults."""
+    values = {f.name: _setting(args, f.name) for f in fields(cls)}
+    return cls(**{name: value for name, value in values.items() if value is not None})
 
 
-def _load_cloud_and_classes(args, config):
-    cloud_path = _setting(args, config, "cloud", required=True)
-    classes_path = _setting(args, config, "classes", required=True)
-    cloud = load_ply(cloud_path)
-    class_names = tensorio.load_class_names(classes_path)
-    return cloud, class_names
+def _load_cloud_and_classes(args):
+    cloud_path = _setting(args, "cloud", required=True)
+    classes_path = _setting(args, "classes", required=True)
+    return load_ply(cloud_path), tensorio.load_class_names(classes_path)
 
 
-def _load_mask(args, config, class_names):
-    mask_path = _setting(args, config, "mask")
+def _load_mask(args, class_names):
+    mask_path = _setting(args, "mask")
     if mask_path is None:
         return np.ones(len(class_names), dtype=bool)
     return tensorio.load_scene_mask(mask_path, class_names)
 
 
-def _load_labels(args, config, key, class_names, count) -> LabelField:
+def _load_labels(args, key, class_names, count) -> LabelField:
     """A label listing that must cover `count` points."""
-    path = _setting(args, config, key, required=True)
+    path = _setting(args, key, required=True)
     labels = tensorio.load_labels_text(path, len(class_names))
     if len(labels) != count:
         raise ValueError(f"{path}: {len(labels)} labels for {count} points")
@@ -162,10 +175,10 @@ def _load_gt(path, class_names) -> LabelField:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _partition_for(args, config, cloud):
-    part_path = _setting(args, config, "partition")
+def _partition_for(args, cloud):
+    part_path = _setting(args, "partition")
     if part_path is None:
-        return partition_cloud(cloud, _params(SuperpointParams, args, config))
+        return partition_cloud(cloud, _params(SuperpointParams, args))
     partition = load_partition_json(part_path)
     if len(partition) != cloud.count:
         raise ValueError(
@@ -174,10 +187,10 @@ def _partition_for(args, config, cloud):
     return partition
 
 
-def _pseudo_labels(args, config, cloud, class_names, mask):
+def _pseudo_labels(args, cloud, class_names, mask):
     """Initial labels from a point-logit tensor or a view manifest."""
-    logits_path = _setting(args, config, "logits")
-    views_path = _setting(args, config, "views")
+    logits_path = _setting(args, "logits")
+    views_path = _setting(args, "views")
     if (logits_path is None) == (views_path is None):
         raise UsageError("exactly one of --logits / --views is required")
     if logits_path is not None:
@@ -195,13 +208,13 @@ def _pseudo_labels(args, config, cloud, class_names, mask):
     if wrong:
         raise ValueError(f"{views_path}: views have {min(wrong)} classes, "
                          f"class list has {len(class_names)}")
-    occl = _setting(args, config, "occlusion_tolerance", kind=float)
-    return pseudo_labels_from_views(cloud, views, mask, occlusion_tolerance=occl)
+    return pseudo_labels_from_views(cloud, views, mask,
+                                    occlusion_tolerance=_setting(args, "occlusion_tolerance"))
 
 
-def cmd_synth(args, config) -> int:
+def cmd_synth(args) -> int:
     preset = bench.get_benchmark(args.preset)
-    seed = _setting(args, config, "seed", kind=int) or 0
+    seed = _setting(args, "seed") or 0
     scene = preset.scene_for(seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -219,10 +232,10 @@ def cmd_synth(args, config) -> int:
     return 0
 
 
-def cmd_pseudo(args, config) -> int:
-    cloud, class_names = _load_cloud_and_classes(args, config)
-    mask = _load_mask(args, config, class_names)
-    labels, confidence, hits = _pseudo_labels(args, config, cloud, class_names, mask)
+def cmd_pseudo(args) -> int:
+    cloud, class_names = _load_cloud_and_classes(args)
+    mask = _load_mask(args, class_names)
+    labels, confidence, hits = _pseudo_labels(args, cloud, class_names, mask)
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "labels.txt"), labels)
     tensorio.save_confidence(os.path.join(args.out, "confidence.lf01"), confidence)
@@ -235,16 +248,16 @@ def cmd_pseudo(args, config) -> int:
     return 0
 
 
-def cmd_refine(args, config) -> int:
-    cloud, class_names = _load_cloud_and_classes(args, config)
-    labels = _load_labels(args, config, "labels", class_names, cloud.count)
-    confidence_path = _setting(args, config, "confidence", required=True)
+def cmd_refine(args) -> int:
+    cloud, class_names = _load_cloud_and_classes(args)
+    labels = _load_labels(args, "labels", class_names, cloud.count)
+    confidence_path = _setting(args, "confidence", required=True)
     confidence = tensorio.load_confidence(confidence_path)
     if confidence.shape != (cloud.count,):
         raise ValueError(f"{confidence_path}: confidence of {confidence.shape} "
                          f"does not match {cloud.count} labels")
-    params = _params(RefineParams, args, config)
-    partition = _partition_for(args, config, cloud)
+    params = _params(RefineParams, args)
+    partition = _partition_for(args, cloud)
     refined = refine_pipeline(labels, confidence, partition, params)
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "refined_labels.txt"), refined)
@@ -256,15 +269,15 @@ def cmd_refine(args, config) -> int:
     return 0
 
 
-def cmd_stlp(args, config) -> int:
-    cloud, class_names = _load_cloud_and_classes(args, config)
-    params = _params(RefineParams, args, config)
-    stlp_config = _params(StlpConfig, args, config)
-    mask = _load_mask(args, config, class_names)
-    labels, confidence, _ = _pseudo_labels(args, config, cloud, class_names, mask)
-    partition = _partition_for(args, config, cloud)
+def cmd_stlp(args) -> int:
+    cloud, class_names = _load_cloud_and_classes(args)
+    params = _params(RefineParams, args)
+    stlp_config = _params(StlpConfig, args)
+    mask = _load_mask(args, class_names)
+    labels, confidence, _ = _pseudo_labels(args, cloud, class_names, mask)
+    partition = _partition_for(args, cloud)
     refined = refine_pipeline(labels, confidence, partition, params)
-    gt_path = _setting(args, config, "gt")
+    gt_path = _setting(args, "gt")
     gt = None if gt_path is None else _load_gt(gt_path, class_names)
     final, report = stlp_run(cloud, refined, partition, stlp_config, params, mask, gt=gt)
     os.makedirs(args.out, exist_ok=True)
@@ -278,12 +291,12 @@ def cmd_stlp(args, config) -> int:
     return 0
 
 
-def cmd_infer(args, config) -> int:
-    cloud, class_names = _load_cloud_and_classes(args, config)
-    labels = _load_labels(args, config, "labels", class_names, cloud.count)
-    params = _params(RefineParams, args, config)
-    classifier = KnnClassifier(_params(StlpConfig, args, config))
-    partition = _partition_for(args, config, cloud)
+def cmd_infer(args) -> int:
+    cloud, class_names = _load_cloud_and_classes(args)
+    labels = _load_labels(args, "labels", class_names, cloud.count)
+    params = _params(RefineParams, args)
+    classifier = KnnClassifier(_params(StlpConfig, args))
+    partition = _partition_for(args, cloud)
     pred, _ = classifier.fit(cloud, labels).predict(cloud)
     predicted = infer(pred, partition, params.alpha,
                       keep_rejected=not args.emit_unlabeled)
@@ -295,19 +308,19 @@ def cmd_infer(args, config) -> int:
     return 0
 
 
-def cmd_eval(args, config) -> int:
+def cmd_eval(args) -> int:
     class_names = tensorio.load_class_names(
-        _setting(args, config, "classes", required=True)
+        _setting(args, "classes", required=True)
     )
-    gt = _load_gt(_setting(args, config, "gt", required=True), class_names)
-    pred = _load_labels(args, config, "pred", class_names, len(gt))
+    gt = _load_gt(_setting(args, "gt", required=True), class_names)
+    pred = _load_labels(args, "pred", class_names, len(gt))
     report = metrics_report(pred, gt, class_names)
     _emit(report, args.json, text=format_report(report))
     return 0
 
 
-def cmd_sweep(args, config) -> int:
-    seed = _setting(args, config, "seed", kind=int) or 0
+def cmd_sweep(args) -> int:
+    seed = _setting(args, "seed") or 0
     try:
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError:
@@ -316,9 +329,9 @@ def cmd_sweep(args, config) -> int:
         raise UsageError("empty sweep grid")
     if args.param == "T" and not all(v.is_integer() for v in grid):
         raise UsageError(f"bad grid {args.grid!r}: round counts must be whole numbers")
-    section, key, kind = {"V": ("refine", "top_v", float), "alpha": ("refine", "alpha", float),
-                          "T": ("stlp", "rounds", int)}[args.param]
-    grid = [kind(v) for v in grid]
+    section, key = {"V": ("refine", "top_v"), "alpha": ("refine", "alpha"),
+                    "T": ("stlp", "rounds")}[args.param]
+    grid = [_SETTINGS[key](v) for v in grid]
     preset = bench.get_benchmark(args.preset)
     # Every variant is built, and so checked, before the scans all of them share.
     variants = [replace(preset, **{section: replace(getattr(preset, section), **{key: v})})
@@ -341,115 +354,66 @@ def cmd_sweep(args, config) -> int:
     return 0
 
 
-# Flag groups: each command declares only the groups it reads.
+# The settings each group of commands reads.
+_SCAN = "cloud classes partition"
+_SOURCE = "mask logits views occlusion_tolerance"
+_REFINE = "top_v alpha angle_threshold adjacency_k min_size normals_k"
+_KNN = "knn_k color_weight knn_smoothing knn_confidence_scale"
 
-def _add_config_flags(sub):
+
+def _add_command(commands, func, help: str, settings: str, out: Optional[bool] = True):
+    """The subcommand of cmd_<name>: a flag per named setting, --config and
+    --json, and --out unless `out` is None (required if `out`)."""
+    sub = commands.add_parser(func.__name__[len("cmd_"):], help=help)
+    for key in settings.split():
+        sub.add_argument("--" + key.replace("_", "-"), type=_SETTINGS[key],
+                         help=_HELP.get(key))
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--json", action="store_true",
-                     help="machine-readable JSON on stdout")
-
-
-def _add_common(sub, out: str = "required"):
-    """--config/--json, --seed, and --out (required unless `out` is "optional")."""
-    _add_config_flags(sub)
-    sub.add_argument("--seed", type=int, help="scene seed (synth, sweep)")
-    sub.add_argument("--out", help="output directory", required=out == "required")
-
-
-def _add_scan_flags(sub):
-    sub.add_argument("--cloud", help="input cloud (PLY)")
-    sub.add_argument("--classes", help="class list JSON")
-    sub.add_argument("--partition", help="precomputed partition JSON")
-
-
-def _add_refine_flags(sub):
-    """RefineParams, and the SuperpointParams used when --partition is absent."""
-    sub.add_argument("--top-v", dest="top_v", type=float, help="CALR percentage kept per class")
-    sub.add_argument("--alpha", type=float, help="GALR overlap threshold")
-    sub.add_argument("--angle-threshold", dest="angle_threshold", type=float,
-                     help="over-segmentation angle in degrees")
-    sub.add_argument("--adjacency-k", dest="adjacency_k", type=int)
-    sub.add_argument("--min-size", dest="min_size", type=int)
-    sub.add_argument("--normals-k", dest="normals_k", type=int)
-
-
-def _add_source_flags(sub):
-    sub.add_argument("--mask", help="scene mask JSON (class names present)")
-    sub.add_argument("--logits", help="point logits (LF01)")
-    sub.add_argument("--views", help="view manifest JSON")
-    sub.add_argument("--occlusion-tolerance", dest="occlusion_tolerance", type=float)
-
-
-def _add_knn_flags(sub):
-    sub.add_argument("--knn-k", dest="knn_k", type=int)
-    sub.add_argument("--color-weight", dest="color_weight", type=float)
-    sub.add_argument("--knn-smoothing", dest="knn_smoothing", type=float)
-    sub.add_argument("--knn-confidence-scale", dest="knn_confidence_scale", type=float)
+    sub.add_argument("--json", action="store_true", help="machine-readable JSON on stdout")
+    if out is not None:
+        sub.add_argument("--out", help="output directory", required=out)
+    sub.set_defaults(func=func)
+    return sub
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="pclabel", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("synth", help="generate a synthetic scene fixture")
+    p = _add_command(commands, cmd_synth, "generate a synthetic scene fixture", "seed")
     p.add_argument("--preset", default="room-small")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = commands.add_parser("pseudo", help="initial labels from logits or views")
-    _add_scan_flags(p)
-    _add_source_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_pseudo)
-
-    p = commands.add_parser("refine", help="class-aware + geometry-aware refinement")
-    _add_scan_flags(p)
-    _add_refine_flags(p)
-    p.add_argument("--labels", help="label listing (text)")
-    p.add_argument("--confidence", help="confidence tensor (LF01, one column)")
-    _add_common(p)
-    p.set_defaults(func=cmd_refine)
-
-    p = commands.add_parser("stlp", help="full pipeline + self-training rounds")
-    _add_scan_flags(p)
-    _add_refine_flags(p)
-    _add_source_flags(p)
-    p.add_argument("--gt", help="ground-truth PLY with label channel (for the report)")
-    p.add_argument("--rounds", type=int, help="self-training rounds")
-    _add_knn_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_stlp)
-
-    p = commands.add_parser("infer", help="fit on labels, predict everywhere, GALR post-process")
-    _add_scan_flags(p)
-    _add_refine_flags(p)
-    p.add_argument("--labels", help="training label listing (text)")
-    _add_knn_flags(p)
+    _add_command(commands, cmd_pseudo, "initial labels from logits or views",
+                 f"{_SCAN} {_SOURCE} seed")
+    _add_command(commands, cmd_refine, "class-aware + geometry-aware refinement",
+                 f"{_SCAN} {_REFINE} labels confidence seed")
+    _add_command(commands, cmd_stlp, "full pipeline + self-training rounds",
+                 f"{_SCAN} {_REFINE} {_SOURCE} gt rounds {_KNN} seed")
+    p = _add_command(commands, cmd_infer, "fit on labels, predict everywhere, GALR post-process",
+                     f"{_SCAN} {_REFINE} labels {_KNN} seed")
     p.add_argument("--emit-unlabeled", action="store_true",
                    help="leave blocks failing the vote unlabeled")
-    _add_common(p)
-    p.set_defaults(func=cmd_infer)
-
-    p = commands.add_parser("eval", help="metric report for predictions vs ground truth")
-    p.add_argument("--pred", help="predicted label listing (text)")
-    p.add_argument("--gt", help="ground truth (label PLY or text listing)")
-    p.add_argument("--classes", help="class list JSON")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = commands.add_parser("sweep", help="hyperparameter sweep on the benchmark preset")
+    _add_command(commands, cmd_eval, "metric report for predictions vs ground truth",
+                 "pred gt classes", out=None)
+    p = _add_command(commands, cmd_sweep, "hyperparameter sweep on the benchmark preset",
+                     "seed", out=False)
     p.add_argument("--param", choices=("V", "alpha", "T"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--preset", default="room-small")
-    _add_common(p, out="optional")
-    p.set_defaults(func=cmd_sweep)
     return parser
+
+
+def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
+    """The parsed flags, with each setting they leave unset taken from --config."""
+    args = build_parser().parse_args(argv)
+    for key, value in _load_config(args.config).items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args, _load_config(args.config))
+        args = _parse_args(argv)
+        return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -4,6 +4,12 @@ import math
 
 import numpy as np
 
+# The most neighbours a point's over-segmentation neighbourhood (normals_k,
+# adjacency_k) may hold: the stages keep every point's k neighbours at once,
+# so a k near the point count would allocate an n-by-n table. Every preset
+# uses 16 or fewer.
+MAX_NEIGHBORS = 64
+
 
 def require(name: str, value, low: float = -math.inf, high: float = math.inf, *,
             integer: bool = False, open_low: bool = False) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .domain import require
+from .domain import MAX_NEIGHBORS, require
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,11 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex, k: int) -> np.ndarr
     Signs are fixed so the component of largest magnitude is positive.
     Degenerate neighborhoods (smallest two eigenvalues within
     DEGENERATE_EIGENGAP) pick the candidate eigenvector whose
-    (|x|, |y|, |z|) tuple is lexicographically largest.
+    (|x|, |y|, |z|) tuple is lexicographically largest. k lies in
+    [3, min(n, MAX_NEIGHBORS)].
     """
     n = cloud.count
-    require("k", k, 3, n, integer=True)
+    require("k", k, 3, min(n, MAX_NEIGHBORS), integer=True)
     idx, _ = index.neighbors(cloud.positions, k)
     nb = cloud.positions[idx]
     centered = nb - nb.mean(axis=1, keepdims=True)

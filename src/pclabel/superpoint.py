@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .domain import require
+from .domain import MAX_NEIGHBORS, require
 from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
 from .tensorio import read_text
 
@@ -36,9 +36,9 @@ class SuperpointParams:
 
     def __post_init__(self):
         require("angle_threshold", self.angle_threshold, 0, 180, open_low=True)
-        require("adjacency_k", self.adjacency_k, 1, integer=True)
+        require("adjacency_k", self.adjacency_k, 1, MAX_NEIGHBORS, integer=True)
         require("min_size", self.min_size, 1, integer=True)  # 1 merges nothing
-        require("normals_k", self.normals_k, 3, integer=True)
+        require("normals_k", self.normals_k, 3, MAX_NEIGHBORS, integer=True)
 
 
 @dataclass(frozen=True)
@@ -165,16 +165,17 @@ def oversegment(
 ) -> SuperpointPartition:
     """Partition a cloud into geometrically coherent segments.
 
-    angle_threshold is in degrees (0, 180]; adjacency_k neighbors define the
-    graph; segments smaller than min_size are folded into neighbors.
-    Deterministic: identical inputs give identical partitions.
+    angle_threshold is in degrees (0, 180]; adjacency_k neighbors, at most
+    MAX_NEIGHBORS, define the graph; segments smaller than min_size are
+    folded into neighbors. Deterministic: identical inputs give identical
+    partitions.
     """
     n = cloud.count
     normals = np.asarray(normals, dtype=np.float64)
     if normals.shape != (n, 3):
         raise ValueError(f"normals of {normals.shape} do not match cloud of {n}")
     require("angle_threshold", angle_threshold, 0, 180, open_low=True)
-    require("adjacency_k", adjacency_k, 1, integer=True)
+    require("adjacency_k", adjacency_k, 1, MAX_NEIGHBORS, integer=True)
     require("min_size", min_size, 1, integer=True)
     if n == 0:
         return SuperpointPartition(np.empty(0, dtype=np.int64))

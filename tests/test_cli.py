@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from pclabel import StlpConfig, cli, tensorio
+from pclabel import RefineParams, StlpConfig, SuperpointParams, cli, tensorio
 from pclabel.cli import _params, build_parser, main
 
 
@@ -434,6 +434,29 @@ class TestConfigFile:
         assert run([command, "--config", config, "--out", tmp_path / "o"]) == 2
         assert f"{key!r}: cannot read {value!r} as {kind}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("mask", True), ("cloud", 5),
+                                            ("classes", ["classes.json"])])
+    def test_path_that_is_not_a_string_is_named_data_error(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, key, value
+    ):
+        # Files named like str(value) sit in the working directory, so
+        # reading the value as a path would find them.
+        monkeypatch.chdir(tmp_path)
+        for name, source in (("True", "mask.json"), ("5", "cloud.ply"),
+                             ("['classes.json']", "classes.json")):
+            shutil.copy(fixture_dir / source, tmp_path / name)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "cloud": str(fixture_dir / "cloud.ply"),
+            "classes": str(fixture_dir / "classes.json"),
+            "logits": str(fixture_dir / "logits.lf01"),
+            key: value,
+        }))
+        assert run(["pseudo", "--config", config, "--out", tmp_path / "o"]) == 2
+        assert (capsys.readouterr().err
+                == f"error: config key {key!r}: cannot read {value!r} as str\n")
+        assert not (tmp_path / "o").exists()
+
     def test_unread_key_is_named_data_error(self, fixture_dir, labeled_dir, tmp_path, capsys):
         config = tmp_path / "typo.json"
         config.write_text(json.dumps({
@@ -455,9 +478,9 @@ class TestConfigFile:
         read = set()
         lookup = cli._setting
 
-        def recording(args, config, key, *rest, **kwargs):
+        def recording(args, key, *rest, **kwargs):
             read.add(key)
-            return lookup(args, config, key, *rest, **kwargs)
+            return lookup(args, key, *rest, **kwargs)
 
         monkeypatch.setattr(cli, "_setting", recording)
         scan = ["--cloud", fixture_dir / "cloud.ply",
@@ -479,7 +502,49 @@ class TestConfigFile:
         config = tmp_path / "all.json"
         config.write_text(json.dumps({key: "x" for key in read}))
         cli._load_config(str(config))
-        assert read == cli._CONFIG_KEYS
+        assert read == set(cli._SETTINGS)
+
+
+def setting_flags(key):
+    """(command, action) for every flag of the setting `key`."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    return [(name, a) for name, sub in commands.choices.items()
+            for a in sub._actions if a.dest == key]
+
+
+class TestSettingTable:
+    """Every setting in cli._SETTINGS is a flag of its type on some command,
+    and reads alike as a flag and as a config key."""
+
+    # Arguments a command needs besides its settings.
+    REQUIRED = {"eval": [], "sweep": ["--param", "V", "--grid", "30"]}
+
+    @pytest.mark.parametrize("key", sorted(cli._SETTINGS))
+    def test_flag_has_the_table_type(self, key):
+        flags = setting_flags(key)
+        assert flags, f"no command takes {key}"
+        for _, action in flags:
+            assert action.type is cli._SETTINGS[key]
+            assert action.option_strings == ["--" + key.replace("_", "-")]
+
+    @pytest.mark.parametrize("key", sorted(cli._SETTINGS))
+    def test_flag_and_config_read_alike(self, key, tmp_path):
+        value, other = {str: (str(tmp_path / "a"), str(tmp_path / "b")),
+                        int: (7, 9), float: (0.25, 0.5)}[cli._SETTINGS[key]]
+        command = setting_flags(key)[0][0]
+        base = [command, *self.REQUIRED.get(command, ["--out", "o"])]
+        flag = ["--" + key.replace("_", "-"), str(value)]
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value}))
+        by_flag = cli._parse_args(base + flag)
+        by_config = cli._parse_args(base + ["--config", str(config)])
+        assert cli._setting(by_flag, key) == cli._setting(by_config, key) == value
+        for cls in (SuperpointParams, RefineParams, StlpConfig):
+            assert _params(cls, by_flag) == _params(cls, by_config)
+        # a flag overrides the config file
+        config.write_text(json.dumps({key: other}))
+        assert cli._setting(cli._parse_args(base + flag + ["--config", str(config)]),
+                            key) == value
 
 
 class TestCommandSurface:
@@ -814,6 +879,8 @@ class TestSettingDomains:
         ("refine", "--min-size", "0"),
         ("pseudo", "--occlusion-tolerance", "nan"),
         ("pseudo", "--occlusion-tolerance", "-1"),
+        ("refine", "--adjacency-k", "65"),
+        ("stlp", "--normals-k", "65"),
     ])
     def test_out_of_domain_flag(self, inputs, tmp_path, capsys, command, flag, value):
         assert run([command, *inputs[command], flag, value, "--out", tmp_path / "o"]) == 2
@@ -821,6 +888,22 @@ class TestSettingDomains:
         assert f"error: {flag[2:].replace('-', '_')} must " in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, key, low", [
+        ("stlp", "adjacency_k", 1),
+        ("infer", "adjacency_k", 1),
+        ("refine", "normals_k", 3),
+    ])
+    def test_neighbourhood_beyond_its_bound(self, inputs, tmp_path, capsys,
+                                            command, key, low):
+        # Refused before any stage runs: a neighbour query for k this large
+        # would ask for an n-by-n table.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: 10**20}))
+        assert run([command, *inputs[command], "--config", config,
+                    "--out", tmp_path / "o"]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {key} must lie in [{low}, 64], got {10**20}\n")
 
     @pytest.mark.parametrize("key, value, kind", [
         ("rounds", True, "int"),
@@ -838,4 +921,4 @@ class TestSettingDomains:
 
     def test_whole_float_reads_as_int(self):
         config = {"knn_k": 15.0, "rounds": 3.0}
-        assert _params(StlpConfig, argparse.Namespace(), config) == StlpConfig(knn_k=15, rounds=3)
+        assert _params(StlpConfig, argparse.Namespace(**config)) == StlpConfig(knn_k=15, rounds=3)

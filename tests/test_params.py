@@ -27,6 +27,7 @@ from pclabel import (
     galr,
     oversegment,
 )
+from pclabel.domain import MAX_NEIGHBORS
 
 PARAMS = (SuperpointParams, RefineParams, StlpConfig, SceneSpec, LogitNoiseSpec, ViewRingSpec)
 
@@ -73,6 +74,9 @@ BELOW_DOMAIN = {
     "width": 0,
     "height": 0,
 }
+# The value just above the domain of each integer setting that has a bound.
+ABOVE_DOMAIN = {"adjacency_k": (MAX_NEIGHBORS + 1, 10**20),
+                "normals_k": (MAX_NEIGHBORS + 1, 10**20)}
 
 BELOW_ZERO = math.nextafter(0.0, -1.0)
 ABOVE_ONE = math.nextafter(1.0, 2.0)
@@ -98,24 +102,25 @@ OUTSIDE_DOMAIN = {
 }
 
 
-def _old_integer(low):
+def _old_integer(low, high=math.inf):
     def rule(v):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             return False
-        return not v < low
+        return not v < low and not v > high
     return rule
 
 
 # The per-field expressions each setting was checked by before the one
-# rule, copied literally; a TypeError counts as a rejection.
+# rule, copied literally, with the neighbourhood bound MAX_NEIGHBORS added
+# since; a TypeError counts as a rejection.
 _CLOUD = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0]]), np.zeros((2, 3), dtype=np.uint8))
 _VIEW = CameraView(np.eye(3), np.eye(3), np.zeros(3), 1, 1, np.zeros((1, 1, 1)))
 _LABELS = LabelField(np.array([0, 1]), 2)
 EARLIER = {
     "SuperpointParams.angle_threshold": lambda v: 0.0 < v <= 180.0,
-    "SuperpointParams.adjacency_k": _old_integer(1),
+    "SuperpointParams.adjacency_k": _old_integer(1, MAX_NEIGHBORS),
     "SuperpointParams.min_size": _old_integer(1),
-    "SuperpointParams.normals_k": _old_integer(3),
+    "SuperpointParams.normals_k": _old_integer(3, MAX_NEIGHBORS),
     "RefineParams.top_v": lambda v: 0.0 < v <= 100.0,
     "RefineParams.alpha": lambda v: 0.0 <= v <= 1.0,
     "StlpConfig.rounds": _old_integer(0),
@@ -126,6 +131,7 @@ EARLIER = {
     "calr.top_v": lambda v: 0.0 < v <= 100.0,
     "galr.alpha": lambda v: 0.0 <= v <= 1.0,
     "oversegment.angle_threshold": lambda v: 0.0 < v <= 180.0,
+    "oversegment.adjacency_k": _old_integer(1, MAX_NEIGHBORS),
     "aggregate_views.occlusion_tolerance": lambda v: v is None or 0.0 <= v < np.inf,
 }
 NOW = {
@@ -136,6 +142,8 @@ NOW = {
     "galr.alpha": lambda v: galr(_LABELS, SuperpointPartition(np.zeros(2)), v),
     "oversegment.angle_threshold": lambda v: oversegment(
         _CLOUD, np.tile([0.0, 0.0, 1.0], (2, 1)), build_index(_CLOUD), v, 1, 1),
+    "oversegment.adjacency_k": lambda v: oversegment(
+        _CLOUD, np.tile([0.0, 0.0, 1.0], (2, 1)), build_index(_CLOUD), 10.0, v, 1),
     "aggregate_views.occlusion_tolerance": lambda v: aggregate_views(_CLOUD, [_VIEW], v),
 }
 
@@ -156,7 +164,7 @@ VALUES = st.one_of(
 def _outside(cls, name, default):
     """The values a setting must reject; None where no domain is stated."""
     if not isinstance(default, float):
-        return (BELOW_DOMAIN.get(name),)
+        return (BELOW_DOMAIN.get(name), *ABOVE_DOMAIN.get(name, ()))
     stated = () if f"{cls.__name__}.{name}" in EARLIER else (None,)
     return (math.nan, math.inf, -math.inf, *OUTSIDE_DOMAIN.get(name, stated))
 
@@ -194,6 +202,8 @@ def test_tuple_setting_of_another_length_is_named(name, value):
 @pytest.mark.parametrize("cls, name, value", [
     (SuperpointParams, "min_size", 1),
     (SuperpointParams, "normals_k", 3),
+    (SuperpointParams, "normals_k", MAX_NEIGHBORS),
+    (SuperpointParams, "adjacency_k", MAX_NEIGHBORS),
     (SuperpointParams, "angle_threshold", 180.0),
     (StlpConfig, "rounds", 0),
     (StlpConfig, "color_weight", 0.0),

@@ -196,6 +196,14 @@ class TestEstimateNormals:
         with pytest.raises(ValueError):
             estimate_normals(cloud, index, 11)
 
+    def test_k_beyond_the_neighbourhood_bound(self, rng):
+        # k = n would hold an n-by-n neighbour table; the bound caps k
+        # below the point count of any real scan.
+        cloud = make_cloud(rng, 100)
+        with pytest.raises(ValueError, match=r"^k must lie in \[3, 64\], got 65$"):
+            estimate_normals(cloud, build_index(cloud), 65)
+        assert estimate_normals(cloud, build_index(cloud), 64).shape == (100, 3)
+
     @pytest.mark.parametrize("cloud_n, index_n, shift", MISMATCHED_INDEX)
     def test_index_over_other_points_refused(self, rng, cloud_n, index_n, shift):
         full = make_cloud(rng, 400)
