@@ -361,17 +361,17 @@ _REFINE = "top_v alpha angle_threshold adjacency_k min_size normals_k"
 _KNN = "knn_k color_weight knn_smoothing knn_confidence_scale"
 
 
-def _add_command(commands, func, help: str, settings: str, out: Optional[bool] = True):
+def _add_command(commands, func, help: str, settings: str, out: bool = True):
     """The subcommand of cmd_<name>: a flag per named setting, --config and
-    --json, and --out unless `out` is None (required if `out`)."""
+    --json, and a required --out directory if `out`."""
     sub = commands.add_parser(func.__name__[len("cmd_"):], help=help)
     for key in settings.split():
         sub.add_argument("--" + key.replace("_", "-"), type=_SETTINGS[key],
                          help=_HELP.get(key))
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--json", action="store_true", help="machine-readable JSON on stdout")
-    if out is not None:
-        sub.add_argument("--out", help="output directory", required=out)
+    if out:
+        sub.add_argument("--out", help="output directory", required=True)
     sub.set_defaults(func=func)
     return sub
 
@@ -392,9 +392,10 @@ def build_parser() -> _Parser:
     p.add_argument("--emit-unlabeled", action="store_true",
                    help="leave blocks failing the vote unlabeled")
     _add_command(commands, cmd_eval, "metric report for predictions vs ground truth",
-                 "pred gt classes", out=None)
+                 "pred gt classes", out=False)
     p = _add_command(commands, cmd_sweep, "hyperparameter sweep on the benchmark preset",
                      "seed", out=False)
+    p.add_argument("--out", help="CSV file (stdout without it)")
     p.add_argument("--param", choices=("V", "alpha", "T"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--preset", default="room-small")

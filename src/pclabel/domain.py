@@ -10,6 +10,13 @@ import numpy as np
 # uses 16 or fewer.
 MAX_NEIGHBORS = 64
 
+# Entries per array in one block of the blocked passes: the (rows, k, 3)
+# neighborhoods of normal estimation, the (edges, 3) normal pairs of the
+# over-segmentation angle gate and the rows x max(k, C) tables of k-NN
+# predict, 2 MB per float64 array. Each row is computed on its own, so no
+# output depends on it.
+BLOCK_ENTRIES = 1 << 18
+
 
 def require(name: str, value, low: float = -math.inf, high: float = math.inf, *,
             integer: bool = False, open_low: bool = False) -> None:

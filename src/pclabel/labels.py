@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import require
+
 # Sentinel for points that carry no label. On disk: -1 in text listings,
 # 65535 in the 16-bit PLY label channel.
 UNLABELED = -1
@@ -23,8 +25,7 @@ class LabelField:
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise ValueError("label values must be a 1-D array")
-        if self.num_classes <= 0:
-            raise ValueError("num_classes must be positive")
+        require("num_classes", self.num_classes, 1, integer=True)
         bad = (values != UNLABELED) & ((values < 0) | (values >= self.num_classes))
         if bad.any():
             i = int(np.flatnonzero(bad)[0])

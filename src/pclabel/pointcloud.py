@@ -4,6 +4,12 @@
 points the index was built over, which is all that normals and the
 over-segmentation graph ask. Queries run on every core; each row is answered
 on its own, so the rows do not depend on the thread count.
+
+`estimate_normals` gathers, centers and decomposes the neighborhoods in
+blocks of at most BLOCK_ENTRIES // 3k points (`pclabel.domain.BLOCK_ENTRIES`
+entries), so beyond its (n, k) neighbor table its memory does not grow with
+n x k. Each point's normal is computed on its own, so no bit depends on the
+block size.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .domain import MAX_NEIGHBORS, require
+from .domain import BLOCK_ENTRIES, MAX_NEIGHBORS, require
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ class SpatialIndex:
     def _query(self, q: np.ndarray, k: int):
         d, i = self._tree.query(q, k=k, workers=-1)
         d = d.reshape(q.shape[0], k)
-        i = i.reshape(q.shape[0], k).astype(np.int64)
+        i = i.reshape(q.shape[0], k).astype(np.int64, copy=False)
         # cKDTree rows come in distance order, so only a row holding a tied
         # distance can be out of (distance, index) order.
         tied = np.flatnonzero((d[:, 1:] == d[:, :-1]).any(axis=1))
@@ -142,11 +148,17 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex, k: int) -> np.ndarr
     """
     n = cloud.count
     require("k", k, 3, min(n, MAX_NEIGHBORS), integer=True)
-    idx, _ = index.neighbors(cloud.positions, k)
-    nb = cloud.positions[idx]
-    centered = nb - nb.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    vals, vecs = np.linalg.eigh(cov)
+    idx = index.neighbors(cloud.positions, k)[0]
+    vals = np.empty((n, 3))
+    vecs = np.empty((n, 3, 3))
+    # A (rows, k, 3) gather holds 3k entries per row.
+    step = max(1, BLOCK_ENTRIES // (3 * k))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        nb = cloud.positions[idx[rows]]
+        centered = nb - nb.mean(axis=1, keepdims=True)
+        cov = np.einsum("nki,nkj->nij", centered, centered) / k
+        vals[rows], vecs[rows] = np.linalg.eigh(cov)
     normals = vecs[:, :, 0].copy()
 
     gap = vals[:, 1] - vals[:, 0]

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .domain import require
+from .domain import BLOCK_ENTRIES, require
 from .labels import UNLABELED, LabelField
 from .metrics import labeled_rate, metrics_report
 from .pointcloud import PointCloud
@@ -52,10 +52,6 @@ class StlpConfig:
         require("color_weight", self.color_weight, 0)
         require("knn_smoothing", self.knn_smoothing, 0)
         require("knn_confidence_scale", self.knn_confidence_scale, 0, open_low=True)
-
-
-# Entries (rows x k, rows x C) per predict block: 2 MB per float64 array.
-PREDICT_BLOCK = 1 << 18
 
 
 class KnnClassifier:
@@ -93,7 +89,7 @@ class KnnClassifier:
     def predict(self, cloud: PointCloud) -> Tuple[LabelField, np.ndarray]:
         """Label and confidence of every point of `cloud`.
 
-        Rows are queried in blocks of at most PREDICT_BLOCK // max(k, C)
+        Rows are queried in blocks of at most BLOCK_ENTRIES // max(k, C)
         rows, so peak memory does not grow with n x k or n x C; time still
         grows with n x min(config.knn_k, labeled count).
         """
@@ -104,7 +100,7 @@ class KnnClassifier:
         features = self._features(cloud)
         winners = np.empty(n, dtype=np.int64)
         confidence = np.empty(n, dtype=np.float64)
-        step = max(1, PREDICT_BLOCK // max(k, self._num_classes))
+        step = max(1, BLOCK_ENTRIES // max(k, self._num_classes))
         for start in range(0, n, step):
             rows = slice(start, start + step)
             winners[rows], confidence[rows] = self._vote(features[rows], k)

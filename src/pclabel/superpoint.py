@@ -6,6 +6,12 @@ of all k-NN edge lengths (which keeps floods from jumping gaps between
 parallel surfaces). Segments are the connected components of the floodable
 graph, seeded in ascending point-index order; undersized segments merge into
 the adjacent segment sharing the most graph edges.
+
+The angle gate runs over blocks of at most BLOCK_ENTRIES // 3 edges
+(`pclabel.domain.BLOCK_ENTRIES` entries), and each per-edge array is dropped
+once its last reader has run, so the merge holds only the labels and the
+edge ends. Each edge is gated on its own, so no bit depends on the block
+size.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .domain import MAX_NEIGHBORS, require
+from .domain import BLOCK_ENTRIES, MAX_NEIGHBORS, require
 from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
 from .tensorio import read_text
 
@@ -113,18 +119,21 @@ def _merge_small_segments(
         return labels
     sizes = np.bincount(labels, minlength=count).tolist()
     # Unique undirected point edges, then per-segment-pair counts.
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    keep = lo != hi
-    edges = _distinct(lo[keep] * labels.size + hi[keep])
+    edges = np.minimum(src, dst)
+    edges *= labels.size
+    edges += np.maximum(src, dst)
+    edges = edges[src != dst]
+    edges = _distinct(edges)
     a = labels[edges // labels.size]
     b = labels[edges % labels.size]
+    del edges
     inter = a != b
     # With counts asked for, np.unique sorts, as fast as _distinct here.
     pairs, shared = np.unique(
         np.minimum(a[inter], b[inter]) * count + np.maximum(a[inter], b[inter]),
         return_counts=True,
     )
+    del a, b, inter
     adj: List[Dict[int, int]] = [{} for _ in range(count)]
     for key, c in zip(pairs.tolist(), shared.tolist()):
         sa, sb = divmod(key, count)
@@ -184,25 +193,35 @@ def oversegment(
 
     idx, dist = index.neighbors(cloud.positions, min(adjacency_k + 1, n))
     not_self = idx != np.arange(n)[:, None]
-    # Keep at most adjacency_k non-self neighbors per point.
-    keep = np.cumsum(not_self, axis=1) <= adjacency_k
-    take = not_self & keep
+    # Keep at most adjacency_k non-self neighbors per point; a row holds at
+    # most MAX_NEIGHBORS + 1 entries, so the count fits in int8.
+    take = not_self & (np.cumsum(not_self, axis=1, dtype=np.int8) <= adjacency_k)
+    del not_self
     src = np.repeat(np.arange(n), take.sum(axis=1))
     dst = idx[take]
+    del idx
     length = dist[take]
+    del dist, take
 
-    max_len = np.percentile(length, EDGE_LENGTH_PERCENTILE)
-    cos = np.einsum("ij,ij->i", normals[src], normals[dst])
-    angle = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
-    passes = (angle <= angle_threshold) & (length <= max_len)
+    passes = length <= np.percentile(length, EDGE_LENGTH_PERCENTILE)
+    del length
+    # An (edges, 3) gather holds 3 entries per edge.
+    step = BLOCK_ENTRIES // 3
+    for start in range(0, src.size, step):
+        edges = slice(start, start + step)
+        cos = np.einsum("ij,ij->i", normals[src[edges]], normals[dst[edges]])
+        angle = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+        passes[edges] &= angle <= angle_threshold
 
     graph = csr_matrix(
         (np.ones(int(passes.sum()), dtype=np.int8), (src[passes], dst[passes])),
         shape=(n, n),
     )
+    del passes
     # scipy numbers the components in order of their lowest point index,
     # which is the ascending-seed order the merge relies on.
     _, labels = connected_components(graph, directed=False)
+    del graph
     labels = _merge_small_segments(labels.astype(np.int64), src, dst, min_size)
     return SuperpointPartition(labels)
 

@@ -33,6 +33,20 @@ def shuffled_lattice(rng: np.random.Generator, side: int, duplicates: int) -> np
     return pos[rng.permutation(len(pos))]
 
 
+def block_oracle_clouds(rng: np.random.Generator) -> dict:
+    """The clouds the row-blocked passes are checked on: random points, a
+    shuffled lattice (exact distance ties, degenerate neighborhoods) and
+    random points with repeats."""
+    repeated = rng.random((250, 3))
+    repeated = np.vstack([repeated, repeated[rng.integers(0, 250, 80)]])
+    return {
+        name: PointCloud(pos, np.zeros((len(pos), 3), dtype=np.uint8))
+        for name, pos in (("random", make_cloud(rng, 300).positions),
+                          ("lattice", shuffled_lattice(rng, 6, 0)),
+                          ("repeated", repeated[rng.permutation(len(repeated))]))
+    }
+
+
 def brute_force_knn(positions, query, k):
     """Independent oracle: full distance sort with (distance, index) ties."""
     d2 = ((positions - query) ** 2).sum(axis=1)

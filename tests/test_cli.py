@@ -573,6 +573,14 @@ class TestCommandSurface:
         # sweep prints its CSV when --out is absent
         assert next(a for a in actions if a.dest == "out").required == (command != "sweep")
 
+    def test_sweep_out_is_a_csv_file(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["sweep", "--help"])
+        assert exited.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--out OUT CSV file (stdout without it)" in help_text
+        assert "output directory" not in help_text
+
     @pytest.fixture(scope="class")
     def commands(self, fixture_dir, labeled_dir):
         """Each pipeline command's valid arguments and the file it writes."""

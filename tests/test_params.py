@@ -261,3 +261,15 @@ def test_domain_matches_the_earlier_expression(setting):
         assert accepted == _accepted(EARLIER[setting], value)
 
     check()
+
+
+@pytest.mark.parametrize("value", [math.nan, 2.5, True, math.inf, 0, 3.0])
+def test_label_field_class_count_is_named(value):
+    # A class count of 2.5 used to construct and then fail in metrics_report
+    # with numpy's unnamed cast error.
+    with pytest.raises(ValueError, match="^num_classes must "):
+        LabelField(np.array([0, -1]), value)
+
+
+def test_label_field_takes_a_numpy_class_count():
+    assert LabelField(np.array([0, -1]), np.int64(2)).num_classes == 2

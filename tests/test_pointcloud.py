@@ -1,14 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from pclabel import PointCloud, SpatialIndex, build_index, estimate_normals
+from pclabel import (
+    PointCloud,
+    SceneSpec,
+    SpatialIndex,
+    build_index,
+    estimate_normals,
+    generate_scene,
+)
+from pclabel import pointcloud
+from pclabel.pointcloud import DEGENERATE_EIGENGAP
 
 from conftest import (
     MISMATCHED_INDEX,
     assert_knn_rows,
+    block_oracle_clouds,
     brute_force_knn,
     make_cloud,
     shuffled_lattice,
@@ -223,3 +235,55 @@ class TestEstimateNormals:
         b = estimate_normals(cloud, build_index(cloud), 5)
         assert np.array_equal(a, b)
         assert np.allclose(np.abs(a[:, 0]), 0.0, atol=1e-9)
+
+
+def literal_estimate_normals(cloud, index, k):
+    """estimate_normals as it read before its rows were blocked: the whole
+    (n, k, 3) neighborhood at once. Kept literally as the byte oracle."""
+    n = cloud.count
+    idx, _ = index.neighbors(cloud.positions, k)
+    nb = cloud.positions[idx]
+    centered = nb - nb.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / k
+    vals, vecs = np.linalg.eigh(cov)
+    normals = vecs[:, :, 0].copy()
+
+    gap = vals[:, 1] - vals[:, 0]
+    for row in np.flatnonzero(gap <= DEGENERATE_EIGENGAP):
+        cand = np.flatnonzero(vals[row] <= vals[row, 0] + DEGENERATE_EIGENGAP)
+        best = max(cand, key=lambda c: tuple(np.abs(vecs[row, :, c])))
+        normals[row] = vecs[row, :, best]
+
+    lead = np.argmax(np.abs(normals), axis=1)
+    flip = normals[np.arange(n), lead] < 0
+    normals[flip] *= -1.0
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    return normals / norms
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [1, 7, 40, 10**9])
+    @pytest.mark.parametrize("k", [4, 16])
+    def test_block_size_does_not_change_normals(self, rng, monkeypatch, rows, k):
+        for name, cloud in block_oracle_clouds(rng).items():
+            want = literal_estimate_normals(cloud, build_index(cloud), k)
+            monkeypatch.setattr(pointcloud, "BLOCK_ENTRIES", rows * 3 * k)
+            got = estimate_normals(cloud, build_index(cloud), k)
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_peak_memory_does_not_grow_with_n_times_k(self):
+        # A 42,616-point room at k=16, its neighbors already queried. The
+        # whole (n, k, 3) neighborhood and its centered copy peaked at
+        # 52 MiB; in blocks it is the neighbor rows plus about 2 MiB per
+        # block array, 16 MiB in all.
+        cloud = generate_scene(SceneSpec(density=1000.0))[0]
+        index = build_index(cloud)
+        index.neighbors(cloud.positions, 16)
+        tracemalloc.start()
+        try:
+            estimate_normals(cloud, index, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20

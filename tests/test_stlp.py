@@ -106,7 +106,7 @@ class TestKnnClassifier:
         values[::4] = UNLABELED
         clf = KnnClassifier(StlpConfig(knn_k=7)).fit(cloud, LabelField(values, 3))
         want = clf.predict(cloud)
-        monkeypatch.setattr(stlp, "PREDICT_BLOCK", block)
+        monkeypatch.setattr(stlp, "BLOCK_ENTRIES", block)
         got = clf.predict(cloud)
         assert np.array_equal(got[0].values, want[0].values)
         assert np.array_equal(got[1], want[1])

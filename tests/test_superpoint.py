@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,16 +11,19 @@ from scipy.sparse.csgraph import connected_components
 
 from pclabel import (
     PointCloud,
+    SceneSpec,
     SpatialIndex,
     SuperpointParams,
     SuperpointPartition,
     build_index,
     estimate_normals,
+    generate_scene,
     oversegment,
     partition_stats,
 )
-from pclabel import pointcloud
+from pclabel import pointcloud, superpoint
 from pclabel.superpoint import (
+    EDGE_LENGTH_PERCENTILE,
     _distinct,
     _first_occurrence_relabel,
     _merge_small_segments,
@@ -28,7 +32,7 @@ from pclabel.superpoint import (
     save_partition_json,
 )
 
-from conftest import MISMATCHED_INDEX, make_cloud, record_queries
+from conftest import MISMATCHED_INDEX, block_oracle_clouds, make_cloud, record_queries
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -308,6 +312,67 @@ class TestMergeSmallSegments:
         labels, src, dst = _merge_case(raw_labels, edges)
         got = _merge_small_segments(labels, src, dst, min_size)
         assert got.tolist() == expected
+
+
+def literal_oversegment(cloud, normals, index, angle_threshold, adjacency_k, min_size):
+    """oversegment as it read before its edges were blocked: the angle gate
+    over every edge at once. Kept literally as the byte oracle, with the
+    merge replaced by its own oracle."""
+    n = cloud.count
+    idx, dist = index.neighbors(cloud.positions, min(adjacency_k + 1, n))
+    not_self = idx != np.arange(n)[:, None]
+    keep = np.cumsum(not_self, axis=1) <= adjacency_k
+    take = not_self & keep
+    src = np.repeat(np.arange(n), take.sum(axis=1))
+    dst = idx[take]
+    length = dist[take]
+
+    max_len = np.percentile(length, EDGE_LENGTH_PERCENTILE)
+    cos = np.einsum("ij,ij->i", normals[src], normals[dst])
+    angle = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+    passes = (angle <= angle_threshold) & (length <= max_len)
+
+    graph = csr_matrix(
+        (np.ones(int(passes.sum()), dtype=np.int8), (src[passes], dst[passes])),
+        shape=(n, n),
+    )
+    _, labels = connected_components(graph, directed=False)
+    return literal_merge_oracle(labels.astype(np.int64), src, dst, min_size)
+
+
+class TestEdgeBlocks:
+    @pytest.mark.parametrize("edges", [1, 7, 40, 10**9])
+    @pytest.mark.parametrize("min_size", [1, 4, 20])
+    @pytest.mark.parametrize("angle", [15.0, 90.0])
+    def test_block_size_does_not_change_partition(self, rng, monkeypatch, edges,
+                                                   min_size, angle):
+        for name, cloud in block_oracle_clouds(rng).items():
+            # Axis normals meet at exactly 0 or 90 degrees, on the gate.
+            for normals in (estimate_normals(cloud, build_index(cloud), 16),
+                            np.eye(3)[rng.integers(0, 3, cloud.count)]):
+                want = literal_oversegment(cloud, normals, build_index(cloud),
+                                           angle, 10, min_size)
+                monkeypatch.setattr(superpoint, "BLOCK_ENTRIES", 3 * edges)
+                got = oversegment(cloud, normals, build_index(cloud), angle, 10,
+                                  min_size)
+                monkeypatch.undo()
+                assert got.assignment.tobytes() == want.tobytes(), name
+
+    def test_peak_memory_does_not_grow_with_edge_gathers(self):
+        # A 42,616-point room, its normals estimated and neighbors queried.
+        # Gathering both ends' normals for every edge at once, with every
+        # per-edge array alive through the merge, peaked at 42 MiB; in
+        # blocks it is 19 MiB, most of it scipy's copies of the graph.
+        cloud = generate_scene(SceneSpec(density=1000.0))[0]
+        index = build_index(cloud)
+        normals = estimate_normals(cloud, index, 16)
+        tracemalloc.start()
+        try:
+            oversegment(cloud, normals, index, 15.0, 10, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestSharedQuery:
