@@ -50,10 +50,10 @@ class CameraView:
             raise ValueError("rotation is not orthonormal within 1e-6")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise ValueError("intrinsics must have positive focal entries")
-        if k[1, 0] != 0 or k[2, 0] != 0:
-            raise ValueError("intrinsics must have a zero bottom-left block")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image grid must be positive")
+        if k[1, 0] != 0 or (k[2] != (0, 0, 1)).any():
+            raise ValueError("intrinsics must be [[fx, s, cx], [0, fy, cy], [0, 0, 1]]")
+        require("width", self.width, 1, integer=True)
+        require("height", self.height, 1, integer=True)
         logits = np.asarray(self.pixel_logits)
         if logits.ndim != 3 or logits.shape[:2] != (self.height, self.width):
             raise ValueError(
@@ -83,18 +83,20 @@ def project(
     """Pinhole projection of world points: z*[u,v,1]^T = K*(R*p+t).
 
     Returns (uv (N, 2), depth (N,)): continuous pixel coordinates and the
-    camera-frame depth. uv is meaningful only where depth > MIN_DEPTH.
+    camera-frame depth. uv is meaningful only where depth > MIN_DEPTH. A
+    coordinate that overflows comes out infinite or NaN, which no grid holds.
     """
-    q = positions @ np.asarray(rotation).T + np.asarray(translation).reshape(3)
-    h = q @ np.asarray(intrinsics).T
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = positions @ np.asarray(rotation).T + np.asarray(translation).reshape(3)
+        h = q @ np.asarray(intrinsics).T
         uv = h[:, :2] / h[:, 2:3]
     return uv, q[:, 2]
 
 
 def nearest_pixel(x: np.ndarray) -> np.ndarray:
-    """Continuous pixel coordinate to index: round half away from zero."""
-    return np.trunc(x + np.copysign(0.5, x)).astype(np.int64)
+    """Continuous pixel coordinate to its nearest index, as a float; halves
+    round away from zero."""
+    return np.trunc(x + np.copysign(0.5, x))
 
 
 def project_to_pixels(
@@ -107,23 +109,37 @@ def project_to_pixels(
 ):
     """Vectorized nearest-pixel projection through a posed pinhole camera.
 
-    Returns (rows (N,), cols (N,), depth (N,), valid (N,) bool): valid
-    points lie in front of the camera with their rounded pixel on the
-    width x height grid; rows/cols of points behind the camera are 0.
+    Returns (points, rows, cols, depth) for the points in front of the
+    camera whose rounded pixel lies on the width x height grid, in
+    ascending point order. Pixel indices are cast to int64 only after the
+    grid test, so NaN, infinite and huge coordinates fall off the grid.
     """
     uv, depth = project(positions, intrinsics, rotation, translation)
-    in_front = depth > MIN_DEPTH
-    n = positions.shape[0]
-    cols = np.zeros(n, dtype=np.int64)
-    rows = np.zeros(n, dtype=np.int64)
-    cols[in_front] = nearest_pixel(uv[in_front, 0])
-    rows[in_front] = nearest_pixel(uv[in_front, 1])
-    valid = (
-        in_front
-        & (cols >= 0) & (cols < width)
-        & (rows >= 0) & (rows < height)
+    cols = nearest_pixel(uv[:, 0])
+    rows = nearest_pixel(uv[:, 1])
+    points = np.flatnonzero((depth > MIN_DEPTH) & (cols >= 0) & (cols < width)
+                            & (rows >= 0) & (rows < height))
+    return (points, rows[points].astype(np.int64), cols[points].astype(np.int64),
+            depth[points])
+
+
+def front_depth(rows, cols, depth, width: int, height: int) -> np.ndarray:
+    """The depth buffer: each pixel's nearest point depth, inf where none lands."""
+    zbuf = np.full((height, width), np.inf)
+    np.minimum.at(zbuf, (rows, cols), depth)
+    return zbuf
+
+
+def pixel_owners(positions, intrinsics, rotation, translation, width: int, height: int):
+    """Row-major indices of the pixels points reach, ascending, and the point
+    owning each: the nearest, ties to the lowest point index."""
+    points, rows, cols, depth = project_to_pixels(
+        positions, intrinsics, rotation, translation, width, height
     )
-    return rows, cols, depth, valid
+    nearest = depth == front_depth(rows, cols, depth, width, height)[rows, cols]
+    # return_index gives each pixel's first entry, and points ascend.
+    pixels, first = np.unique(rows[nearest] * width + cols[nearest], return_index=True)
+    return pixels, points[nearest][first]
 
 
 def aggregate_views(
@@ -152,18 +168,16 @@ def aggregate_views(
     acc = np.zeros((n, c), dtype=np.float64)
     hits = np.zeros(n, dtype=np.int64)
     for view in views:
-        rows, cols, depth, valid = project_to_pixels(
+        points, rows, cols, depth = project_to_pixels(
             cloud.positions, view.intrinsics, view.rotation, view.translation,
             view.width, view.height,
         )
         if occlusion_tolerance is not None:
-            zbuf = np.full((view.height, view.width), np.inf)
-            np.minimum.at(zbuf, (rows[valid], cols[valid]), depth[valid])
-            visible = np.zeros(n, dtype=bool)
-            visible[valid] = depth[valid] <= zbuf[rows[valid], cols[valid]] + occlusion_tolerance
-            valid = visible
-        acc[valid] += view.pixel_logits[rows[valid], cols[valid]]
-        hits[valid] += 1
+            zbuf = front_depth(rows, cols, depth, view.width, view.height)
+            visible = depth <= zbuf[rows, cols] + occlusion_tolerance
+            points, rows, cols = points[visible], rows[visible], cols[visible]
+        acc[points] += view.pixel_logits[rows, cols]
+        hits[points] += 1
     seen = hits > 0
     acc[seen] /= hits[seen, None]
     return acc, hits

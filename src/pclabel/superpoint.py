@@ -85,16 +85,6 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _first_occurrence_relabel(labels: np.ndarray, count: int) -> np.ndarray:
-    # Segment ids follow the order in which a segment's first point appears,
-    # i.e. seeds processed in ascending point-index order.
-    first = np.full(count, labels.size, dtype=np.int64)
-    np.minimum.at(first, labels, np.arange(labels.size))
-    remap = np.empty(count, dtype=np.int64)
-    remap[np.argsort(first, kind="stable")] = np.arange(count)
-    return remap[labels]
-
-
 def _merge_small_segments(
     labels: np.ndarray, src: np.ndarray, dst: np.ndarray, min_size: int
 ) -> np.ndarray:
@@ -113,6 +103,10 @@ def _merge_small_segments(
     lowest candidate id never decreases. A merge target that is still
     undersized therefore has a higher id than the segment folded into it,
     and the pass reaches it later.
+
+    Precondition: labels are dense ids numbered in order of each segment's
+    first point, as scipy numbers components. The output keeps that order,
+    compacted over the merged groups.
     """
     count = int(labels.max()) + 1 if labels.size else 0
     if count == 0 or min_size <= 1:
@@ -140,7 +134,7 @@ def _merge_small_segments(
         adj[sa][sb] = c
         adj[sb][sa] = c
 
-    merges = []
+    sources, targets = [], []
     for s in range(count):
         neighbors = adj[s]
         if sizes[s] >= min_size or not neighbors:
@@ -154,14 +148,13 @@ def _merge_small_segments(
             adj[target][other] = adj[target].get(other, 0) + c
         adj[s] = {}
         sizes[target] += sizes[s]
-        merges.append((s, target))
-    # A target is alive when it absorbs s, so resolving the merges latest
-    # first leaves every target already pointing at its final segment.
-    resolve = list(range(count))
-    for s, target in reversed(merges):
-        resolve[s] = resolve[target]
-    # Absorbed ids go unused; the relabel compacts the survivors' ids.
-    return _first_occurrence_relabel(np.asarray(resolve, dtype=np.int64)[labels], count)
+        sources.append(s)
+        targets.append(target)
+    # Each merged group is numbered by its lowest member, whose first point
+    # is the group's first point.
+    merged = csr_matrix((np.ones(len(sources), dtype=np.int8), (sources, targets)),
+                        shape=(count, count))
+    return connected_components(merged, directed=False)[1].astype(np.int64)[labels]
 
 
 def oversegment(

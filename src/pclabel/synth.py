@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 from .domain import require
 from .labels import LabelField
 from .pointcloud import PointCloud
-from .projection import CameraView, project_to_pixels
+from .projection import CameraView, pixel_owners
 
 # Base colors per class id (cycled); chosen to be mutually distinguishable
 # since the desk-scale classifier leans on color.
@@ -334,8 +334,8 @@ def render_views(
 ) -> List[CameraView]:
     """Rasterize a per-point payload into per-pixel logit maps on a camera ring.
 
-    Each pixel takes the payload of the nearest (z-buffered) projected point;
-    pixels no point reaches stay zero.
+    Each pixel takes the payload of the nearest projected point, ties to the
+    lowest point index; pixels no point reaches stay zero.
     """
     payload = np.asarray(payload, dtype=np.float64)
     if payload.ndim != 2 or payload.shape[0] != cloud.count:
@@ -367,17 +367,9 @@ def render_views(
             cam_z,
         ])
         rotation, translation = _look_at(eye, center)
-        rows, cols, depth, valid = project_to_pixels(
-            pos, k, rotation, translation, spec.width, spec.height
-        )
-        which = np.flatnonzero(valid)
-        pix = rows[which] * spec.width + cols[which]
-        order = np.lexsort((which, depth[which], pix))
-        pix_sorted = pix[order]
-        first = np.ones(pix_sorted.size, dtype=bool)
-        first[1:] = pix_sorted[1:] != pix_sorted[:-1]
+        pixels, owners = pixel_owners(pos, k, rotation, translation, spec.width, spec.height)
         image = np.zeros((spec.height * spec.width, payload.shape[1]), dtype=np.float32)
-        image[pix_sorted[first]] = payload[which[order[first]]]
+        image[pixels] = payload[owners]
         views.append(CameraView(
             intrinsics=k,
             rotation=rotation,

@@ -142,10 +142,10 @@ def test_criterion_5_projection_round_trip():
         p = rng.uniform(-4, 4, 3)
         q = view.rotation @ p + view.translation
         uv, depth = pl.project(p[None], view.intrinsics, view.rotation, view.translation)
-        *_, valid = project_to_pixels(p[None], view.intrinsics, view.rotation,
-                                      view.translation, view.width, view.height)
+        seen, *_ = project_to_pixels(p[None], view.intrinsics, view.rotation,
+                                     view.translation, view.width, view.height)
         if q[2] <= 0:
-            assert depth[0] <= MIN_DEPTH and not valid[0]
+            assert depth[0] <= MIN_DEPTH and seen.size == 0
             behind += 1
             continue
         if depth[0] <= MIN_DEPTH:  # 0 < depth <= epsilon gate

@@ -713,6 +713,49 @@ class TestDamagedInputs:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field, where, value", [
+        ("intrinsics", (0, 0), 1e308),
+        ("intrinsics", (0, 2), 1e308),
+        ("translation", (0,), 1e300),
+        ("translation", (0,), 1.797e308),
+    ])
+    def test_overflowing_view_sees_nothing(self, fixture_dir, tmp_path, field,
+                                           where, value):
+        # Each camera's projection overflows; the test configuration makes a
+        # RuntimeWarning an error, so the run must not warn. The view adds no
+        # hits: the outputs equal those of the manifest without it.
+        views = tmp_path / "views"
+        shutil.copytree(fixture_dir / "views", views)
+        manifest = views / "manifest.json"
+        entries = json.loads(manifest.read_text())
+        array = entries[2][field]
+        for i in where[:-1]:
+            array = array[i]
+        array[where[-1]] = value
+        manifest.write_text(json.dumps(entries))
+        without = views / "without.json"
+        without.write_text(json.dumps(entries[:2] + entries[3:]))
+        for path, out in ((manifest, "o"), (without, "w")):
+            assert run(["pseudo", "--cloud", fixture_dir / "cloud.ply",
+                        "--classes", fixture_dir / "classes.json",
+                        "--views", path, "--out", tmp_path / out]) == 0
+        for name in ("labels.txt", "confidence.lf01"):
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "w" / name).read_bytes()
+
+    def test_non_pinhole_bottom_row_names_the_view(self, fixture_dir, tmp_path, capsys):
+        views = tmp_path / "views"
+        shutil.copytree(fixture_dir / "views", views)
+        manifest = views / "manifest.json"
+        entries = json.loads(manifest.read_text())
+        entries[1]["intrinsics"][2][2] = 0
+        manifest.write_text(json.dumps(entries))
+        assert run(["pseudo", "--cloud", fixture_dir / "cloud.ply",
+                    "--classes", fixture_dir / "classes.json",
+                    "--views", manifest, "--out", tmp_path / "o"]) == 2
+        assert (f"error: {manifest}: view 1: intrinsics must be "
+                "[[fx, s, cx], [0, fy, cy], [0, 0, 1]]" in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, short", [
         ("refine", "confidence"), ("infer", "labels"),
         ("refine", "partition"), ("pseudo", "logits"),

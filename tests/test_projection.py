@@ -7,13 +7,22 @@ from pclabel import (
     CameraView,
     LabelField,
     PointCloud,
+    SceneSpec,
     UNLABELED,
+    ViewRingSpec,
     aggregate_views,
+    generate_scene,
     project,
     pseudo_labels_from_logits,
     pseudo_labels_from_views,
+    render_views,
 )
-from pclabel.projection import MIN_DEPTH, nearest_pixel, project_to_pixels
+from pclabel.projection import (
+    MIN_DEPTH,
+    nearest_pixel,
+    pixel_owners,
+    project_to_pixels,
+)
 
 from conftest import make_cloud
 
@@ -62,6 +71,90 @@ def literal_project_point(p, view):
         return None
     h = view.intrinsics @ q
     return float(h[0] / h[2]), float(h[1] / h[2]), float(q[2])
+
+
+# Oracles: the pixel path as it was before rendering and back-projection
+# shared one, each decision made where it was used.
+def literal_project_to_pixels(positions, intrinsics, rotation, translation,
+                              width, height):
+    """(rows, cols, depth, valid) over every point; rows/cols of points
+    behind the camera are 0."""
+    uv, depth = project(positions, intrinsics, rotation, translation)
+    in_front = depth > MIN_DEPTH
+    n = positions.shape[0]
+    cols = np.zeros(n, dtype=np.int64)
+    rows = np.zeros(n, dtype=np.int64)
+    cols[in_front] = np.trunc(uv[in_front, 0] + np.copysign(0.5, uv[in_front, 0])).astype(np.int64)
+    rows[in_front] = np.trunc(uv[in_front, 1] + np.copysign(0.5, uv[in_front, 1])).astype(np.int64)
+    valid = (
+        in_front
+        & (cols >= 0) & (cols < width)
+        & (rows >= 0) & (rows < height)
+    )
+    return rows, cols, depth, valid
+
+
+def literal_aggregate(cloud, views, occlusion_tolerance=None):
+    n = cloud.count
+    c = views[0].channels
+    acc = np.zeros((n, c), dtype=np.float64)
+    hits = np.zeros(n, dtype=np.int64)
+    for view in views:
+        rows, cols, depth, valid = literal_project_to_pixels(
+            cloud.positions, view.intrinsics, view.rotation, view.translation,
+            view.width, view.height,
+        )
+        if occlusion_tolerance is not None:
+            zbuf = np.full((view.height, view.width), np.inf)
+            np.minimum.at(zbuf, (rows[valid], cols[valid]), depth[valid])
+            visible = np.zeros(n, dtype=bool)
+            visible[valid] = depth[valid] <= zbuf[rows[valid], cols[valid]] + occlusion_tolerance
+            valid = visible
+        acc[valid] += view.pixel_logits[rows[valid], cols[valid]]
+        hits[valid] += 1
+    seen = hits > 0
+    acc[seen] /= hits[seen, None]
+    return acc, hits
+
+
+def literal_raster(positions, payload, intrinsics, rotation, translation,
+                   width, height):
+    """A view's pixel map: the nearest point's payload, ties to the lowest
+    point index, zero where no point lands."""
+    rows, cols, depth, valid = literal_project_to_pixels(
+        positions, intrinsics, rotation, translation, width, height
+    )
+    which = np.flatnonzero(valid)
+    pix = rows[which] * width + cols[which]
+    order = np.lexsort((which, depth[which], pix))
+    pix_sorted = pix[order]
+    first = np.ones(pix_sorted.size, dtype=bool)
+    first[1:] = pix_sorted[1:] != pix_sorted[:-1]
+    image = np.zeros((height * width, payload.shape[1]), dtype=np.float32)
+    image[pix_sorted[first]] = payload[which[order[first]]]
+    return image.reshape(height, width, payload.shape[1])
+
+
+def raster(positions, payload, view):
+    """The same map through the shared pixel path."""
+    pixels, owners = pixel_owners(positions, view.intrinsics, view.rotation,
+                                  view.translation, view.width, view.height)
+    image = np.zeros((view.height * view.width, payload.shape[1]), dtype=np.float32)
+    image[pixels] = payload[owners]
+    return image.reshape(view.height, view.width, payload.shape[1])
+
+
+def assert_same_pixels(positions, view):
+    """project_to_pixels keeps exactly the oracle's valid points, in order,
+    with their pixels and depths."""
+    args = (positions, view.intrinsics, view.rotation, view.translation,
+            view.width, view.height)
+    points, rows, cols, depth = project_to_pixels(*args)
+    want_rows, want_cols, want_depth, valid = literal_project_to_pixels(*args)
+    assert points.tobytes() == np.flatnonzero(valid).tobytes()
+    assert rows.tobytes() == want_rows[valid].tobytes()
+    assert cols.tobytes() == want_cols[valid].tobytes()
+    assert depth.tobytes() == want_depth[valid].tobytes()
 
 
 def project_view(points, view):
@@ -135,6 +228,27 @@ class TestCameraView:
                        pixel_logits=np.zeros((4, 4, 1)))
 
 
+    @pytest.mark.parametrize("row, entry", [(2, 2), (2, 1), (1, 0), (2, 0)])
+    def test_rejects_other_than_pinhole_bottom_rows(self, row, entry):
+        k = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])
+        k[row, entry] = 0.5 if k[row, entry] == 0 else 0.0
+        with pytest.raises(ValueError, match=r"\[0, 0, 1\]\]"):
+            CameraView(k, np.eye(3), np.zeros(3), 4, 4,
+                       pixel_logits=np.zeros((4, 4, 1)))
+
+    @pytest.mark.parametrize("name, size, message", [
+        ("width", 16.0, "width must be an integer, got 16.0"),
+        ("height", True, "height must be an integer, got True"),
+        ("width", 0, "width must be >= 1, got 0"),
+        ("height", -3, "height must be >= 1, got -3"),
+    ])
+    def test_grid_sizes_are_positive_integers(self, name, size, message):
+        sizes = {"width": 4, "height": 4, name: size}
+        with pytest.raises(ValueError, match=message):
+            CameraView(np.eye(3), np.eye(3), np.zeros(3), **sizes,
+                       pixel_logits=np.zeros((4, 4, 1)))
+
+
 class TestProjectPoint:
     def test_optical_axis(self):
         uv, depth = project_view([0.0, 0.0, 2.0], identity_view())
@@ -149,9 +263,9 @@ class TestProjectPoint:
         points = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
         _, depth = project_view(points, view)
         assert (depth <= MIN_DEPTH).all()
-        *_, valid = project_to_pixels(points, view.intrinsics, view.rotation,
-                                      view.translation, view.width, view.height)
-        assert not valid.any()
+        hit, *_ = project_to_pixels(points, view.intrinsics, view.rotation,
+                                    view.translation, view.width, view.height)
+        assert hit.size == 0
 
     def test_round_trip_through_depth(self, rng):
         # Reconstructing the camera-frame point from (u, v, depth) recovers
@@ -243,6 +357,99 @@ class TestAggregate:
         cloud = PointCloud(np.array([[0.0, 0.0, 1.0]]), np.zeros((1, 3), dtype=np.uint8))
         with pytest.raises(ValueError, match="occlusion_tolerance must be finite and >= 0"):
             aggregate_views(cloud, [view], occlusion_tolerance=tolerance)
+
+
+class TestPixelPath:
+    """project_to_pixels, the depth buffer and pixel ownership against the
+    literal per-use code they replaced, byte for byte."""
+
+    def test_random_views_match_literal(self, rng):
+        for _ in range(30):
+            cloud = make_cloud(rng, 300)
+            views = [random_view(rng, 16, 12, 3) for _ in range(4)]
+            for view in views:
+                assert_same_pixels(cloud.positions, view)
+                payload = rng.standard_normal((cloud.count, 3))
+                want = literal_raster(cloud.positions, payload, view.intrinsics,
+                                      view.rotation, view.translation,
+                                      view.width, view.height)
+                assert raster(cloud.positions, payload, view).tobytes() == want.tobytes()
+            for tolerance in (None, 0.0, 0.05, 1.0):
+                got = aggregate_views(cloud, views, tolerance)
+                want = literal_aggregate(cloud, views, tolerance)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
+    def test_depth_ties_on_one_pixel(self, rng):
+        # Five points on pixel (row 4, col 3): three tie for the front at
+        # depth 1, in shuffled order, behind a point at depth 2 listed first.
+        view = identity_view(8, 8, np.zeros((8, 8, 2), dtype=np.float32))
+        base = np.array([[6.2, 8.0, 2.0], [3.1, 4.0, 1.0], [2.9, 4.2, 1.0],
+                         [3.0, 3.9, 1.0], [6.0, 8.0, 2.0]])
+        for _ in range(20):
+            positions = base[rng.permutation(len(base))]
+            payload = rng.standard_normal((len(base), 2))
+            pixels, owners = pixel_owners(positions, view.intrinsics, view.rotation,
+                                          view.translation, 8, 8)
+            assert pixels.tolist() == [4 * 8 + 3]
+            front = np.flatnonzero(positions[:, 2] == 1.0)
+            assert owners.tolist() == [front[0]]
+            want = literal_raster(positions, payload, view.intrinsics,
+                                  view.rotation, view.translation, 8, 8)
+            assert raster(positions, payload, view).tobytes() == want.tobytes()
+            for tolerance in (None, 0.0, 0.5, 1.0):
+                cloud = PointCloud(positions, np.zeros((len(base), 3), dtype=np.uint8))
+                got = aggregate_views(cloud, [view], tolerance)
+                want = literal_aggregate(cloud, [view], tolerance)
+                assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 160])
+    def test_grid_edges(self, width):
+        # With unit focal length and the principal point at 0, u is x.
+        # Rounding half away from zero puts -0.5 on col -1 and width - 0.5
+        # on col width; just inside them, x + 0.5 may itself round up.
+        view = identity_view(width, 3, np.zeros((3, width, 1), dtype=np.float32))
+        edge = float(width) - 0.5
+        xs = [-0.5, np.nextafter(-0.5, 0.0), 0.0, edge, np.nextafter(edge, 0.0),
+              np.nextafter(edge, np.inf), width - 1.0, float(width)]
+        positions = np.array([[x, 1.0, 1.0] for x in xs])
+        assert_same_pixels(positions, view)
+        points, _, cols, _ = project_to_pixels(
+            positions, view.intrinsics, view.rotation, view.translation, width, 3)
+        assert 0 not in points.tolist() and 3 not in points.tolist()
+        assert ((cols >= 0) & (cols < width)).all()
+        # At width 1, 0.5 - 2**-54 rounds to 1.0 when 0.5 is added.
+        assert (4 in points.tolist()) == (width > 1)
+
+    def test_rendered_views_match_literal(self):
+        cloud, gt, _, _ = generate_scene(SceneSpec(seed=3, density=150.0))
+        payload = np.eye(gt.num_classes)[gt.values] + 0.25 * gt.values[:, None]
+        ring = ViewRingSpec(num_cameras=4, width=40, height=30, focal=25.0)
+        for view in render_views(cloud, payload, ring):
+            want = literal_raster(cloud.positions, payload, view.intrinsics,
+                                  view.rotation, view.translation,
+                                  view.width, view.height)
+            assert view.pixel_logits.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entry, value", [
+        ("fx", 1e308), ("cx", 1e308), ("tx", 1e300), ("tx", 1.797e308),
+    ])
+    def test_overflowing_camera_sees_nothing(self, rng, entry, value):
+        # The pytest configuration turns RuntimeWarnings into errors, so
+        # the projection must neither warn on overflow nor cast it.
+        k = np.array([[100.0, 0, 8], [0, 100, 6], [0, 0, 1]])
+        t = np.array([0.0, 0.0, 5.0])
+        target = {"fx": (k, (0, 0)), "cx": (k, (0, 2)), "tx": (t, 0)}
+        array, where = target[entry]
+        array[where] = value
+        cloud = make_cloud(rng, 200)
+        view = CameraView(k, np.eye(3), t, 16, 12,
+                          pixel_logits=np.ones((12, 16, 2), dtype=np.float32))
+        points, *_ = project_to_pixels(cloud.positions, k, np.eye(3), t, 16, 12)
+        assert points.size == 0
+        for tolerance in (None, 0.02):
+            _, hits = aggregate_views(cloud, [view], tolerance)
+            assert not hits.any()
 
 
 class TestSceneMask:

@@ -25,7 +25,6 @@ from pclabel import pointcloud, superpoint
 from pclabel.superpoint import (
     EDGE_LENGTH_PERCENTILE,
     _distinct,
-    _first_occurrence_relabel,
     _merge_small_segments,
     load_partition_json,
     partition_cloud,
@@ -203,6 +202,16 @@ class TestOversegment:
         with pytest.raises(ValueError, match=f"built over {index_n} points, "
                                              f"not over this cloud of {cloud_n} points"):
             oversegment(cloud, normals, index, 10.0, 8, 1)
+
+
+def _first_occurrence_relabel(labels, count):
+    """Oracle helper, the relabel the merge once ended with: segment ids in
+    the order in which each segment's first point appears."""
+    first = np.full(count, labels.size, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(labels.size))
+    remap = np.empty(count, dtype=np.int64)
+    remap[np.argsort(first, kind="stable")] = np.arange(count)
+    return remap[labels]
 
 
 def literal_merge_oracle(labels, src, dst, min_size):
