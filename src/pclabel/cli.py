@@ -153,13 +153,17 @@ def _load_mask(args, class_names):
     return tensorio.load_scene_mask(mask_path, class_names)
 
 
-def _load_labels(args, key, class_names, count) -> LabelField:
-    """A label listing that must cover `count` points."""
-    path = _setting(args, key, required=True)
-    labels = tensorio.load_labels_text(path, len(class_names))
+def _covering(path, labels: LabelField, count: int) -> LabelField:
+    """The labels read from `path`, which must cover `count` points."""
     if len(labels) != count:
         raise ValueError(f"{path}: {len(labels)} labels for {count} points")
     return labels
+
+
+def _load_labels(args, key, class_names, count) -> LabelField:
+    """A label listing that must cover `count` points."""
+    path = _setting(args, key, required=True)
+    return _covering(path, tensorio.load_labels_text(path, len(class_names)), count)
 
 
 def _load_gt(path, class_names) -> LabelField:
@@ -274,11 +278,12 @@ def cmd_stlp(args) -> int:
     params = _params(RefineParams, args)
     stlp_config = _params(StlpConfig, args)
     mask = _load_mask(args, class_names)
+    gt_path = _setting(args, "gt")
+    gt = (None if gt_path is None
+          else _covering(gt_path, _load_gt(gt_path, class_names), cloud.count))
     labels, confidence, _ = _pseudo_labels(args, cloud, class_names, mask)
     partition = _partition_for(args, cloud)
     refined = refine_pipeline(labels, confidence, partition, params)
-    gt_path = _setting(args, "gt")
-    gt = None if gt_path is None else _load_gt(gt_path, class_names)
     final, report = stlp_run(cloud, refined, partition, stlp_config, params, mask, gt=gt)
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "labels.txt"), final)

@@ -239,8 +239,6 @@ def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
 
 
 def _load(path) -> Tuple[PointCloud, Optional[np.ndarray]]:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such PLY file: {path}")
     with open(path, "rb") as f:
         try:
             fmt, vertex_count, props, body_offset, header_lines = _parse_header(f)

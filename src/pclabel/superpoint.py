@@ -277,22 +277,15 @@ def load_partition_json(path) -> SuperpointPartition:
     entries = payload["assignment"]
     if not isinstance(entries, list):
         raise ValueError(f"partition file {path}: assignment is not a list: {entries!r}")
+    n = len(entries)
     # type() rather than isinstance: JSON true/false must not pass as 1/0.
-    bad = next((i for i, v in enumerate(entries) if type(v) is not int), None)
+    bad = next((i for i, v in enumerate(entries) if type(v) is not int or not 0 <= v < n), None)
     if bad is not None:
         raise ValueError(
-            f"partition file {path}: assignment entry {bad} is not an "
-            f"integer: {entries[bad]!r}"
+            f"partition file {path}: assignment entry {bad} must be an "
+            f"integer in [0, {n}), got {entries[bad]!r}"
         )
-    try:
-        assignment = np.asarray(entries, dtype=np.int64)
-    except OverflowError:
-        bad = next(i for i, v in enumerate(entries) if not -2**63 <= v < 2**63)
-        raise ValueError(
-            f"partition file {path}: assignment entry {bad} is out of the "
-            f"int64 range: {entries[bad]!r}"
-        ) from None
-    partition = SuperpointPartition(assignment)
+    partition = SuperpointPartition(np.asarray(entries, dtype=np.int64))
     if len(partition) != payload["n"] or partition.segment_count != payload["u"]:
         raise ValueError(
             f"partition file {path} is inconsistent: declared n={payload['n']} "

@@ -241,9 +241,8 @@ def _nearest_other_class(positions: np.ndarray, gt: LabelField, reach: float):
     Each class present gets one tree over its own points, queried by the
     labeled other-class points in the class's bounding box grown by `reach`,
     which holds every point within reach. A point's nearest other class is
-    the one at the least distance. Where classes tie there, a tree over all
-    of the row's other-class points answers, since it decides which tied
-    point is picked.
+    the one at the least distance; where several classes tie there, the
+    lowest class id among them.
     """
     labeled = gt.labeled_mask
     classes = np.flatnonzero(np.bincount(gt.values[labeled], minlength=gt.num_classes))
@@ -258,17 +257,8 @@ def _nearest_other_class(positions: np.ndarray, gt: LabelField, reach: float):
             positions[near], k=1, distance_upper_bound=reach, workers=-1
         )[0]
     other_dist = dist.min(axis=0)
-    hit = other_dist < np.inf
-    other_class = np.where(hit, classes[dist.argmin(axis=0)], 0)
-    tie = np.flatnonzero(hit & ((dist == other_dist).sum(axis=0) > 1))
-    for cls in np.unique(gt.values[tie]):
-        rows = tie[gt.values[tie] == cls]
-        others = np.flatnonzero(labeled & (gt.values != cls))
-        j = cKDTree(positions[others]).query(
-            positions[rows], k=1, distance_upper_bound=reach, workers=-1
-        )[1]
-        other_class[rows] = gt.values[others[j]]
-    return other_dist, other_class
+    # argmin takes the first of tied rows, and rows ascend by class id.
+    return other_dist, np.where(other_dist < np.inf, classes[dist.argmin(axis=0)], 0)
 
 
 def corrupt_logits(gt: LabelField, cloud: PointCloud, spec: LogitNoiseSpec) -> np.ndarray:
@@ -276,10 +266,11 @@ def corrupt_logits(gt: LabelField, cloud: PointCloud, spec: LogitNoiseSpec) -> n
 
     The true class draws from N(correct_mean, correct_sigma); other classes
     draw uniformly in [0, confusion_temperature). Inside the blur radius of a
-    class boundary a point's signal lands on the adjacent class instead with
-    probability rising to 1/2 at the boundary, and the two competing logits
-    are pulled toward their midpoint, so both accuracy and confidence fade
-    toward boundaries. Unlabeled ground-truth rows get clutter only.
+    class boundary a point's signal lands on its nearest other class instead
+    (the lowest class id among equally near ones) with probability rising
+    to 1/2 at the boundary, and the two competing logits are pulled toward
+    their midpoint, so both accuracy and confidence fade toward boundaries.
+    Unlabeled ground-truth rows get clutter only.
     """
     if len(gt) != cloud.count:
         raise ValueError(f"{len(gt)} ground-truth labels for {cloud.count} points")

@@ -17,6 +17,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .domain import require
 from .labels import UNLABELED, LabelField
 from .projection import CameraView
 
@@ -117,10 +118,9 @@ def load_views(manifest_path) -> List[CameraView]:
             raise ValueError(f"{manifest_path}: view {i} is not an object: {entry!r}")
         try:
             width, height = entry["width"], entry["height"]
-            # type() rather than isinstance: JSON true/false must not pass as 1/0.
-            for key, size in (("width", width), ("height", height)):
-                if type(size) is not int:
-                    raise ValueError(f"{key} is not an integer: {size!r}")
+            # CameraView's rule, applied before the reshape needs it.
+            require("width", width, 1, integer=True)
+            require("height", height, 1, integer=True)
             flat = load_tensor(os.path.join(base, entry["payload_path"]))
             if flat.shape[0] != width * height:
                 raise ValueError(
@@ -200,8 +200,6 @@ def load_labels_text(path, num_classes: int) -> LabelField:
             value = int(line)
         except ValueError:
             raise ValueError(f"{path} line {lineno}: bad label {line!r}") from None
-        if not -2**63 <= value < 2**63:
-            raise ValueError(f"{path} line {lineno}: label {line!r} is out of the int64 range")
         if not UNLABELED <= value < num_classes:
             raise ValueError(f"{path} line {lineno}: label {value} outside "
                              f"[0, {num_classes}) and not UNLABELED")

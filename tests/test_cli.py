@@ -158,6 +158,26 @@ class TestStlpCommand:
         assert run(self._stlp_args(fixture_dir, tmp_path / "s", rounds=2)) == 0
         assert calls == ["fit", "predict"] * 2
 
+    @pytest.mark.parametrize("rounds", [0, 1])
+    def test_short_ground_truth_is_refused_at_load(self, fixture_dir, tmp_path,
+                                                   capsys, monkeypatch, rounds):
+        # A listing one label short names its file before any stage runs,
+        # whether or not a round would read it.
+        from pclabel.ply import load_labeled_ply
+        _, values = load_labeled_ply(fixture_dir / "gt.ply")
+        gt = tmp_path / "gt.txt"
+        gt.write_text("".join(f"{v}\n" for v in values[:-1]))
+        args = self._stlp_args(fixture_dir, tmp_path / "s", rounds)
+        args[args.index("--gt") + 1] = gt
+
+        def no_stage(*_):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(cli, "_pseudo_labels", no_stage)
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {gt}: {len(values) - 1} labels for {len(values)} points\n")
+
     def test_byte_identical_reruns(self, fixture_dir, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -795,15 +815,15 @@ class TestDamagedInputs:
                     "--labels", labeled_dir / "labels.txt",
                     "--confidence", labeled_dir / "confidence.lf01",
                     "--partition", path, "--out", tmp_path / "o"]) == 2
-        assert ("huge.json: assignment entry 1 is out of the int64 range"
-                in capsys.readouterr().err)
+        assert ("huge.json: assignment entry 1 must be an integer in [0, 2), "
+                "got 100000000000000000000000" in capsys.readouterr().err)
 
     def test_int64_overflowing_label_entry(self, fixture_dir, tmp_path, capsys):
         pred = tmp_path / "p.txt"
         pred.write_text("0\n99999999999999999999\n")
         assert run(["eval", "--pred", pred, "--gt", fixture_dir / "gt.ply",
                     "--classes", fixture_dir / "classes.json"]) == 2
-        assert (f"{pred} line 2: label '99999999999999999999' is out of the int64 range"
+        assert (f"{pred} line 2: label 99999999999999999999 outside [0, 8) and not UNLABELED"
                 in capsys.readouterr().err)
 
     def test_out_of_range_label_names_the_listing(self, fixture_dir, tmp_path, capsys):

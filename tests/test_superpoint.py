@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -501,15 +502,22 @@ class TestPartitionIO:
             load_partition_json(path)
 
     @pytest.mark.parametrize("assignment, entry", [
-        ([0.5, 0.2, 0.9], "entry 0 is not an integer: 0.5"),
-        ([True, False], "entry 0 is not an integer: True"),
-        ([0, 10**23], "entry 1 is out of the int64 range: 100000000000000000000000"),
+        pytest.param([0.5, 0.2, 0.9], "entry 0 must be an integer in [0, 3), got 0.5",
+                     id="assignment0-entry 0 is not an integer: 0.5"),
+        pytest.param([True, False], "entry 0 must be an integer in [0, 2), got True",
+                     id="assignment1-entry 0 is not an integer: True"),
+        pytest.param([0, 10**23],
+                     "entry 1 must be an integer in [0, 2), got 100000000000000000000000",
+                     id="assignment2-entry 1 is out of the int64 range: "
+                        "100000000000000000000000"),
+        pytest.param([0, -1], "entry 1 must be an integer in [0, 2), got -1",
+                     id="entry-below-zero"),
         (5, "is not a list: 5"),
     ])
     def test_non_integer_entry_named(self, tmp_path, assignment, entry):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 2, "u": 1, "assignment": assignment}))
-        with pytest.raises(ValueError, match=f"bad.json: assignment {entry}"):
+        with pytest.raises(ValueError, match=re.escape(f"bad.json: assignment {entry}")):
             load_partition_json(path)
 
     def test_empty_assignment_loads(self, tmp_path):

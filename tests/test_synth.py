@@ -23,14 +23,11 @@ from pclabel.benchmark import ROOM_SMALL
 from conftest import record_queries, shuffled_lattice
 
 
-def literal_corrupt_logits(gt, cloud, spec, reach=np.inf):
-    """Literal oracle: corrupt_logits with one tree per class over all its
-    other-class points, queried within `reach` (unbounded by default).
-
-    Where several points tie as a point's nearest, cKDTree may pick another
-    one of them under a bounded query than under an unbounded one, so tie
-    cases pass the bound corrupt_logits uses.
-    """
+def literal_corrupt_logits(gt, cloud, spec):
+    """Literal oracle: corrupt_logits with one unbounded query per class, in
+    ascending class order, by all labeled points of other classes. A class
+    replaces the one held only when strictly closer, so among equally near
+    classes the lowest id stays."""
     rng = np.random.default_rng(spec.seed)
     n = cloud.count
     c = gt.num_classes
@@ -43,15 +40,12 @@ def literal_corrupt_logits(gt, cloud, spec, reach=np.inf):
         other_dist = np.full(n, np.inf)
         other_class = np.zeros(n, dtype=np.int64)
         for cls in np.unique(gt.values[labeled]):
-            mine = np.flatnonzero(gt.values == cls)
-            others = np.flatnonzero(gt.labeled_mask & (gt.values != cls))
-            if others.size == 0:
-                continue
-            d, j = cKDTree(cloud.positions[others]).query(
-                cloud.positions[mine], k=1, distance_upper_bound=reach)
-            hit = j < others.size
-            other_dist[mine[hit]] = d[hit]
-            other_class[mine[hit]] = gt.values[others[j[hit]]]
+            rows = np.flatnonzero(gt.labeled_mask & (gt.values != cls))
+            d = cKDTree(cloud.positions[gt.values == cls]).query(
+                cloud.positions[rows], k=1)[0]
+            closer = d < other_dist[rows]
+            other_dist[rows[closer]] = d[closer]
+            other_class[rows[closer]] = cls
         closeness = np.clip(1.0 - other_dist / spec.boundary_blur, 0.0, 1.0)
         flipped = gt.labeled_mask & (flip_draw < 0.5 * closeness)
         target = np.where(flipped, other_class, gt.values)
@@ -211,27 +205,31 @@ class TestCorruptLogits:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_class_trees_on_lattice_ties(self, seed, monkeypatch):
         # Integer lattices with repeated points of other classes: class
-        # boundaries hold exact distance ties, zero distances, and points
-        # at exactly each blur radius. Each call queries one tree per class
-        # present; rows whose nearest other classes tie query one more
-        # tree, over all of their other-class points.
+        # boundaries hold exact distance ties between classes, zero
+        # distances, and points at exactly each blur radius. Each call
+        # queries one tree per class present, ties or not.
         rng = np.random.default_rng(seed)
         calls = record_queries(monkeypatch, synth)
-        fallbacks = 0
+        ties = 0
         for side in (3, 4, 6):
             pos = shuffled_lattice(rng, side, int(rng.integers(1, 3 * side)))
             cloud = PointCloud(pos, np.zeros(pos.shape, dtype=np.uint8))
             classes = int(rng.integers(2, 5))
             gt = LabelField(rng.integers(-1, classes, len(pos)), classes)
-            present = np.unique(gt.values[gt.labeled_mask]).size
+            present = np.unique(gt.values[gt.labeled_mask])
+            dist = np.array([np.where(gt.values == cls, np.inf,
+                                      cKDTree(pos[gt.values == cls]).query(pos)[0])
+                             for cls in present])
+            nearest = dist.min(axis=0)
+            ties += int((gt.labeled_mask & (nearest < np.inf)
+                         & ((dist == nearest).sum(axis=0) > 1)).sum())
             for blur in (0.5, 1.0, np.sqrt(2.0), 1.5, 2.0, 10.0):
                 spec = LogitNoiseSpec(boundary_blur=blur, seed=seed)
-                reach = np.nextafter(blur, np.inf)
                 before = len(calls)
                 assert np.array_equal(corrupt_logits(gt, cloud, spec),
-                                      literal_corrupt_logits(gt, cloud, spec, reach))
-                fallbacks += len(calls) - before > present
-        assert fallbacks
+                                      literal_corrupt_logits(gt, cloud, spec))
+                assert len(calls) - before == present.size
+        assert ties
 
     def test_far_apart_groups_build_small_trees(self, monkeypatch):
         # Two tight two-class clusters 100 blur radii apart: each class's
@@ -248,31 +246,27 @@ class TestCorruptLogits:
         assert [(c["rows"], c["points"]) for c in calls] == [(1, 2), (2, 1), (1, 2), (2, 1)]
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_tie_between_classes_uses_the_full_tree(self, seed, monkeypatch):
+    def test_tie_between_classes_goes_to_the_lowest_id(self, seed, monkeypatch):
         # Point 0 lies exactly 0.05 from a class-2 and a class-1 point, so
-        # two classes tie as its nearest. Its row is answered by a tree over
-        # all its other-class points, which picks among the tied points as
-        # the oracle's does.
+        # two classes tie as its nearest; the lower id, 1, is its other
+        # class. One tree per class present answers.
         pos = np.array([[0.0, 0, 0], [0.05, 0, 0], [-0.05, 0, 0], [0.0, 0.5, 0]])
         cloud = PointCloud(pos, np.zeros(pos.shape, dtype=np.uint8))
         gt = LabelField(np.array([0, 2, 1, 1]), 3)
         spec = LogitNoiseSpec(boundary_blur=0.1, confusion_temperature=0.0, seed=seed)
         calls = record_queries(monkeypatch, synth)
         got = corrupt_logits(gt, cloud, spec)
-        assert np.array_equal(
-            got, literal_corrupt_logits(gt, cloud, spec, np.nextafter(0.1, np.inf)))
-        assert [(c["rows"], c["points"]) for c in calls][-1] == (1, 3)
-        # That tree picks the class-2 point; the lower tied class id is 1.
-        assert np.flatnonzero(got[0]).tolist() == [0, 2]
+        assert np.array_equal(got, literal_corrupt_logits(gt, cloud, spec))
+        assert len(calls) == 3
+        assert np.flatnonzero(got[0]).tolist() == [0, 1]
 
     @settings(max_examples=300)
     @given(tie_prone_scenes(), st.integers(0, 1000))
     def test_matches_literal_oracle(self, scene, seed):
         cloud, gt, blur = scene
         spec = LogitNoiseSpec(boundary_blur=blur, seed=seed)
-        assert np.array_equal(
-            corrupt_logits(gt, cloud, spec),
-            literal_corrupt_logits(gt, cloud, spec, np.nextafter(blur, np.inf)))
+        assert np.array_equal(corrupt_logits(gt, cloud, spec),
+                              literal_corrupt_logits(gt, cloud, spec))
 
     def test_mismatched_cloud_rejected(self):
         cloud, gt, _, _ = generate_scene(SceneSpec(seed=2))

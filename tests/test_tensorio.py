@@ -114,15 +114,15 @@ class TestViews:
             tensorio.load_views(tmp_path / "manifest.json")
 
     @pytest.mark.parametrize("key, value, reason", [
-        pytest.param("width", "abc", "width is not an integer: 'abc'",
+        pytest.param("width", "abc", "width must be an integer, got 'abc'",
                      id="width-abc-not-an-integer"),
         ("width", 3, "payload has 4 rows for a 3x2 grid"),
         ("rotation", [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "rotation is not orthonormal"),
         ("payload_path", "nan.lf01", "pixel_logits at row 1, col 0 are not finite"),
         # Sizes are JSON integers: no string, fraction or boolean reads as one.
-        pytest.param("width", "2", "width is not an integer: '2'", id="width-string"),
-        pytest.param("width", 2.5, r"width is not an integer: 2\.5", id="width-fraction"),
-        pytest.param("height", True, "height is not an integer: True", id="height-bool"),
+        pytest.param("width", "2", "width must be an integer, got '2'", id="width-string"),
+        pytest.param("width", 2.5, r"width must be an integer, got 2\.5", id="width-fraction"),
+        pytest.param("height", True, "height must be an integer, got True", id="height-bool"),
     ])
     def test_bad_entry_names_manifest_and_view(self, tmp_path, key, value, reason):
         view = CameraView(
