@@ -96,10 +96,10 @@ _HELP = {
     "mask": "scene mask JSON (class names present)",
     "logits": "point logits (LF01)",
     "views": "view manifest JSON",
-    "labels": "label listing (text)",
+    "labels": "labels (label PLY or text listing)",
     "confidence": "confidence tensor (LF01, one column)",
     "gt": "ground truth (label PLY or text listing)",
-    "pred": "predicted label listing (text)",
+    "pred": "predicted labels (label PLY or text listing)",
     "seed": "scene seed (synth, sweep)",
     "top_v": "CALR percentage kept per class",
     "alpha": "GALR overlap threshold",
@@ -113,8 +113,8 @@ def _setting(args, key: str, required: bool = False):
     None when neither sets it.
 
     A value that does not read is a data error naming the key; so are a
-    path that is not a string, a JSON boolean for a number and a fraction
-    for an int (`int()` would truncate it).
+    path that is not a string, a string or a JSON boolean for a number and
+    a fraction for an int (`int()` would truncate it).
     """
     value = getattr(args, key, None)
     if value is None:
@@ -123,8 +123,7 @@ def _setting(args, key: str, required: bool = False):
         return None
     kind = _SETTINGS[key]
     try:
-        if (not isinstance(value, str) if kind is str
-                else isinstance(value, bool)
+        if (isinstance(value, str) != (kind is str) or isinstance(value, bool)
                 or kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return kind(value)
@@ -153,30 +152,30 @@ def _load_mask(args, class_names):
     return tensorio.load_scene_mask(mask_path, class_names)
 
 
-def _covering(path, labels: LabelField, count: int) -> LabelField:
-    """The labels read from `path`, which must cover `count` points."""
-    if len(labels) != count:
-        raise ValueError(f"{path}: {len(labels)} labels for {count} points")
-    return labels
+def _fits(path, got: int, want: int, what: str, of: str = "points") -> None:
+    """Refuse an input of `got` items where `want` are needed, naming its file."""
+    if got != want:
+        raise ValueError(f"{path}: {got} {what} for {want} {of}")
 
 
-def _load_labels(args, key, class_names, count) -> LabelField:
-    """A label listing that must cover `count` points."""
+def _load_labels(args, key, class_names, count=None, of="points") -> LabelField:
+    """The labels of setting `key`: the label channel of a .ply path, else a
+    text listing; with `count`, they must cover that many points (`of`
+    says which, in the error)."""
     path = _setting(args, key, required=True)
-    return _covering(path, tensorio.load_labels_text(path, len(class_names)), count)
-
-
-def _load_gt(path, class_names) -> LabelField:
-    """Ground truth from a PLY with a label channel or a text listing."""
     if not path.endswith(".ply"):
-        return tensorio.load_labels_text(path, len(class_names))
-    _, values = load_labeled_ply(path)
-    if values is None:
-        raise ValueError(f"{path} has no label channel")
-    try:
-        return LabelField(values, len(class_names))
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        labels = tensorio.load_labels_text(path, len(class_names))
+    else:
+        values = load_labeled_ply(path)[1]
+        if values is None:
+            raise ValueError(f"{path}: no label channel")
+        try:
+            labels = LabelField(values, len(class_names))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+    if count is not None:
+        _fits(path, len(labels), count, "labels", of)
+    return labels
 
 
 def _partition_for(args, cloud):
@@ -184,10 +183,7 @@ def _partition_for(args, cloud):
     if part_path is None:
         return partition_cloud(cloud, _params(SuperpointParams, args))
     partition = load_partition_json(part_path)
-    if len(partition) != cloud.count:
-        raise ValueError(
-            f"{part_path}: partition covers {len(partition)} points, cloud has {cloud.count}"
-        )
+    _fits(part_path, len(partition), cloud.count, "assignment entries")
     return partition
 
 
@@ -199,19 +195,14 @@ def _pseudo_labels(args, cloud, class_names, mask):
         raise UsageError("exactly one of --logits / --views is required")
     if logits_path is not None:
         logits = tensorio.load_tensor(logits_path)
-        if logits.shape[0] != cloud.count:
-            raise ValueError(f"{logits_path}: logits cover {logits.shape[0]} points, "
-                             f"cloud has {cloud.count}")
-        if logits.shape[1] != len(class_names):
-            raise ValueError(f"{logits_path}: logits have {logits.shape[1]} classes, "
-                             f"class list has {len(class_names)}")
+        _fits(logits_path, logits.shape[0], cloud.count, "logit rows")
+        _fits(logits_path, logits.shape[1], len(class_names), "logit columns", "classes")
         labels, confidence = pseudo_labels_from_logits(logits, mask)
         return labels, confidence, None
     views = tensorio.load_views(views_path)
-    wrong = {v.channels for v in views} - {len(class_names)}
-    if wrong:
-        raise ValueError(f"{views_path}: views have {min(wrong)} classes, "
-                         f"class list has {len(class_names)}")
+    for i, view in enumerate(views):
+        _fits(f"{views_path}: view {i}", view.channels, len(class_names),
+              "logit channels", "classes")
     return pseudo_labels_from_views(cloud, views, mask,
                                     occlusion_tolerance=_setting(args, "occlusion_tolerance"))
 
@@ -257,9 +248,7 @@ def cmd_refine(args) -> int:
     labels = _load_labels(args, "labels", class_names, cloud.count)
     confidence_path = _setting(args, "confidence", required=True)
     confidence = tensorio.load_confidence(confidence_path)
-    if confidence.shape != (cloud.count,):
-        raise ValueError(f"{confidence_path}: confidence of {confidence.shape} "
-                         f"does not match {cloud.count} labels")
+    _fits(confidence_path, len(confidence), cloud.count, "confidences")
     params = _params(RefineParams, args)
     partition = _partition_for(args, cloud)
     refined = refine_pipeline(labels, confidence, partition, params)
@@ -278,9 +267,8 @@ def cmd_stlp(args) -> int:
     params = _params(RefineParams, args)
     stlp_config = _params(StlpConfig, args)
     mask = _load_mask(args, class_names)
-    gt_path = _setting(args, "gt")
-    gt = (None if gt_path is None
-          else _covering(gt_path, _load_gt(gt_path, class_names), cloud.count))
+    gt = (None if _setting(args, "gt") is None
+          else _load_labels(args, "gt", class_names, cloud.count))
     labels, confidence, _ = _pseudo_labels(args, cloud, class_names, mask)
     partition = _partition_for(args, cloud)
     refined = refine_pipeline(labels, confidence, partition, params)
@@ -314,11 +302,10 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    class_names = tensorio.load_class_names(
-        _setting(args, "classes", required=True)
-    )
-    gt = _load_gt(_setting(args, "gt", required=True), class_names)
-    pred = _load_labels(args, "pred", class_names, len(gt))
+    class_names = tensorio.load_class_names(_setting(args, "classes", required=True))
+    gt = _load_labels(args, "gt", class_names)
+    pred = _load_labels(args, "pred", class_names, len(gt),
+                        of=f"points of {_setting(args, 'gt')}")
     report = metrics_report(pred, gt, class_names)
     _emit(report, args.json, text=format_report(report))
     return 0

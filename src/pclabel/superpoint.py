@@ -265,30 +265,35 @@ def save_partition_json(partition: SuperpointPartition, path) -> None:
         "assignment": partition.assignment.tolist(),
     }
     with open(path, "w", encoding="ascii") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+        # json.dumps runs the C encoder; json.dump streams through the pure-Python one.
+        f.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_partition_json(path) -> SuperpointPartition:
+    """Read the {"n", "u", "assignment"} JSON form; every check names the file."""
     payload = read_text(path, "ascii")
-    for key in ("assignment", "n", "u"):
-        if not isinstance(payload, dict) or key not in payload:
-            raise ValueError(f"partition file {path} has no {key!r} key")
-    entries = payload["assignment"]
-    if not isinstance(entries, list):
-        raise ValueError(f"partition file {path}: assignment is not a list: {entries!r}")
-    n = len(entries)
-    # type() rather than isinstance: JSON true/false must not pass as 1/0.
-    bad = next((i for i, v in enumerate(entries) if type(v) is not int or not 0 <= v < n), None)
-    if bad is not None:
-        raise ValueError(
-            f"partition file {path}: assignment entry {bad} must be an "
-            f"integer in [0, {n}), got {entries[bad]!r}"
-        )
-    partition = SuperpointPartition(np.asarray(entries, dtype=np.int64))
-    if len(partition) != payload["n"] or partition.segment_count != payload["u"]:
-        raise ValueError(
-            f"partition file {path} is inconsistent: declared n={payload['n']} "
-            f"u={payload['u']}, found n={len(partition)} u={partition.segment_count}"
-        )
+    try:
+        for key in ("assignment", "n", "u"):
+            if not isinstance(payload, dict) or key not in payload:
+                raise ValueError(f"no {key!r} key")
+        entries = payload["assignment"]
+        if not isinstance(entries, list):
+            raise ValueError(f"assignment is not a list: {entries!r}")
+        n = len(entries)
+        # type() rather than isinstance: JSON true/false must not pass as 1/0.
+        bad = next((i for i, v in enumerate(entries) if type(v) is not int or not 0 <= v < n),
+                   None)
+        if bad is not None:
+            raise ValueError(
+                f"assignment entry {bad} must be an integer in [0, {n}), got {entries[bad]!r}"
+            )
+        partition = SuperpointPartition(np.asarray(entries, dtype=np.int64))
+        for key, found in (("n", n), ("u", partition.segment_count)):
+            if type(payload[key]) is not int:
+                raise ValueError(f"{key} must be an integer, got {payload[key]!r}")
+            if payload[key] != found:
+                raise ValueError(f"{key}={payload[key]} is inconsistent with the "
+                                 f"assignment, which has {key}={found}")
+    except ValueError as e:
+        raise ValueError(f"partition file {path}: {e}") from None
     return partition

@@ -74,10 +74,16 @@ def save_confidence(path, confidence: np.ndarray) -> None:
 
 
 def load_confidence(path) -> np.ndarray:
+    """A confidence vector: one column of values in [0, 1]."""
     t = load_tensor(path)
     if t.shape[1] != 1:
         raise ValueError(f"{path}: confidence tensors have 1 column, got {t.shape[1]}")
-    return t[:, 0].astype(np.float64)
+    confidence = t[:, 0].astype(np.float64)
+    bad = np.flatnonzero(~((confidence >= 0) & (confidence <= 1)))  # NaN fails both
+    if bad.size:
+        raise ValueError(f"{path}: confidence at row {bad[0]} is "
+                         f"{confidence[bad[0]]}, outside [0, 1]")
+    return confidence
 
 
 def save_views(directory, views: Sequence[CameraView]) -> str:

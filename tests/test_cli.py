@@ -1,16 +1,33 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import struct
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pclabel import RefineParams, StlpConfig, SuperpointParams, cli, tensorio
+from pclabel import (
+    LabelField,
+    LogitNoiseSpec,
+    RefineParams,
+    SceneSpec,
+    StlpConfig,
+    SuperpointParams,
+    cli,
+    tensorio,
+)
 from pclabel.cli import _params, build_parser, main
+from pclabel.ply import load_labeled_ply, load_ply, save_ply
+from pclabel.synth import corrupt_logits, generate_scene
 
 
 @pytest.fixture(scope="module")
@@ -864,8 +881,8 @@ class TestDamagedInputs:
         assert run(["pseudo", "--cloud", fixture_dir / "cloud.ply",
                     "--classes", classes, "--views", manifest,
                     "--out", tmp_path / "o"]) == 2
-        assert (f"{manifest}: views have 8 classes, class list has 3"
-                in capsys.readouterr().err)
+        assert (capsys.readouterr().err
+                == f"error: {manifest}: view 0: 8 logit channels for 3 classes\n")
 
     def test_too_few_points_for_normals_names_the_setting(self, fixture_dir, tmp_path,
                                                           capsys):
@@ -981,6 +998,8 @@ class TestSettingDomains:
         ("knn_k", 15.9, "int"),
         ("min_size", 4.5, "int"),
         ("top_v", True, "float"),
+        ("top_v", "30", "float"),
+        ("rounds", "1", "int"),
     ])
     def test_config_value_of_another_type(self, inputs, tmp_path, capsys, key, value, kind):
         config = tmp_path / "c.json"
@@ -993,3 +1012,202 @@ class TestSettingDomains:
     def test_whole_float_reads_as_int(self):
         config = {"knn_k": 15.0, "rounds": 3.0}
         assert _params(StlpConfig, argparse.Namespace(**config)) == StlpConfig(knn_k=15, rounds=3)
+
+
+
+# The input files each command reads in the tests below, by setting.
+READS = {"pseudo": "cloud classes logits",
+         "refine": "cloud classes labels confidence partition",
+         "infer": "cloud classes labels partition",
+         "stlp": "cloud classes logits gt",
+         "eval": "classes gt pred"}
+
+
+def command_args(command, inputs, out):
+    """`command` with a flag for each input it reads, taken from `inputs`,
+    and --out unless it is eval."""
+    args = [command] + [a for key in READS[command].split() for a in (f"--{key}", inputs[key])]
+    return args + ([] if command == "eval" else ["--out", out])
+
+
+@pytest.fixture(scope="module")
+def intact(fixture_dir, labeled_dir):
+    """A valid file for every setting in READS."""
+    return {"cloud": fixture_dir / "cloud.ply",
+            "classes": fixture_dir / "classes.json",
+            "labels": labeled_dir / "labels.txt",
+            "confidence": labeled_dir / "confidence.lf01",
+            "partition": labeled_dir / "partition.json",
+            "logits": fixture_dir / "logits.lf01",
+            "gt": fixture_dir / "gt.ply",
+            "pred": labeled_dir / "labels.txt"}
+
+
+class TestLabelInputs:
+    """--labels, --pred and --gt each read a label PLY (a path ending in
+    .ply) or a text listing, alike, and name the file in every error."""
+
+    @pytest.fixture(scope="class")
+    def forms(self, intact, tmp_path_factory):
+        """The pseudo labels and the ground truth, each as a text listing
+        and as a label PLY."""
+        out = tmp_path_factory.mktemp("forms")
+        cloud, gt = load_labeled_ply(intact["gt"])
+        save_ply(cloud, out / "labels.ply",
+                 labels=tensorio.load_labels_text(intact["labels"], 8))
+        tensorio.save_labels_text(out / "gt.txt", LabelField(gt, 8))
+        return {"labels": [intact["labels"], out / "labels.ply"],
+                "gt": [out / "gt.txt", intact["gt"]]}
+
+    @pytest.mark.parametrize("command, output", [("refine", "refined_labels.txt"),
+                                                 ("infer", "pred_labels.txt"),
+                                                 ("stlp", "report.jsonl")])
+    def test_both_forms_read_alike(self, intact, forms, tmp_path, command, output):
+        key = "gt" if command == "stlp" else "labels"
+        for form, path in zip("ab", forms[key]):
+            args = command_args(command, {**intact, key: path}, tmp_path / form)
+            assert run(args + (["--partition", intact["partition"], "--rounds", 1]
+                               if command == "stlp" else [])) == 0
+        read = (tmp_path / "a" / output).read_bytes()
+        assert read == (tmp_path / "b" / output).read_bytes()
+        assert command != "stlp" or b'"miou"' in read  # the rounds scored the ground truth
+
+    def test_eval_reads_both_forms_alike(self, intact, forms, capsys):
+        reports = set()
+        for pred in forms["labels"]:
+            for gt in forms["gt"]:
+                args = command_args("eval", {**intact, "pred": pred, "gt": gt}, None)
+                assert run(args + ["--json"]) == 0
+                reports.add(capsys.readouterr().out)
+        assert len(reports) == 1
+        assert 0 < json.loads(reports.pop())["miou"] < 1
+
+    @pytest.mark.parametrize("command, key", [("refine", "labels"), ("stlp", "gt"),
+                                              ("eval", "pred"), ("eval", "gt")])
+    def test_ply_without_label_channel(self, intact, tmp_path, capsys, command, key):
+        cloud = intact["cloud"]
+        assert run(command_args(command, {**intact, key: cloud}, tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {cloud}: no label channel\n"
+        assert not (tmp_path / "o").exists()
+
+
+class TestSizeMessages:
+    """Every input whose size does not fit the cloud, the class list or the
+    ground truth is refused by one rule: `<path>: <got> <what> for <want> <of>`."""
+
+    # case: (command, setting, message)
+    CASES = {
+        "confidence": ("refine", "confidence", "5 confidences for {n} points"),
+        "partition": ("refine", "partition", "3 assignment entries for {n} points"),
+        "logit-rows": ("pseudo", "logits", "5 logit rows for {n} points"),
+        "logit-columns": ("pseudo", "logits", "3 logit columns for 8 classes"),
+        "pred": ("eval", "pred", "5 labels for {n} points of {gt}"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_message(self, intact, tmp_path, capsys, case):
+        command, key, message = self.CASES[case]
+        n = load_ply(intact["cloud"]).count
+        path = tmp_path / "short"
+        if case == "confidence":
+            tensorio.save_confidence(path, np.full(5, 0.5))
+        elif case == "partition":
+            path.write_text('{"n": 3, "u": 1, "assignment": [0, 0, 0]}')
+        elif case == "pred":
+            path.write_text("0\n" * 5)
+        else:
+            tensorio.save_tensor(path, np.zeros((5, 8) if case == "logit-rows" else (n, 3)))
+        assert run(command_args(command, {**intact, key: path}, tmp_path / "o")) == 2
+        assert (capsys.readouterr().err
+                == f"error: {path}: {message.format(n=n, gt=intact['gt'])}\n")
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"n": 3, "u": 2, "assignment": [0, 2, 2]}, "segment ids must be dense in [0, U)"),
+        ({"n": 3.0, "u": 1, "assignment": [0, 0, 0]}, "n must be an integer, got 3.0"),
+        ({"n": 3, "u": True, "assignment": [0, 0, 0]}, "u must be an integer, got True"),
+    ])
+    def test_partition_rule_names_the_file(self, intact, tmp_path, capsys, payload, message):
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps(payload))
+        assert run(command_args("infer", {**intact, "partition": path}, tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: partition file {path}: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def small_scan(tmp_path_factory):
+    """A valid file for every setting in READS, for a ~700-point scene."""
+    out = tmp_path_factory.mktemp("small")
+    scene = SceneSpec(extents=(1.0, 1.0, 0.8), object_count=(1, 2), density=120.0)
+    cloud, gt, _, _ = generate_scene(scene)
+    save_ply(cloud, out / "cloud.ply")
+    save_ply(cloud, out / "gt.ply", labels=gt)
+    tensorio.save_class_names(out / "classes.json", scene.class_names)
+    tensorio.save_tensor(out / "logits.lf01", corrupt_logits(gt, cloud, LogitNoiseSpec()))
+    inputs = {"cloud": out / "cloud.ply", "classes": out / "classes.json",
+              "logits": out / "logits.lf01", "labels": out / "labels.txt",
+              "confidence": out / "confidence.lf01", "gt": out / "gt.ply",
+              "pred": out / "labels.txt"}
+    assert run(command_args("pseudo", inputs, out)) == 0
+    # refine without --partition writes the default one
+    assert run(["refine", "--cloud", inputs["cloud"], "--classes", inputs["classes"],
+                "--labels", inputs["labels"], "--confidence", inputs["confidence"],
+                "--out", out]) == 0
+    return {**inputs, "partition": out / "partition.json"}
+
+
+# (command, the setting whose file is damaged, the file); the command's
+# other inputs are intact. gt.ply stands in as a label PLY for --labels.
+DAMAGED = [
+    ("refine", "labels", "labels"), ("refine", "labels", "gt"),
+    ("refine", "confidence", "confidence"), ("refine", "partition", "partition"),
+    ("infer", "labels", "labels"), ("infer", "labels", "gt"),
+    ("infer", "partition", "partition"),
+    ("eval", "pred", "pred"), ("eval", "gt", "gt"),
+]
+# What a JSON value is swapped for: another type, NaN, a float beyond
+# float64 and an integer beyond int64.
+JSON_SWAPS = ['"3"', "null", "true", "[]", "{}", "1.5", "NaN", "1e400",
+              "12345678901234567890"]
+
+
+@st.composite
+def damaged(draw, data: bytes, is_json: bool) -> bytes:
+    """`data` truncated, with one byte flipped, or (JSON) with one value swapped."""
+    kind = draw(st.sampled_from(["truncate", "flip", "swap"][:3 if is_json else 2]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]
+    payload = json.loads(data)
+    key = draw(st.sampled_from(["n", "u", "assignment", "entry"]))
+    if key == "entry":
+        payload["assignment"][draw(st.integers(0, len(payload["assignment"]) - 1))] = "@"
+    else:
+        payload[key] = "@"
+    return json.dumps(payload).replace('"@"', draw(st.sampled_from(JSON_SWAPS))).encode()
+
+
+class TestDamagedFiles:
+    @settings(max_examples=200)
+    @given(case=st.sampled_from(DAMAGED), data=st.data())
+    def test_exit_0_or_2_naming_the_file(self, small_scan, case, data):
+        # A damaged input either still reads or is a data error that names
+        # it; never a usage error, a traceback or a warning.
+        command, key, source = case
+        source = small_scan[source]
+        content = data.draw(damaged(source.read_bytes(), source.suffix == ".json"))
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = os.path.join(tmp, source.name)
+            with open(bad, "wb") as f:
+                f.write(content)
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stderr(err), redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = run(command_args(command, {**small_scan, key: bad},
+                                        os.path.join(tmp, "o")))
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert bad in err.getvalue()

@@ -498,8 +498,23 @@ class TestPartitionIO:
         payload = {"n": 3, "u": 1, "assignment": [0, 0, 0]}
         del payload[key]
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"bad.json has no '{key}' key"):
+        with pytest.raises(ValueError, match=f"partition file .*bad.json: no '{key}' key"):
             load_partition_json(path)
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"n": 3, "u": 2, "assignment": [0, 2, 2]}, "segment ids must be dense in [0, U)"),
+        ({"n": 3.0, "u": 1, "assignment": [0, 0, 0]}, "n must be an integer, got 3.0"),
+        ({"n": 3, "u": True, "assignment": [0, 0, 0]}, "u must be an integer, got True"),
+        ({"n": 3, "u": float("nan"), "assignment": [0, 0, 0]}, "u must be an integer, got nan"),
+        ({"n": 10**20, "u": 1, "assignment": [0, 0, 0]},
+         f"n={10**20} is inconsistent with the assignment, which has n=3"),
+    ])
+    def test_every_rule_names_the_file(self, tmp_path, payload, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as raised:
+            load_partition_json(path)
+        assert str(raised.value) == f"partition file {path}: {message}"
 
     @pytest.mark.parametrize("assignment, entry", [
         pytest.param([0.5, 0.2, 0.9], "entry 0 must be an integer in [0, 3), got 0.5",

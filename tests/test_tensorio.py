@@ -78,6 +78,14 @@ class TestLF01:
         tensorio.save_confidence(path, conf)
         assert np.allclose(tensorio.load_confidence(path), conf, atol=1e-7)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, 1.5])
+    def test_confidence_outside_unit_interval_names_the_row(self, tmp_path, value):
+        path = tmp_path / "c.lf01"
+        tensorio.save_confidence(path, np.array([0.0, 1.0, value]))
+        with pytest.raises(ValueError) as raised:
+            tensorio.load_confidence(path)
+        assert str(raised.value) == f"{path}: confidence at row 2 is {value}, outside [0, 1]"
+
     def test_confidence_requires_one_column(self, tmp_path, rng):
         path = tmp_path / "c.lf01"
         tensorio.save_tensor(path, rng.random((3, 2)))
