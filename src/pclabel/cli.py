@@ -287,6 +287,8 @@ def cmd_stlp(args) -> int:
 def cmd_infer(args) -> int:
     cloud, class_names = _load_cloud_and_classes(args)
     labels = _load_labels(args, "labels", class_names, cloud.count)
+    if not labels.labeled_mask.any():
+        raise ValueError(f"{_setting(args, 'labels')}: no labeled point to fit on")
     params = _params(RefineParams, args)
     classifier = KnnClassifier(_params(StlpConfig, args))
     partition = _partition_for(args, cloud)

@@ -1,9 +1,10 @@
 """PLY point-cloud files: ascii and binary-little-endian, single vertex element.
 
-Readable properties are the scalar PLY types; the writer always emits
-binary_little_endian with float x/y/z, uchar red/green/blue and, when labels
-are given, a ushort `label` channel (UNLABELED encoded as 65535). The header
-grammar accepted here is written out in docs/formats.md.
+Readable properties are the scalar PLY types. One vertex layout, _LAYOUT,
+serves both ways: the reader requires its types, and the writer (always
+binary_little_endian) emits exactly it, with the `label` channel
+(UNLABELED encoded as 65535) only when labels are given. The header grammar
+accepted here is written out in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ _SCALAR_TYPES = {
     "float": "f4", "float32": "f4",
     "double": "f8", "float64": "f8",
 }
+# The vertex layout: the reader requires these types, and the writer emits
+# these properties in this order. `label` alone is optional.
+_LAYOUT = {"x": "float", "y": "float", "z": "float",
+           "red": "uchar", "green": "uchar", "blue": "uchar", "label": "ushort"}
+_POSITION, _COLOR = ("x", "y", "z"), ("red", "green", "blue")
 
 
 class PlyError(ValueError):
@@ -40,28 +46,18 @@ def _header_error(lineno: int, message: str) -> PlyError:
 
 def _parse_header(f):
     """Returns (format, vertex_count, [(name, numpy type)], body_offset, lines)."""
-    lineno = 0
-
-    def next_line() -> str:
-        nonlocal lineno
-        raw = f.readline()
-        if not raw:
-            raise _header_error(lineno + 1, "unexpected end of file inside header")
-        lineno += 1
-        return raw.decode("ascii", errors="replace").rstrip("\r\n")
-
-    if next_line() != "ply":
-        raise _header_error(1, "missing 'ply' magic")
-    fmt = None
-    vertex_count = None
+    fmt = vertex_count = None
     props: list = []
-    in_vertex = False
-    while True:
-        line = next_line()
+    lineno = 0
+    for lineno, raw in enumerate(iter(f.readline, b""), start=1):
+        line = raw.decode("ascii", errors="replace").rstrip("\r\n")
         tokens = line.split()
-        if not tokens or tokens[0] == "comment":
+        if lineno == 1:
+            if line != "ply":
+                raise _header_error(1, "missing 'ply' magic")
+        elif not tokens or tokens[0] == "comment":
             continue
-        if tokens[0] == "format":
+        elif tokens[0] == "format":
             if len(tokens) != 3 or tokens[2] != "1.0":
                 raise _header_error(lineno, f"unsupported format line {line!r}")
             if tokens[1] not in ("ascii", "binary_little_endian"):
@@ -85,9 +81,8 @@ def _parse_header(f):
                 raise _header_error(lineno, f"bad vertex count {tokens[2]!r}") from None
             if vertex_count < 0:
                 raise _header_error(lineno, "negative vertex count")
-            in_vertex = True
         elif tokens[0] == "property":
-            if not in_vertex:
+            if vertex_count is None:
                 raise _header_error(lineno, "property outside the vertex element")
             if len(tokens) >= 2 and tokens[1] == "list":
                 raise _header_error(lineno, "list properties are not supported")
@@ -100,27 +95,26 @@ def _parse_header(f):
             break
         else:
             raise _header_error(lineno, f"unrecognized header line {line!r}")
+    else:
+        raise _header_error(lineno + 1, "unexpected end of file inside header")
     if fmt is None:
         raise _header_error(lineno, "missing format line")
     if vertex_count is None:
         raise _header_error(lineno, "missing vertex element")
-    names = [name for name, _ in props]
-    for required, required_type in (
-        ("x", "f4"), ("y", "f4"), ("z", "f4"),
-        ("red", "u1"), ("green", "u1"), ("blue", "u1"),
-    ):
-        if required not in names:
-            raise _header_error(lineno, f"missing required property {required!r}")
-        declared = dict(props)[required]
-        if declared != required_type:
-            raise _header_error(
-                lineno,
-                f"property {required!r} must be "
-                f"{'float' if required_type == 'f4' else 'uchar'}",
-            )
-    if len(set(names)) != len(names):
+    declared = dict(props)
+    for name, kind in _LAYOUT.items():
+        if name not in declared and name != "label":
+            raise _header_error(lineno, f"missing required property {name!r}")
+        if declared.get(name, _SCALAR_TYPES[kind]) != _SCALAR_TYPES[kind]:
+            raise _header_error(lineno, f"property {name!r} must be {kind}")
+    if len(declared) != len(props):
         raise _header_error(lineno, "duplicate property names")
     return fmt, vertex_count, props, f.tell(), lineno
+
+
+def _row_dtype(props) -> np.dtype:
+    """The packed little-endian row of [(name, numpy type)]."""
+    return np.dtype([(name, "<" + code) for name, code in props])
 
 
 def _body_bytes(f, body_offset) -> int:
@@ -128,7 +122,7 @@ def _body_bytes(f, body_offset) -> int:
 
 
 def _read_body_binary(f, vertex_count, props, body_offset):
-    dtype = np.dtype([(name, "<" + code) for name, code in props])
+    dtype = _row_dtype(props)
     expected = vertex_count * dtype.itemsize
     found = _body_bytes(f, body_offset)
     if found < expected:
@@ -136,6 +130,9 @@ def _read_body_binary(f, vertex_count, props, body_offset):
             f"truncated body at byte {body_offset + found}: "
             f"expected {expected} payload bytes, found {found}"
         )
+    if found > expected:
+        raise PlyError(f"{found - expected} bytes past the {vertex_count} declared "
+                       f"vertices, from byte {body_offset + expected}")
     return np.frombuffer(f.read(expected), dtype=dtype, count=vertex_count)
 
 
@@ -186,7 +183,7 @@ def _convert(tokens, code):
 
 
 def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
-    dtype = np.dtype([(name, "<" + code) for name, code in props])
+    dtype = _row_dtype(props)
     # Each data row holds at least one value and, but for the last, a line
     # break: a header declaring more rows than that cannot be honest.
     found = _body_bytes(f, body_offset)
@@ -248,16 +245,13 @@ def _load(path) -> Tuple[PointCloud, Optional[np.ndarray]]:
                 rows = _read_body_ascii(
                     f, vertex_count, props, header_lines, body_offset
                 )
-            positions = np.stack(
-                [rows["x"].astype(np.float64), rows["y"].astype(np.float64),
-                 rows["z"].astype(np.float64)], axis=1,
-            )
-            colors = np.stack([rows["red"], rows["green"], rows["blue"]], axis=1)
-            cloud = PointCloud(positions, colors)
+            positions = np.stack([rows[name].astype(np.float64) for name in _POSITION],
+                                 axis=1)
+            cloud = PointCloud(positions, np.stack([rows[name] for name in _COLOR], axis=1))
         except ValueError as e:  # PlyError, or a PointCloud check
             raise PlyError(f"{path}: {e}") from None
     labels = None
-    if any(name == "label" for name, _ in props):
+    if "label" in rows.dtype.names:
         raw = rows["label"].astype(np.int64)
         labels = np.where(raw == LABEL_SENTINEL_U16, UNLABELED, raw)
     return cloud, labels
@@ -278,38 +272,26 @@ def load_labeled_ply(path) -> Tuple[PointCloud, Optional[np.ndarray]]:
 
 
 def save_ply(cloud: PointCloud, path, labels: Optional[LabelField] = None) -> None:
-    """Write a binary-little-endian PLY, optionally with a ushort label channel."""
+    """Write a binary-little-endian PLY of _LAYOUT, with the label channel
+    only when labels are given."""
     n = cloud.count
-    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
-              ("red", "u1"), ("green", "u1"), ("blue", "u1")]
-    label_values = None
+    layout = [(name, kind) for name, kind in _LAYOUT.items()
+              if labels is not None or name != "label"]
+    rows = np.zeros(n, dtype=_row_dtype([(name, _SCALAR_TYPES[kind]) for name, kind in layout]))
+    for j, name in enumerate(_POSITION):
+        rows[name] = cloud.positions[:, j]
+    for j, name in enumerate(_COLOR):
+        rows[name] = cloud.colors[:, j]
     if labels is not None:
-        label_values = labels.values if isinstance(labels, LabelField) else np.asarray(labels)
-        if label_values.shape != (n,):
-            raise ValueError(f"labels must have length {n}, got {label_values.shape}")
-        in_range = (label_values == UNLABELED) | (
-            (label_values >= 0) & (label_values < LABEL_SENTINEL_U16)
-        )
+        values = labels.values if isinstance(labels, LabelField) else np.asarray(labels)
+        if values.shape != (n,):
+            raise ValueError(f"labels must have length {n}, got {values.shape}")
+        in_range = (values == UNLABELED) | ((values >= 0) & (values < LABEL_SENTINEL_U16))
         if not in_range.all():
             raise ValueError("labels must fit a 16-bit channel (0..65534 or UNLABELED)")
-        fields.append(("label", "<u2"))
-    rows = np.zeros(n, dtype=np.dtype(fields))
-    rows["x"] = cloud.positions[:, 0].astype(np.float32)
-    rows["y"] = cloud.positions[:, 1].astype(np.float32)
-    rows["z"] = cloud.positions[:, 2].astype(np.float32)
-    rows["red"] = cloud.colors[:, 0]
-    rows["green"] = cloud.colors[:, 1]
-    rows["blue"] = cloud.colors[:, 2]
-    if label_values is not None:
-        rows["label"] = np.where(
-            label_values == UNLABELED, LABEL_SENTINEL_U16, label_values
-        ).astype(np.uint16)
+        rows["label"] = np.where(values == UNLABELED, LABEL_SENTINEL_U16, values)
     header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}",
-              "property float x", "property float y", "property float z",
-              "property uchar red", "property uchar green", "property uchar blue"]
-    if label_values is not None:
-        header.append("property ushort label")
-    header.append("end_header")
+              *(f"property {kind} {name}" for name, kind in layout), "end_header"]
     with open(path, "wb") as f:
         f.write(("\n".join(header) + "\n").encode("ascii"))
         f.write(rows.tobytes())

@@ -112,6 +112,19 @@ def save_views(directory, views: Sequence[CameraView]) -> str:
     return manifest_path
 
 
+def _numbers(entry, key) -> np.ndarray:
+    """entry[key] as float64; it must nest JSON numbers only, so that no
+    string or boolean reads as one."""
+    stack = [entry[key]]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(reversed(value))
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key} must hold JSON numbers, got {value!r}")
+    return np.asarray(entry[key], dtype=np.float64)
+
+
 def load_views(manifest_path) -> List[CameraView]:
     """Read a view manifest and its per-pixel logit tensors."""
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -134,16 +147,17 @@ def load_views(manifest_path) -> List[CameraView]:
                     f"{width}x{height} grid"
                 )
             views.append(CameraView(
-                intrinsics=np.asarray(entry["intrinsics"], dtype=np.float64),
-                rotation=np.asarray(entry["rotation"], dtype=np.float64),
-                translation=np.asarray(entry["translation"], dtype=np.float64),
+                intrinsics=_numbers(entry, "intrinsics"),
+                rotation=_numbers(entry, "rotation"),
+                translation=_numbers(entry, "translation"),
                 width=width,
                 height=height,
                 pixel_logits=flat.reshape(height, width, flat.shape[1]),
             ))
         except KeyError as e:
             raise ValueError(f"{manifest_path}: view {i} is missing {e}") from None
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError, OSError) as e:
+            # OverflowError: an integer beyond float64; OSError: the payload
             raise ValueError(f"{manifest_path}: view {i}: {e}") from None
     return views
 
@@ -158,6 +172,8 @@ def load_class_names(path) -> List[str]:
     names = read_text(path)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError(f"{path}: class list must be a JSON array of strings")
+    if not names:
+        raise ValueError(f"{path}: class list is empty")
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: class names must be unique")
     return names

@@ -22,12 +22,14 @@ from pclabel import (
     SceneSpec,
     StlpConfig,
     SuperpointParams,
+    ViewRingSpec,
     cli,
+    ply,
     tensorio,
 )
 from pclabel.cli import _params, build_parser, main
 from pclabel.ply import load_labeled_ply, load_ply, save_ply
-from pclabel.synth import corrupt_logits, generate_scene
+from pclabel.synth import corrupt_logits, generate_scene, render_views
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +223,21 @@ class TestInferCommand:
                     "--out", inf_out, "--json"]) == 0
         values = [int(v) for v in (inf_out / "pred_labels.txt").read_text().split()]
         assert all(v >= 0 for v in values)
+
+
+    def test_fully_unlabeled_listing_refused_before_partitioning(
+            self, fixture_dir, tmp_path, capsys, monkeypatch):
+        labels = tmp_path / "none.txt"
+        labels.write_text("-1\n" * load_ply(fixture_dir / "cloud.ply").count)
+
+        def partition_cloud(*args):
+            raise AssertionError("partitioned before the labels were checked")
+        monkeypatch.setattr(cli, "partition_cloud", partition_cloud)
+        assert run(["infer", "--cloud", fixture_dir / "cloud.ply",
+                    "--classes", fixture_dir / "classes.json",
+                    "--labels", labels, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {labels}: no labeled point to fit on\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvalCommand:
@@ -862,6 +879,13 @@ class TestDamagedInputs:
         assert (f"{gt}: label 99 at point {cloud.count - 1} outside [0, 8)"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["eval", "pseudo"])
+    def test_empty_class_list_names_the_file(self, intact, tmp_path, capsys, command):
+        classes = tmp_path / "classes.json"
+        classes.write_text("[]")
+        assert run(command_args(command, {**intact, "classes": classes}, tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {classes}: class list is empty\n"
+
     def test_infinite_integer_setting(self, fixture_dir, labeled_dir, tmp_path, capsys):
         config = tmp_path / "inf.json"
         config.write_text('{"knn_k": 1e400}')
@@ -1023,10 +1047,11 @@ READS = {"pseudo": "cloud classes logits",
          "eval": "classes gt pred"}
 
 
-def command_args(command, inputs, out):
-    """`command` with a flag for each input it reads, taken from `inputs`,
-    and --out unless it is eval."""
-    args = [command] + [a for key in READS[command].split() for a in (f"--{key}", inputs[key])]
+def command_args(command, inputs, out, reads=None):
+    """`command` with a flag for each input it reads (`reads`, else
+    READS[command]), taken from `inputs`, and --out unless it is eval."""
+    reads = reads or READS[command]
+    args = [command] + [a for key in reads.split() for a in (f"--{key}", inputs[key])]
     return args + ([] if command == "eval" else ["--out", out])
 
 
@@ -1091,6 +1116,27 @@ class TestLabelInputs:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("kind", ["float", "double", "int", "char"])
+    @pytest.mark.parametrize("command, key", [("eval", "pred"), ("refine", "labels"),
+                                              ("pseudo", "cloud")])
+    def test_label_channel_must_be_ushort(self, intact, tmp_path, capsys, kind, command, key):
+        # An ascii label PLY whose labels read as classes at a glance: 2.5
+        # used to be class 2, with exit 0.
+        cloud, gt = load_labeled_ply(intact["gt"])
+        path = tmp_path / "labels.ply"
+        with open(path, "w") as f:
+            f.write(f"ply\nformat ascii 1.0\nelement vertex {cloud.count}\n"
+                    + "".join(f"property float {c}\n" for c in "xyz")
+                    + "".join(f"property uchar {c}\n" for c in ("red", "green", "blue"))
+                    + f"property {kind} label\nend_header\n")
+            half = ".5" if kind in ("float", "double") else ""
+            for p, c, label in zip(cloud.positions, cloud.colors, gt):
+                f.write(f"{p[0]!r} {p[1]!r} {p[2]!r} {c[0]} {c[1]} {c[2]} {label}{half}\n")
+        assert run(command_args(command, {**intact, key: path}, tmp_path / "o")) == 2
+        assert (capsys.readouterr().err
+                == f"error: {path}: header line 11: property 'label' must be ushort\n")
+
+
 class TestSizeMessages:
     """Every input whose size does not fit the cloud, the class list or the
     ground truth is refused by one rule: `<path>: <got> <what> for <want> <of>`."""
@@ -1142,9 +1188,13 @@ def small_scan(tmp_path_factory):
     save_ply(cloud, out / "cloud.ply")
     save_ply(cloud, out / "gt.ply", labels=gt)
     tensorio.save_class_names(out / "classes.json", scene.class_names)
-    tensorio.save_tensor(out / "logits.lf01", corrupt_logits(gt, cloud, LogitNoiseSpec()))
+    logits = corrupt_logits(gt, cloud, LogitNoiseSpec())
+    tensorio.save_tensor(out / "logits.lf01", logits)
+    tensorio.save_views(out / "views", render_views(
+        cloud, logits, ViewRingSpec(num_cameras=2, width=16, height=12)))
     inputs = {"cloud": out / "cloud.ply", "classes": out / "classes.json",
               "logits": out / "logits.lf01", "labels": out / "labels.txt",
+              "views": out / "views" / "manifest.json",
               "confidence": out / "confidence.lf01", "gt": out / "gt.ply",
               "pred": out / "labels.txt"}
     assert run(command_args("pseudo", inputs, out)) == 0
@@ -1156,13 +1206,16 @@ def small_scan(tmp_path_factory):
 
 
 # (command, the setting whose file is damaged, the file); the command's
-# other inputs are intact. gt.ply stands in as a label PLY for --labels.
+# other inputs are intact. gt.ply stands in as a label PLY for --labels, and
+# pseudo reads --views in place of --logits when the manifest is damaged.
 DAMAGED = [
     ("refine", "labels", "labels"), ("refine", "labels", "gt"),
     ("refine", "confidence", "confidence"), ("refine", "partition", "partition"),
+    ("refine", "cloud", "cloud"),
     ("infer", "labels", "labels"), ("infer", "labels", "gt"),
     ("infer", "partition", "partition"),
-    ("eval", "pred", "pred"), ("eval", "gt", "gt"),
+    ("eval", "pred", "pred"), ("eval", "gt", "gt"), ("eval", "classes", "classes"),
+    ("pseudo", "cloud", "cloud"), ("pseudo", "views", "views"),
 ]
 # What a JSON value is swapped for: another type, NaN, a float beyond
 # float64 and an integer beyond int64.
@@ -1170,43 +1223,61 @@ JSON_SWAPS = ['"3"', "null", "true", "[]", "{}", "1.5", "NaN", "1e400",
               "12345678901234567890"]
 
 
+def swap_one(draw, value):
+    """`value` with one of its values, found by descending from the top,
+    replaced by "@"."""
+    if isinstance(value, (list, dict)) and value and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                                   else range(len(value))))
+        value[key] = swap_one(draw, value[key])
+        return value
+    return "@"
+
+
 @st.composite
-def damaged(draw, data: bytes, is_json: bool) -> bytes:
-    """`data` truncated, with one byte flipped, or (JSON) with one value swapped."""
-    kind = draw(st.sampled_from(["truncate", "flip", "swap"][:3 if is_json else 2]))
+def damaged(draw, data: bytes, suffix: str) -> bytes:
+    """`data` truncated, with one byte flipped, or with one JSON value or
+    one PLY property type swapped for another."""
+    kind = draw(st.sampled_from(["truncate", "flip"]
+                                + {".json": ["swap"], ".ply": ["retype"]}.get(suffix, [])))
     if kind == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
     if kind == "flip":
         i = draw(st.integers(0, len(data) - 1))
         return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]
-    payload = json.loads(data)
-    key = draw(st.sampled_from(["n", "u", "assignment", "entry"]))
-    if key == "entry":
-        payload["assignment"][draw(st.integers(0, len(payload["assignment"]) - 1))] = "@"
-    else:
-        payload[key] = "@"
+    if kind == "retype":
+        declared = re.findall(rb"property \w+ \w+\n", data)
+        line = draw(st.sampled_from(declared))
+        kind = draw(st.sampled_from(sorted(ply._SCALAR_TYPES))).encode()
+        return data.replace(line, b"property %s %s\n" % (kind, line.split()[2]), 1)
+    payload = swap_one(draw, json.loads(data))
     return json.dumps(payload).replace('"@"', draw(st.sampled_from(JSON_SWAPS))).encode()
 
 
 class TestDamagedFiles:
-    @settings(max_examples=200)
+    @settings(max_examples=300)
     @given(case=st.sampled_from(DAMAGED), data=st.data())
     def test_exit_0_or_2_naming_the_file(self, small_scan, case, data):
         # A damaged input either still reads or is a data error that names
         # it; never a usage error, a traceback or a warning.
         command, key, source = case
         source = small_scan[source]
-        content = data.draw(damaged(source.read_bytes(), source.suffix == ".json"))
+        content = data.draw(damaged(source.read_bytes(), source.suffix))
         with tempfile.TemporaryDirectory() as tmp:
             bad = os.path.join(tmp, source.name)
             with open(bad, "wb") as f:
                 f.write(content)
+            reads = None
+            if key == "views":  # the payloads the manifest names sit beside it
+                for payload in source.parent.glob("*.lf01"):
+                    shutil.copy(payload, tmp)
+                reads = READS[command].replace("logits", "views")
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
                     redirect_stderr(err), redirect_stdout(io.StringIO()):
                 warnings.simplefilter("always")
                 code = run(command_args(command, {**small_scan, key: bad},
-                                        os.path.join(tmp, "o")))
+                                        os.path.join(tmp, "o"), reads))
         assert not caught, [str(w.message) for w in caught]
         assert code in (0, 2), err.getvalue()
         if code == 2:

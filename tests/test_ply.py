@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 from unittest import mock
 
@@ -154,6 +155,37 @@ class TestLoad:
                            match=f"wide.ply: line 12: bad value '{red}' for 'red'"):
             load_ply(path)
 
+    @pytest.mark.parametrize("kind", ["float", "double", "int", "char"])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_label_must_be_ushort(self, tmp_path, kind, binary):
+        # A float label of 2.7 used to read as class 2, and NaN as a warning.
+        path = tmp_path / "lab.ply"
+        header = ASCII_HEADER.format(n=1).replace("end_header", f"property {kind} label\nend_header")
+        if binary:
+            row = bytes(15) + np.array([2.7]).astype(ply._SCALAR_TYPES[kind]).tobytes()
+            path.write_bytes(header.replace("ascii", "binary_little_endian").encode() + row)
+        else:
+            path.write_text(header + "0 0 0 1 2 3 2.7\n")
+        for load in (load_ply, load_labeled_ply):
+            with pytest.raises(PlyError, match="lab.ply: header line 12: property 'label' "
+                                               "must be ushort"):
+                load(path)
+
+    def test_label_may_be_named_uint16(self, tmp_path):
+        path = tmp_path / "lab.ply"
+        write_ascii(path, [(0, 0, 0, 1, 2, 3, 7)])
+        path.write_text(path.read_text().replace("end_header", "property uint16 label\nend_header"))
+        assert load_labeled_ply(path)[1].tolist() == [7]
+
+    def test_binary_bytes_past_the_declared_vertices(self, tmp_path, rng):
+        path = tmp_path / "long.ply"
+        save_ply(make_cloud(rng, 3), path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"element vertex 3", b"element vertex 2"))
+        with pytest.raises(PlyError, match=f"long.ply: 15 bytes past the 2 declared vertices, "
+                                           f"from byte {len(data) - 15}"):
+            load_ply(path)
+
     def test_properties_read_in_declared_order(self, tmp_path):
         # colors declared before coordinates; values must land correctly
         path = tmp_path / "swapped.ply"
@@ -225,6 +257,24 @@ class TestRoundTrip:
                         ("label", "<u2")])
         raw = np.frombuffer(path.read_bytes()[-4 * row.itemsize:], dtype=row)
         assert np.all(raw["label"] == 65535)
+
+    def test_writer_bytes_are_pinned(self, tmp_path):
+        # The layout, the float64 -> float32 rounding and the sentinel, as
+        # SHA-256s of the writer's output without and with a label channel.
+        rng = np.random.default_rng(23)
+        cloud = PointCloud(rng.standard_normal((40, 3)) * 10,
+                           rng.integers(0, 256, (40, 3), dtype=np.uint8))
+        labels = rng.integers(0, 8, 40)
+        labels[::4] = UNLABELED
+        labels[1] = 65534
+        digests = []
+        for with_labels in (None, labels):
+            save_ply(cloud, tmp_path / "c.ply", labels=with_labels)
+            digests.append(hashlib.sha256((tmp_path / "c.ply").read_bytes()).hexdigest())
+        assert digests == [
+            "5c4ef62216204bd2a83be24c1ebd05ef6d46f2182eff3fa9711d5d657810daee",
+            "06138355425a754cd800f934fd20d814ab6a63b2a135a5adbf45a021f3693d91",
+        ]
 
     def test_unlabeled_ply_has_no_labels(self, tmp_path, rng):
         cloud = make_cloud(rng, 5)

@@ -131,6 +131,16 @@ class TestViews:
         pytest.param("width", "2", "width must be an integer, got '2'", id="width-string"),
         pytest.param("width", 2.5, r"width must be an integer, got 2\.5", id="width-fraction"),
         pytest.param("height", True, "height must be an integer, got True", id="height-bool"),
+        # Pose entries are JSON numbers: no string or boolean reads as one.
+        pytest.param("intrinsics", [[50, 0, 1], [0, "50", 1], [0, 0, 1]],
+                     "intrinsics must hold JSON numbers, got '50'", id="intrinsics-string"),
+        pytest.param("translation", [0, True, 0], "translation must hold JSON numbers, got True",
+                     id="translation-bool"),
+        pytest.param("rotation", "eye", "rotation must hold JSON numbers, got 'eye'",
+                     id="rotation-string"),
+        pytest.param("translation", [10 ** 400, 0, 0], "int too large to convert to float",
+                     id="translation-beyond-float64"),
+        pytest.param("payload_path", "gone.lf01", r"\[Errno 2\] No such file", id="no-payload"),
     ])
     def test_bad_entry_names_manifest_and_view(self, tmp_path, key, value, reason):
         view = CameraView(
@@ -158,6 +168,11 @@ class TestMaskAndClasses:
     def test_duplicate_names_rejected(self, tmp_path):
         (tmp_path / "c.json").write_text('["a", "a"]')
         with pytest.raises(ValueError, match="unique"):
+            tensorio.load_class_names(tmp_path / "c.json")
+
+    def test_empty_list_rejected(self, tmp_path):
+        (tmp_path / "c.json").write_text("[]")
+        with pytest.raises(ValueError, match="c.json: class list is empty"):
             tensorio.load_class_names(tmp_path / "c.json")
 
     def test_mask_round_trip(self, tmp_path):
