@@ -3,13 +3,14 @@
 `SpatialIndex.neighbors` is the one neighbor query. It answers only for the
 points the index was built over, which is all that normals and the
 over-segmentation graph ask. Queries run on every core; each row is answered
-on its own, so the rows do not depend on the thread count.
+on its own, so the rows do not depend on the thread count. Answers are
+read-only views of one cached query, which `SpatialIndex.release` drops.
 
-`estimate_normals` gathers, centers and decomposes the neighborhoods in
-blocks of at most BLOCK_ENTRIES // 3k points (`pclabel.domain.BLOCK_ENTRIES`
-entries), so beyond its (n, k) neighbor table its memory does not grow with
-n x k. Each point's normal is computed on its own, so no bit depends on the
-block size.
+`estimate_normals` gathers, centers, decomposes and orients the
+neighborhoods in blocks of at most BLOCK_ENTRIES // 3k points
+(`pclabel.domain.BLOCK_ENTRIES` entries), so beyond the (n, k) neighbor
+table and its (n, 3) output its memory does not grow with n. Each point's
+normal is computed on its own, so no bit depends on the block size.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ class SpatialIndex:
 
     Normals and the over-segmentation graph both ask for them, at different
     k, so the index keeps its answer at the largest k asked and serves a
-    smaller k as the row prefix. Rows whose k-th and (k+1)-th distances tie
-    are queried again at k, so every answer is the one a fresh query gives.
+    smaller k as a read-only view of the row prefix. Rows whose k-th and
+    (k+1)-th distances tie are queried again at k, into a read-only copy of
+    the prefix, so every answer is the one a fresh query gives. `release`
+    drops the cached answer; it lives on only in the answers still held.
     Concurrent callers may each compute and store that answer; it is
     replaced in one assignment and every stored answer is exact, so each
     caller gets the same rows whichever one it reads.
@@ -85,31 +88,42 @@ class SpatialIndex:
         """(indices, distances) of each indexed point's k nearest indexed points.
 
         `points` must be the positions the index was built over; another
-        cloud is a ValueError. k is clamped to the index size; k <= 0 gives
-        empty rows. Rows are ordered by (distance, index); where points tie
-        at the k-th distance, cKDTree picks which of them make up the row.
+        cloud is a ValueError. k must be an integer; it is clamped to the
+        index size, and k <= 0 gives empty rows. Rows are ordered by
+        (distance, index); where points tie at the k-th distance, cKDTree
+        picks which of them make up the row. Both arrays are read-only.
         """
         q = np.asarray(points, dtype=np.float64)
         if q.shape != self._points.shape or not np.array_equal(q, self._points):
             raise ValueError(f"the index was built over {self.size} points, "
                              f"not over this cloud of {len(q)} points")
+        require("k", k, integer=True)
         k = min(int(k), self.size)
         if k <= 0:
-            return (np.empty((self.size, 0), dtype=np.int64),
-                    np.empty((self.size, 0), dtype=np.float64))
+            return _read_only(np.empty((self.size, 0), dtype=np.int64),
+                              np.empty((self.size, 0), dtype=np.float64))
         own = self._own
         if own is None or own[0] < k:
-            own = (k, *self._query(self._points, k))
+            own = (k, *_read_only(*self._query(self._points, k)))
             self._own = own
-        i = own[1][:, :k].copy()
-        d = own[2][:, :k].copy()
+        i, d = own[1][:, :k], own[2][:, :k]
         if k < own[0]:
             # The prefix holds the k nearest unless the k-th distance ties
             # with the next; there cKDTree's pick at k may differ.
             tied = np.flatnonzero(own[2][:, k - 1] == own[2][:, k])
             if tied.size:
+                i, d = i.copy(), d.copy()
                 i[tied], d[tied] = self._query(self._points[tied], k)
+                _read_only(i, d)
         return i, d
+
+    def release(self) -> None:
+        """Drop the cached answer; the next query is asked afresh.
+
+        Answers already handed out stay valid, and hold its memory until
+        they are dropped too.
+        """
+        self._own = None
 
     def _query(self, q: np.ndarray, k: int):
         d, i = self._tree.query(q, k=k, workers=-1)
@@ -123,6 +137,12 @@ class SpatialIndex:
             i[tied] = np.take_along_axis(i[tied], order, axis=1)
             d[tied] = np.take_along_axis(d[tied], order, axis=1)
         return i, d
+
+
+def _read_only(*arrays: np.ndarray):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
@@ -149,26 +169,25 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex, k: int) -> np.ndarr
     n = cloud.count
     require("k", k, 3, min(n, MAX_NEIGHBORS), integer=True)
     idx = index.neighbors(cloud.positions, k)[0]
-    vals = np.empty((n, 3))
-    vecs = np.empty((n, 3, 3))
+    out = np.empty((n, 3))
     # A (rows, k, 3) gather holds 3k entries per row.
     step = max(1, BLOCK_ENTRIES // (3 * k))
     for start in range(0, n, step):
-        rows = slice(start, start + step)
-        nb = cloud.positions[idx[rows]]
+        nb = cloud.positions[idx[start:start + step]]
         centered = nb - nb.mean(axis=1, keepdims=True)
         cov = np.einsum("nki,nkj->nij", centered, centered) / k
-        vals[rows], vecs[rows] = np.linalg.eigh(cov)
-    normals = vecs[:, :, 0].copy()
+        vals, vecs = np.linalg.eigh(cov)
+        normals = vecs[:, :, 0].copy()
 
-    gap = vals[:, 1] - vals[:, 0]
-    for row in np.flatnonzero(gap <= DEGENERATE_EIGENGAP):
-        cand = np.flatnonzero(vals[row] <= vals[row, 0] + DEGENERATE_EIGENGAP)
-        best = max(cand, key=lambda c: tuple(np.abs(vecs[row, :, c])))
-        normals[row] = vecs[row, :, best]
+        gap = vals[:, 1] - vals[:, 0]
+        for row in np.flatnonzero(gap <= DEGENERATE_EIGENGAP):
+            cand = np.flatnonzero(vals[row] <= vals[row, 0] + DEGENERATE_EIGENGAP)
+            best = max(cand, key=lambda c: tuple(np.abs(vecs[row, :, c])))
+            normals[row] = vecs[row, :, best]
 
-    lead = np.argmax(np.abs(normals), axis=1)
-    flip = normals[np.arange(n), lead] < 0
-    normals[flip] *= -1.0
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    return normals / norms
+        lead = np.argmax(np.abs(normals), axis=1)
+        flip = normals[np.arange(len(normals)), lead] < 0
+        normals[flip] *= -1.0
+        norms = np.linalg.norm(normals, axis=1, keepdims=True)
+        out[start:start + step] = normals / norms
+    return out

@@ -9,9 +9,10 @@ the adjacent segment sharing the most graph edges.
 
 The angle gate runs over blocks of at most BLOCK_ENTRIES // 3 edges
 (`pclabel.domain.BLOCK_ENTRIES` entries), and each per-edge array is dropped
-once its last reader has run, so the merge holds only the labels and the
-edge ends. Each edge is gated on its own, so no bit depends on the block
-size.
+once its last reader has run. The index's cached neighbor query is released
+once the edges are cut, so the merge holds only the labels and the edge
+ends, and it dedupes only the edges that cross segments. Each edge is gated
+on its own, so no bit depends on the block size.
 """
 
 from __future__ import annotations
@@ -112,22 +113,24 @@ def _merge_small_segments(
     if count == 0 or min_size <= 1:
         return labels
     sizes = np.bincount(labels, minlength=count).tolist()
-    # Unique undirected point edges, then per-segment-pair counts.
+    # Unique undirected point edges between segments, then per-segment-pair
+    # counts. Edges within a segment, self-loops among them, count for no
+    # pair, so they go before the dedupe.
+    cross = labels[src] != labels[dst]
+    src, dst = src[cross], dst[cross]
+    del cross
     edges = np.minimum(src, dst)
     edges *= labels.size
     edges += np.maximum(src, dst)
-    edges = edges[src != dst]
+    del src, dst
     edges = _distinct(edges)
     a = labels[edges // labels.size]
     b = labels[edges % labels.size]
     del edges
-    inter = a != b
     # With counts asked for, np.unique sorts, as fast as _distinct here.
-    pairs, shared = np.unique(
-        np.minimum(a[inter], b[inter]) * count + np.maximum(a[inter], b[inter]),
-        return_counts=True,
-    )
-    del a, b, inter
+    pairs, shared = np.unique(np.minimum(a, b) * count + np.maximum(a, b),
+                              return_counts=True)
+    del a, b
     adj: List[Dict[int, int]] = [{} for _ in range(count)]
     for key, c in zip(pairs.tolist(), shared.tolist()):
         sa, sb = divmod(key, count)
@@ -190,11 +193,14 @@ def oversegment(
     # most MAX_NEIGHBORS + 1 entries, so the count fits in int8.
     take = not_self & (np.cumsum(not_self, axis=1, dtype=np.int8) <= adjacency_k)
     del not_self
-    src = np.repeat(np.arange(n), take.sum(axis=1))
     dst = idx[take]
-    del idx
     length = dist[take]
-    del dist, take
+    # The answer is a view of the index's cached query: dropping both lets
+    # that query's memory go before the rest of the stage runs.
+    del idx, dist
+    index.release()
+    src = np.repeat(np.arange(n), take.sum(axis=1))
+    del take
 
     passes = length <= np.percentile(length, EDGE_LENGTH_PERCENTILE)
     del length

@@ -1216,6 +1216,8 @@ DAMAGED = [
     ("infer", "partition", "partition"),
     ("eval", "pred", "pred"), ("eval", "gt", "gt"), ("eval", "classes", "classes"),
     ("pseudo", "cloud", "cloud"), ("pseudo", "views", "views"),
+    ("pseudo", "logits", "logits"), ("pseudo", "classes", "classes"),
+    ("stlp", "cloud", "cloud"), ("stlp", "logits", "logits"), ("stlp", "gt", "gt"),
 ]
 # What a JSON value is swapped for: another type, NaN, a float beyond
 # float64 and an integer beyond int64.
@@ -1255,7 +1257,7 @@ def damaged(draw, data: bytes, suffix: str) -> bytes:
 
 
 class TestDamagedFiles:
-    @settings(max_examples=300)
+    @settings(max_examples=400)
     @given(case=st.sampled_from(DAMAGED), data=st.data())
     def test_exit_0_or_2_naming_the_file(self, small_scan, case, data):
         # A damaged input either still reads or is a data error that names

@@ -26,7 +26,7 @@ PUBLIC_ATTRIBUTES = {
     "KnnClassifier": ["config", "fit", "predict"],
     "LabelField": ["__len__", "labeled_mask", "num_classes", "values", "with_values"],
     "PointCloud": ["colors", "count", "positions"],
-    "SpatialIndex": ["neighbors", "size"],
+    "SpatialIndex": ["neighbors", "release", "size"],
     "SuperpointPartition": ["__len__", "assignment", "segment_count"],
 }
 

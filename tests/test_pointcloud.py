@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -135,13 +136,30 @@ class TestSharedQuery:
             want_i, want_d = SpatialIndex(pos).neighbors(pos, k)
             assert np.array_equal(got_i, want_i) and np.array_equal(got_d, want_d)
 
-    def test_answers_are_copies(self, rng):
-        pos = shuffled_lattice(rng, 3, 2)
-        index = SpatialIndex(pos)
-        want = index.neighbors(pos, 6)[0].copy()
-        index.neighbors(pos, 6)[0][:] = -1
-        index.neighbors(pos, 4)[0][:] = -1
-        assert np.array_equal(index.neighbors(pos, 6)[0], want)
+    def test_answers_are_read_only(self, rng):
+        # Every return path: empty rows, the cached answer itself, a prefix
+        # of it (random points, no ties at k=4) and a prefix whose tied rows
+        # were queried again (the lattice).
+        lattice = shuffled_lattice(rng, 3, 2)
+        scattered = make_cloud(rng, 30).positions
+        for pos, k, ties in ((lattice, 0, None), (lattice, 6, None),
+                             (scattered, 4, False), (lattice, 4, True)):
+            index = SpatialIndex(pos)
+            d = index.neighbors(pos, 6)[1]
+            if ties is not None:
+                assert (d[:, k - 1] == d[:, k]).any() == ties
+            want = [a.copy() for a in index.neighbors(pos, k)]
+            for answer in index.neighbors(pos, k):
+                with pytest.raises(ValueError, match="read-only"):
+                    answer[...] = -1
+            got = index.neighbors(pos, k)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("k", [2.5, True, "3", float("nan")])
+    def test_k_must_be_an_integer(self, k):
+        pos = make_cloud(np.random.default_rng(0), 10).positions
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+            SpatialIndex(pos).neighbors(pos, k)
 
 
 class TestEstimateNormals:

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -386,7 +387,8 @@ class TestEdgeBlocks:
 
 
 class TestSharedQuery:
-    """Normals (k=16) and the graph (k=11) read one k-d query of the cloud."""
+    """Normals (k=16) and the graph (k=11) read one k-d query of the cloud,
+    which oversegment releases once its edges are cut."""
 
     def test_one_query_per_cloud(self, rng, monkeypatch):
         cloud = make_cloud(rng, 400)
@@ -394,9 +396,10 @@ class TestSharedQuery:
         partition_cloud(cloud, SuperpointParams(min_size=4))
         assert [(c["k"], c["rows"]) for c in calls] == [(16, 400)]
 
-    def test_traced_component_count_reuses_the_query(self, rng, monkeypatch):
+    def test_traced_component_count_queries_again(self, rng, monkeypatch):
         # The benchmark's trace counts components with a second
-        # oversegment(min_size=1) call on the same index.
+        # oversegment(min_size=1) call on the same index, after the first
+        # has released the cached query.
         monkeypatch.syspath_prepend(str(PERFBENCH))
         import spans
 
@@ -405,13 +408,44 @@ class TestSharedQuery:
         tracer = spans.Tracer()
         with tracer.installed():
             traced = partition_cloud(cloud, SuperpointParams(min_size=4))
-        assert len(calls) == 1
+        assert [(c["k"], c["rows"]) for c in calls] == [(16, 400), (11, 400)]
         table = tracer.layer_table()
         assert table["trace.components"]["calls"] == 1
         counts = table["superpoint.oversegment"]["counts"]
         assert counts["components"] > counts["segments"] == traced.segment_count
         untraced = partition_cloud(cloud, SuperpointParams(min_size=4))
         assert np.array_equal(traced.assignment, untraced.assignment)
+
+    def test_cache_is_gone_before_the_merge(self, rng, monkeypatch):
+        cloud = make_cloud(rng, 400)
+        index = build_index(cloud)
+        normals = estimate_normals(cloud, index, 16)
+        # The arrays that own the memory of the index's cached query.
+        cached = [weakref.ref(a if a.base is None else a.base) for a in index._own[1:]]
+        alive = []
+        merge = superpoint._merge_small_segments
+
+        def spy(*args):
+            alive.extend(ref() is not None for ref in cached)
+            return merge(*args)
+
+        monkeypatch.setattr(superpoint, "_merge_small_segments", spy)
+        oversegment(cloud, normals, index, 15.0, 10, 4)
+        assert alive == [False, False]
+
+    def test_partition_peak_memory(self):
+        # A 42,616-point room. The cached k=16 query (10 MiB) is released
+        # once oversegment has cut its edges, and answers are views of it:
+        # 20 MiB. Held through the merge, with each answer a copy, the
+        # stage peaked at 30 MiB.
+        cloud = generate_scene(SceneSpec(density=1000.0))[0]
+        tracemalloc.start()
+        try:
+            partition_cloud(cloud, SuperpointParams(min_size=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestComponentOrder:
