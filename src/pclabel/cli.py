@@ -73,6 +73,8 @@ def _load_config(path: Optional[str]) -> dict:
     for key, value in list(config.items()):
         if key not in _SETTINGS:
             raise ValueError(f"{path}: config key {key!r} is not read by any command")
+        if value is None:  # else read as "not set"
+            raise ValueError(f"{path}: config key {key!r} is null")
         if _SETTINGS[key] is str and isinstance(value, str):
             config[key] = os.path.join(base, value)
     return config

@@ -5,21 +5,21 @@ within the angle threshold and the edge is no longer than the 95th percentile
 of all k-NN edge lengths (which keeps floods from jumping gaps between
 parallel surfaces). Segments are the connected components of the floodable
 graph, seeded in ascending point-index order; undersized segments merge into
-the adjacent segment sharing the most graph edges.
+the adjacent segment sharing the most graph edges, in one ascending pass that
+reads the edges of each undersized segment as it reaches it.
 
 The angle gate runs over blocks of at most BLOCK_ENTRIES // 3 edges
 (`pclabel.domain.BLOCK_ENTRIES` entries), and each per-edge array is dropped
-once its last reader has run. The index's cached neighbor query is released
-once the edges are cut, so the merge holds only the labels and the edge
-ends, and it dedupes only the edges that cross segments. Each edge is gated
-on its own, so no bit depends on the block size.
+once its last reader has run. Each edge is gated on its own, so no bit
+depends on the block size. The index's cached neighbor query is released
+once the edges are cut, before the merge.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -92,30 +92,29 @@ def _merge_small_segments(
     """Fold segments below min_size into their best graph neighbor.
 
     "Best" is the adjacent segment sharing the most (undirected, un-gated)
-    k-NN graph edges, ties to the lower segment id. The rule is: while some
-    segment is undersized and still has a neighbor, merge the lowest-id such
-    segment into its best neighbor; a merge product that is still undersized
-    gets reconsidered.
+    k-NN graph edges, ties to the lower segment id. The rule: while some
+    segment is undersized and has a neighbor, merge the lowest-id such
+    segment (a candidate) into its best neighbor, whose id the group keeps.
 
-    One ascending pass over segment ids carries out exactly that sequence of
-    merges. Sizes only grow, and a segment left with no neighbor never gains
-    one (adjacency is only handed on from a neighbor), so a segment that is
-    not a candidate when the pass reaches it never becomes one, and the
-    lowest candidate id never decreases. A merge target that is still
-    undersized therefore has a higher id than the segment folded into it,
-    and the pass reaches it later.
+    One ascending pass does exactly that. Sizes only grow and a segment left
+    with no neighbor never gains one, so a segment that is not a candidate
+    when the pass reaches it never becomes one, and a target still undersized
+    has a higher id: the pass reaches it later.
 
-    Precondition: labels are dense ids numbered in order of each segment's
-    first point, as scipy numbers components. The output keeps that order,
-    compacted over the merged groups.
+    The pass keeps no segment graph. At a candidate it counts the far ends
+    of its members' unique cross-segment point edges, each by the group
+    `owner` holds for it now. Members were undersized from the start, so
+    only such segments get a row, and a candidate has under min_size of them.
+
+    Precondition: labels are dense ids in order of each segment's first
+    point, as scipy numbers components; the output keeps that order.
     """
     count = int(labels.max()) + 1 if labels.size else 0
     if count == 0 or min_size <= 1:
         return labels
     sizes = np.bincount(labels, minlength=count).tolist()
-    # Unique undirected point edges between segments, then per-segment-pair
-    # counts. Edges within a segment, self-loops among them, count for no
-    # pair, so they go before the dedupe.
+    # Unique undirected point edges between segments; an edge within a
+    # segment, or a self-loop, is read by no fold, so it goes before the dedupe.
     cross = labels[src] != labels[dst]
     src, dst = src[cross], dst[cross]
     del cross
@@ -127,35 +126,35 @@ def _merge_small_segments(
     a = labels[edges // labels.size]
     b = labels[edges % labels.size]
     del edges
-    # With counts asked for, np.unique sorts, as fast as _distinct here.
-    pairs, shared = np.unique(np.minimum(a, b) * count + np.maximum(a, b),
-                              return_counts=True)
+    # The rows, as keys segment * count + far end sorted by segment.
+    small = np.less(sizes, min_size)
+    rows = np.concatenate([a[small[a]] * count + b[small[a]],
+                           b[small[b]] * count + a[small[b]]])
     del a, b
-    adj: List[Dict[int, int]] = [{} for _ in range(count)]
-    for key, c in zip(pairs.tolist(), shared.tolist()):
-        sa, sb = divmod(key, count)
-        adj[sa][sb] = c
-        adj[sb][sa] = c
-
-    sources, targets = [], []
+    rows.sort()
+    offsets = np.searchsorted(rows, np.arange(count + 1) * count).tolist()
+    rows %= count
+    owner = list(range(count))  # the group each segment lies in now
+    groups = {}  # undersized group -> its members, once one has folded in
     for s in range(count):
-        neighbors = adj[s]
-        if sizes[s] >= min_size or not neighbors:
+        if sizes[s] >= min_size:
             continue
-        target = max(neighbors.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        del neighbors[target]
-        del adj[target][s]
-        for other, c in neighbors.items():
-            del adj[other][s]
-            adj[other][target] = adj[other].get(target, 0) + c
-            adj[target][other] = adj[target].get(other, 0) + c
-        adj[s] = {}
+        members = groups.pop(s, [s])
+        shared = {}
+        for m in members:
+            for far in rows[offsets[m]:offsets[m + 1]].tolist():
+                shared[owner[far]] = shared.get(owner[far], 0) + 1
+        shared.pop(s, None)
+        if not shared:
+            continue
+        target = max(shared.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        for m in members:
+            owner[m] = target
         sizes[target] += sizes[s]
-        sources.append(s)
-        targets.append(target)
-    # Each merged group is numbered by its lowest member, whose first point
-    # is the group's first point.
-    merged = csr_matrix((np.ones(len(sources), dtype=np.int8), (sources, targets)),
+        if sizes[target] < min_size:
+            groups.setdefault(target, [target]).extend(members)
+    # Groups are numbered by their lowest member, which holds their first point.
+    merged = csr_matrix((np.ones(count, dtype=np.int8), (np.arange(count), owner)),
                         shape=(count, count))
     return connected_components(merged, directed=False)[1].astype(np.int64)[labels]
 

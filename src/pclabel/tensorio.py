@@ -194,6 +194,8 @@ def load_scene_mask(path, class_names: Sequence[str]) -> np.ndarray:
     present = read_text(path)
     if not isinstance(present, list):
         raise ValueError(f"{path}: scene mask must be a JSON array of class names")
+    if not present:
+        raise ValueError(f"{path}: scene mask names no class")
     lookup = {name: i for i, name in enumerate(class_names)}
     mask = np.zeros(len(class_names), dtype=bool)
     for name in present:

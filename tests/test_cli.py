@@ -511,6 +511,25 @@ class TestConfigFile:
                 == f"error: config key {key!r}: cannot read {value!r} as str\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["top_v", "cloud"])
+    def test_null_value_is_named_data_error(self, fixture_dir, labeled_dir, tmp_path,
+                                            capsys, key):
+        # Read as "not set", a null top_v ran with the default and a null
+        # cloud was a missing-input usage error.
+        config = tmp_path / "null.json"
+        config.write_text(json.dumps({
+            "cloud": str(fixture_dir / "cloud.ply"),
+            "classes": str(fixture_dir / "classes.json"),
+            "labels": str(labeled_dir / "labels.txt"),
+            "confidence": str(labeled_dir / "confidence.lf01"),
+            "partition": str(labeled_dir / "partition.json"),
+            key: None,
+        }))
+        assert run(["refine", "--config", config, "--out", tmp_path / "r"]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {config}: config key {key!r} is null\n")
+        assert not (tmp_path / "r").exists()
+
     def test_unread_key_is_named_data_error(self, fixture_dir, labeled_dir, tmp_path, capsys):
         config = tmp_path / "typo.json"
         config.write_text(json.dumps({
@@ -682,6 +701,20 @@ class TestDamagedInputs:
                     "--classes", fixture_dir / "classes.json",
                     "--logits", logits or fixture_dir / "logits.lf01",
                     "--out", out])
+
+    @pytest.mark.parametrize("command, flag, source", [
+        ("pseudo", "--logits", "logits.lf01"),
+        ("pseudo", "--views", "views/manifest.json"),
+        ("stlp", "--logits", "logits.lf01"),
+    ])
+    def test_empty_mask_names_the_file(self, fixture_dir, tmp_path, capsys, command,
+                                       flag, source):
+        mask = tmp_path / "mask.json"
+        mask.write_text("[]")
+        assert run([command, "--cloud", fixture_dir / "cloud.ply",
+                    "--classes", fixture_dir / "classes.json", "--mask", mask,
+                    flag, fixture_dir / source, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {mask}: scene mask names no class\n"
 
     def test_non_finite_logits(self, fixture_dir, tmp_path, capsys):
         path = tmp_path / "nan.lf01"
@@ -1184,10 +1217,11 @@ def small_scan(tmp_path_factory):
     """A valid file for every setting in READS, for a ~700-point scene."""
     out = tmp_path_factory.mktemp("small")
     scene = SceneSpec(extents=(1.0, 1.0, 0.8), object_count=(1, 2), density=120.0)
-    cloud, gt, _, _ = generate_scene(scene)
+    cloud, gt, mask, _ = generate_scene(scene)
     save_ply(cloud, out / "cloud.ply")
     save_ply(cloud, out / "gt.ply", labels=gt)
     tensorio.save_class_names(out / "classes.json", scene.class_names)
+    tensorio.save_scene_mask(out / "mask.json", mask, scene.class_names)
     logits = corrupt_logits(gt, cloud, LogitNoiseSpec())
     tensorio.save_tensor(out / "logits.lf01", logits)
     tensorio.save_views(out / "views", render_views(
@@ -1196,7 +1230,7 @@ def small_scan(tmp_path_factory):
               "logits": out / "logits.lf01", "labels": out / "labels.txt",
               "views": out / "views" / "manifest.json",
               "confidence": out / "confidence.lf01", "gt": out / "gt.ply",
-              "pred": out / "labels.txt"}
+              "pred": out / "labels.txt", "mask": out / "mask.json"}
     assert run(command_args("pseudo", inputs, out)) == 0
     # refine without --partition writes the default one
     assert run(["refine", "--cloud", inputs["cloud"], "--classes", inputs["classes"],
@@ -1218,6 +1252,7 @@ DAMAGED = [
     ("pseudo", "cloud", "cloud"), ("pseudo", "views", "views"),
     ("pseudo", "logits", "logits"), ("pseudo", "classes", "classes"),
     ("stlp", "cloud", "cloud"), ("stlp", "logits", "logits"), ("stlp", "gt", "gt"),
+    ("pseudo", "mask", "mask"), ("stlp", "mask", "mask"),
 ]
 # What a JSON value is swapped for: another type, NaN, a float beyond
 # float64 and an integer beyond int64.
@@ -1274,6 +1309,8 @@ class TestDamagedFiles:
                 for payload in source.parent.glob("*.lf01"):
                     shutil.copy(payload, tmp)
                 reads = READS[command].replace("logits", "views")
+            if key == "mask":  # an optional input, read only when given
+                reads = f"{READS[command]} mask"
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
                     redirect_stderr(err), redirect_stdout(io.StringIO()):

@@ -300,6 +300,36 @@ _TIED = ([0, 1, 1, 2, 2], [(0, 1), (0, 3), (1, 2), (3, 4)], 2)
 _CHAINED = ([0, 1, 2, 2, 2], [(0, 1), (1, 2), (2, 3), (3, 4)], 3)
 
 
+def _chain(rng):
+    """200 segments of one to three points along a line, ids in line order.
+    min_size exceeds the point count, so each fold leaves a group the pass
+    reaches again, and the last group holds every segment."""
+    raw = np.repeat(np.arange(200), rng.integers(1, 4, 200))
+    line = np.arange(raw.size)
+    return raw, np.stack([line[:-1], line[1:]], axis=1), raw.size + 1
+
+
+def _star(hub_size):
+    """60 one-point leaves around a hub whose id lies between theirs. Each
+    leaf has one edge to the hub and one to each ring neighbor, so leaves tie
+    between the hub and other leaves."""
+    hub = 30 + np.arange(hub_size)
+    leaves = np.concatenate([np.arange(30), 30 + hub_size + np.arange(30)])
+    raw = np.concatenate([np.arange(30), np.full(hub_size, 30), np.arange(31, 61)])
+    spokes = np.stack([leaves, hub[np.arange(60) % hub_size]], axis=1)
+    ring = np.stack([leaves, np.roll(leaves, -1)], axis=1)
+    return raw, np.concatenate([spokes, ring]), 3
+
+
+def _lattice(points, raw, min_size):
+    """A 24 x 24 grid with 4-neighbor edges; `points` numbers its nodes and
+    `raw` gives each point's segment."""
+    ids = points.reshape(24, 24)
+    edges = np.concatenate([np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+                            np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1)])
+    return raw, edges, min_size
+
+
 class TestMergeSmallSegments:
     @settings(max_examples=300)
     @given(merge_cases())
@@ -312,6 +342,43 @@ class TestMergeSmallSegments:
         got = _merge_small_segments(labels, src, dst, min_size)
         want = literal_merge_oracle(labels, src, dst, min_size)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", [
+        pytest.param(_chain(np.random.default_rng(0)), id="chain"),
+        pytest.param(_star(1), id="star-undersized-hub"),
+        pytest.param(_star(40), id="star"),
+        pytest.param(_lattice(np.arange(576), np.arange(576), 4), id="lattice"),
+        pytest.param(_lattice(np.random.default_rng(1).permutation(576), np.arange(576), 4),
+                     id="lattice-shuffled-ids"),
+        pytest.param(_lattice(np.arange(576), np.random.default_rng(2).integers(0, 150, 576),
+                              6), id="lattice-scattered-segments"),
+    ])
+    def test_structured_graphs_match_literal_oracle(self, case):
+        raw_labels, edges, min_size = case
+        labels, src, dst = _merge_case(raw_labels, edges)
+        got = _merge_small_segments(labels, src, dst, min_size)
+        assert np.array_equal(got, literal_merge_oracle(labels, src, dst, min_size))
+
+    def test_merge_peak_memory(self, monkeypatch):
+        # The inputs oversegment passes the merge for a 64,155-point room
+        # under room-small's training partition: 45,519 components. With a
+        # segment-pair table and a dict per segment the merge peaked at
+        # 51 MiB; reading the rows of undersized segments only, 18 MiB.
+        captured = []
+        merge = superpoint._merge_small_segments
+        monkeypatch.setattr(superpoint, "_merge_small_segments",
+                            lambda *args: captured.append(args) or args[0])
+        cloud = generate_scene(SceneSpec(noise_sigma=0.02, density=1500.0))[0]
+        partition_cloud(cloud, SuperpointParams(angle_threshold=5.5, min_size=4))
+        (args,) = captured
+        assert (args[0].size, int(args[0].max()) + 1) == (64_155, 45_519)
+        tracemalloc.start()
+        try:
+            merge(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("case, expected", [
         (_ISOLATED, [0, 0, 0, 0, 1, 1, 1, 2]),

@@ -187,6 +187,11 @@ class TestMaskAndClasses:
         with pytest.raises(ValueError, match="ghost"):
             tensorio.load_scene_mask(tmp_path / "m.json", ["floor"])
 
+    def test_empty_mask_rejected(self, tmp_path):
+        (tmp_path / "m.json").write_text("[]")
+        with pytest.raises(ValueError, match="m.json: scene mask names no class"):
+            tensorio.load_scene_mask(tmp_path / "m.json", ["floor"])
+
     def test_non_string_entry_rejected(self, tmp_path):
         (tmp_path / "m.json").write_text('[["floor"]]')
         with pytest.raises(ValueError, match=r"m.json: class \['floor'\] is not"):
