@@ -5,14 +5,17 @@ read as. It is a flag (--top-v) on the commands that read it and a key
 (top_v) of the JSON config file given by --config; a flag wins over the
 config file, which wins over the parameter's default. A str setting is a
 path and must be a JSON string in the config file, where a relative path
-resolves against the file's directory; a key that no command reads is a
-data error. --seed selects the scene of synth and sweep;
-pseudo, refine, stlp and infer ignore it, and eval does not take it. stlp
-reads one --top-v/--alpha pair in the initial refinement and in every
-self-training round. sweep's grid values share one scan and re-run only
-refinement and self-training. Exit codes: 0 success, 1 usage error, 2 data
-error. With --json the only stdout output
-is machine-readable JSON; informational messages always go to stderr."""
+resolves against the file's directory. The config file is checked whole
+when it loads: an unread key, a null, a value of another type and a
+parameter out of its domain are data errors naming the file. --seed
+selects the scene of synth and sweep; pseudo, refine, stlp and infer
+ignore it, and eval does not take it. stlp reads one --top-v/--alpha pair
+in the initial refinement and in every self-training round. sweep's grid
+values share one scan and re-run only refinement and self-training. Exit
+codes: 0 success, 1 usage error, 2 data error; every data error in a
+file's content begins with the file's path. With --json the only stdout
+output is machine-readable JSON; informational messages always go to
+stderr."""
 
 from __future__ import annotations
 
@@ -64,19 +67,32 @@ def _emit(payload: dict, as_json: bool, text: Optional[str] = None) -> None:
 
 
 def _load_config(path: Optional[str]) -> dict:
+    """The settings of a config file, each read as its type in _SETTINGS and
+    checked whole, whatever flags override it; every error names the file."""
     if path is None:
         return {}
     config = tensorio.read_text(path)
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
-    for key, value in list(config.items()):
-        if key not in _SETTINGS:
-            raise ValueError(f"{path}: config key {key!r} is not read by any command")
-        if value is None:  # else read as "not set"
-            raise ValueError(f"{path}: config key {key!r} is null")
-        if _SETTINGS[key] is str and isinstance(value, str):
-            config[key] = os.path.join(base, value)
+    with tensorio.reading(path):
+        if not isinstance(config, dict):
+            raise ValueError("config must be a JSON object")
+        for key, value in config.items():
+            if key not in _SETTINGS:
+                raise ValueError(f"config key {key!r} is not read by any command")
+            if value is None:  # else read as "not set"
+                raise ValueError(f"config key {key!r} is null")
+            kind = _SETTINGS[key]
+            # A JSON boolean is no number, and int() would truncate a fraction.
+            try:
+                if (isinstance(value, str) != (kind is str) or isinstance(value, bool)
+                        or kind is int and isinstance(value, float) and not value.is_integer()):
+                    raise ValueError
+                config[key] = os.path.join(base, value) if kind is str else kind(value)
+            except (TypeError, ValueError, OverflowError):  # int(inf), float(10**400)
+                raise ValueError(f"config key {key!r}: cannot read {value!r} "
+                                 f"as {kind.__name__}") from None
+        for cls in (SuperpointParams, RefineParams, StlpConfig):
+            cls(**{f.name: config[f.name] for f in fields(cls) if f.name in config})
     return config
 
 
@@ -111,28 +127,11 @@ _HELP = {
 
 
 def _setting(args, key: str, required: bool = False):
-    """The flag or config value of a setting, read as its type in _SETTINGS;
-    None when neither sets it.
-
-    A value that does not read is a data error naming the key; so are a
-    path that is not a string, a string or a JSON boolean for a number and
-    a fraction for an int (`int()` would truncate it).
-    """
+    """The flag or config value of a setting; None when neither sets it."""
     value = getattr(args, key, None)
-    if value is None:
-        if required:
-            raise UsageError(f"missing required input --{key.replace('_', '-')}")
-        return None
-    kind = _SETTINGS[key]
-    try:
-        if (isinstance(value, str) != (kind is str) or isinstance(value, bool)
-                or kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: float() of a huge int
-        raise ValueError(
-            f"config key {key!r}: cannot read {value!r} as {kind.__name__}"
-        ) from None
+    if value is None and required:
+        raise UsageError(f"missing required input --{key.replace('_', '-')}")
+    return value
 
 
 def _params(cls, args):
@@ -169,12 +168,10 @@ def _load_labels(args, key, class_names, count=None, of="points") -> LabelField:
         labels = tensorio.load_labels_text(path, len(class_names))
     else:
         values = load_labeled_ply(path)[1]
-        if values is None:
-            raise ValueError(f"{path}: no label channel")
-        try:
+        with tensorio.reading(path):
+            if values is None:
+                raise ValueError("no label channel")
             labels = LabelField(values, len(class_names))
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
     if count is not None:
         _fits(path, len(labels), count, "labels", of)
     return labels

@@ -4,7 +4,9 @@ Readable properties are the scalar PLY types. One vertex layout, _LAYOUT,
 serves both ways: the reader requires its types, and the writer (always
 binary_little_endian) emits exactly it, with the `label` channel
 (UNLABELED encoded as 65535) only when labels are given. The header grammar
-accepted here is written out in docs/formats.md.
+accepted here is written out in docs/formats.md. Malformed or unsupported
+content is a ValueError that begins with the path and locates the fault by
+header line, data line or byte.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .labels import UNLABELED, LabelField
 from .pointcloud import PointCloud
+from .tensorio import reading
 
 LABEL_SENTINEL_U16 = 65535
 
@@ -36,12 +39,8 @@ _LAYOUT = {"x": "float", "y": "float", "z": "float",
 _POSITION, _COLOR = ("x", "y", "z"), ("red", "green", "blue")
 
 
-class PlyError(ValueError):
-    """Malformed or unsupported PLY content, located by line or byte."""
-
-
-def _header_error(lineno: int, message: str) -> PlyError:
-    return PlyError(f"header line {lineno}: {message}")
+def _header_error(lineno: int, message: str) -> ValueError:
+    return ValueError(f"header line {lineno}: {message}")
 
 
 def _parse_header(f):
@@ -126,13 +125,11 @@ def _read_body_binary(f, vertex_count, props, body_offset):
     expected = vertex_count * dtype.itemsize
     found = _body_bytes(f, body_offset)
     if found < expected:
-        raise PlyError(
-            f"truncated body at byte {body_offset + found}: "
-            f"expected {expected} payload bytes, found {found}"
-        )
+        raise ValueError(f"truncated body at byte {body_offset + found}: "
+                         f"expected {expected} payload bytes, found {found}")
     if found > expected:
-        raise PlyError(f"{found - expected} bytes past the {vertex_count} declared "
-                       f"vertices, from byte {body_offset + expected}")
+        raise ValueError(f"{found - expected} bytes past the {vertex_count} declared "
+                         f"vertices, from byte {body_offset + expected}")
     return np.frombuffer(f.read(expected), dtype=dtype, count=vertex_count)
 
 
@@ -188,10 +185,8 @@ def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
     # break: a header declaring more rows than that cannot be honest.
     found = _body_bytes(f, body_offset)
     if 2 * vertex_count - 1 > found:
-        raise PlyError(
-            f"truncated body at byte {body_offset + found}: "
-            f"{found} bytes cannot hold the {vertex_count} declared vertices"
-        )
+        raise ValueError(f"truncated body at byte {body_offset + found}: "
+                         f"{found} bytes cannot hold the {vertex_count} declared vertices")
     rows = np.zeros(vertex_count, dtype=dtype)
     body = f.read()
     lines, counts, starts = _ascii_layout(body)
@@ -217,39 +212,31 @@ def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
                 name, code = props[i % width]
                 if _convert([token], code) is None:
                     text = token.decode("ascii", errors="replace")
-                    raise PlyError(
+                    raise ValueError(
                         f"line {lineno(lo + i // width)}: bad value {text!r} for {name!r}"
                     )
         for (name, _), column in zip(props, columns):
             rows[name][lo:lo + len(column)] = column
     if len(wrong):
-        raise PlyError(
-            f"line {lineno(parsed)}: expected {width} values, found {counts[parsed]}"
-        )
+        raise ValueError(f"line {lineno(parsed)}: expected {width} values, "
+                         f"found {counts[parsed]}")
     if len(lines) > vertex_count:
-        raise PlyError(f"line {lineno(vertex_count)}: more data rows than declared vertices")
+        raise ValueError(f"line {lineno(vertex_count)}: more data rows than declared vertices")
     if len(lines) < vertex_count:
-        raise PlyError(
-            f"truncated body: declared {vertex_count} vertices, found {len(lines)} rows"
-        )
+        raise ValueError(f"truncated body: declared {vertex_count} vertices, "
+                         f"found {len(lines)} rows")
     return rows
 
 
 def _load(path) -> Tuple[PointCloud, Optional[np.ndarray]]:
-    with open(path, "rb") as f:
-        try:
-            fmt, vertex_count, props, body_offset, header_lines = _parse_header(f)
-            if fmt == "binary_little_endian":
-                rows = _read_body_binary(f, vertex_count, props, body_offset)
-            else:
-                rows = _read_body_ascii(
-                    f, vertex_count, props, header_lines, body_offset
-                )
-            positions = np.stack([rows[name].astype(np.float64) for name in _POSITION],
-                                 axis=1)
-            cloud = PointCloud(positions, np.stack([rows[name] for name in _COLOR], axis=1))
-        except ValueError as e:  # PlyError, or a PointCloud check
-            raise PlyError(f"{path}: {e}") from None
+    with open(path, "rb") as f, reading(path):
+        fmt, vertex_count, props, body_offset, header_lines = _parse_header(f)
+        if fmt == "binary_little_endian":
+            rows = _read_body_binary(f, vertex_count, props, body_offset)
+        else:
+            rows = _read_body_ascii(f, vertex_count, props, header_lines, body_offset)
+        positions = np.stack([rows[name].astype(np.float64) for name in _POSITION], axis=1)
+        cloud = PointCloud(positions, np.stack([rows[name] for name in _COLOR], axis=1))
     labels = None
     if "label" in rows.dtype.names:
         raw = rows["label"].astype(np.int64)

@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .domain import BLOCK_ENTRIES, MAX_NEIGHBORS, require
 from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
-from .tensorio import read_text
+from .tensorio import read_text, reading
 
 EDGE_LENGTH_PERCENTILE = 95.0
 
@@ -277,7 +277,7 @@ def save_partition_json(partition: SuperpointPartition, path) -> None:
 def load_partition_json(path) -> SuperpointPartition:
     """Read the {"n", "u", "assignment"} JSON form; every check names the file."""
     payload = read_text(path, "ascii")
-    try:
+    with reading(path):
         for key in ("assignment", "n", "u"):
             if not isinstance(payload, dict) or key not in payload:
                 raise ValueError(f"no {key!r} key")
@@ -299,6 +299,4 @@ def load_partition_json(path) -> SuperpointPartition:
             if payload[key] != found:
                 raise ValueError(f"{key}={payload[key]} is inconsistent with the "
                                  f"assignment, which has {key}={found}")
-    except ValueError as e:
-        raise ValueError(f"partition file {path}: {e}") from None
     return partition

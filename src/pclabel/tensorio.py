@@ -6,6 +6,11 @@ manifests are JSON arrays of posed views whose class logits live in sibling
 LF01 files (one row per pixel, row-major). Scene masks are JSON arrays of the
 class names present; label listings are newline-delimited ints with -1 for
 unlabeled. Full layouts in docs/formats.md.
+
+Every error in a file's content begins "<path>: ": each loader raises bare
+messages inside one `with reading(path):`, which adds the path, and calls
+another loader of the same file outside that block, so the path is named
+once.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from typing import List, Sequence
 
 import numpy as np
@@ -24,14 +30,21 @@ from .projection import CameraView
 LF01_MAGIC = b"LF01"
 
 
+@contextmanager
+def reading(source):
+    """Name `source` in any ValueError raised inside, and in the JSON
+    decoder's RecursionError: both come out as ValueError("<source>: ...")."""
+    try:
+        yield
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"{source}: {e}") from None
+
+
 def read_text(path, encoding: str = "utf-8", parse=json.loads):
     """parse(contents) of a text file; a bad byte, a parse error or nesting
     too deep to parse names the file."""
-    try:
-        with open(path, "r", encoding=encoding) as f:
-            return parse(f.read())
-    except (ValueError, RecursionError) as e:
-        raise ValueError(f"{path}: {e}") from None
+    with open(path, "r", encoding=encoding) as f, reading(path):
+        return parse(f.read())
 
 
 def save_tensor(path, array: np.ndarray) -> None:
@@ -47,23 +60,21 @@ def save_tensor(path, array: np.ndarray) -> None:
 
 def load_tensor(path) -> np.ndarray:
     """Read an LF01 file back as a float32 (rows, columns) array."""
-    with open(path, "rb") as f:
+    with open(path, "rb") as f, reading(path):
         magic = f.read(4)
         if magic != LF01_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r} at byte 0 (want b'LF01')")
+            raise ValueError(f"bad magic {magic!r} at byte 0 (want b'LF01')")
         header = f.read(8)
         if len(header) != 8:
-            raise ValueError(f"{path}: truncated header at byte {4 + len(header)}")
+            raise ValueError(f"truncated header at byte {4 + len(header)}")
         rows, cols = struct.unpack("<ii", header)
         if rows < 0 or cols < 0:
-            raise ValueError(f"{path}: negative dimensions ({rows}, {cols})")
+            raise ValueError(f"negative dimensions ({rows}, {cols})")
         expected = rows * cols * 4
         found = os.fstat(f.fileno()).st_size - 12
         if found < expected:
-            raise ValueError(
-                f"{path}: truncated body at byte {12 + found}: "
-                f"expected {expected} data bytes for ({rows}, {cols})"
-            )
+            raise ValueError(f"truncated body at byte {12 + found}: "
+                             f"expected {expected} data bytes for ({rows}, {cols})")
         data = f.read(expected)
     return np.frombuffer(data, dtype="<f4").reshape(rows, cols).copy()
 
@@ -76,13 +87,14 @@ def save_confidence(path, confidence: np.ndarray) -> None:
 def load_confidence(path) -> np.ndarray:
     """A confidence vector: one column of values in [0, 1]."""
     t = load_tensor(path)
-    if t.shape[1] != 1:
-        raise ValueError(f"{path}: confidence tensors have 1 column, got {t.shape[1]}")
-    confidence = t[:, 0].astype(np.float64)
-    bad = np.flatnonzero(~((confidence >= 0) & (confidence <= 1)))  # NaN fails both
-    if bad.size:
-        raise ValueError(f"{path}: confidence at row {bad[0]} is "
-                         f"{confidence[bad[0]]}, outside [0, 1]")
+    with reading(path):
+        if t.shape[1] != 1:
+            raise ValueError(f"confidence tensors have 1 column, got {t.shape[1]}")
+        confidence = t[:, 0].astype(np.float64)
+        bad = np.flatnonzero(~((confidence >= 0) & (confidence <= 1)))  # NaN fails both
+        if bad.size:
+            raise ValueError(f"confidence at row {bad[0]} is "
+                             f"{confidence[bad[0]]}, outside [0, 1]")
     return confidence
 
 
@@ -129,36 +141,35 @@ def load_views(manifest_path) -> List[CameraView]:
     """Read a view manifest and its per-pixel logit tensors."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     manifest = read_text(manifest_path, "ascii")
-    if not isinstance(manifest, list) or not manifest:
-        raise ValueError(f"{manifest_path}: manifest must be a non-empty JSON array")
     views = []
-    for i, entry in enumerate(manifest):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{manifest_path}: view {i} is not an object: {entry!r}")
-        try:
-            width, height = entry["width"], entry["height"]
-            # CameraView's rule, applied before the reshape needs it.
-            require("width", width, 1, integer=True)
-            require("height", height, 1, integer=True)
-            flat = load_tensor(os.path.join(base, entry["payload_path"]))
-            if flat.shape[0] != width * height:
-                raise ValueError(
-                    f"payload has {flat.shape[0]} rows for a "
-                    f"{width}x{height} grid"
-                )
-            views.append(CameraView(
-                intrinsics=_numbers(entry, "intrinsics"),
-                rotation=_numbers(entry, "rotation"),
-                translation=_numbers(entry, "translation"),
-                width=width,
-                height=height,
-                pixel_logits=flat.reshape(height, width, flat.shape[1]),
-            ))
-        except KeyError as e:
-            raise ValueError(f"{manifest_path}: view {i} is missing {e}") from None
-        except (TypeError, ValueError, OverflowError, OSError) as e:
-            # OverflowError: an integer beyond float64; OSError: the payload
-            raise ValueError(f"{manifest_path}: view {i}: {e}") from None
+    with reading(manifest_path):
+        if not isinstance(manifest, list) or not manifest:
+            raise ValueError("manifest must be a non-empty JSON array")
+        for i, entry in enumerate(manifest):
+            if not isinstance(entry, dict):
+                raise ValueError(f"view {i} is not an object: {entry!r}")
+            try:
+                width, height = entry["width"], entry["height"]
+                # CameraView's rule, applied before the reshape needs it.
+                require("width", width, 1, integer=True)
+                require("height", height, 1, integer=True)
+                flat = load_tensor(os.path.join(base, entry["payload_path"]))
+                if flat.shape[0] != width * height:
+                    raise ValueError(f"payload has {flat.shape[0]} rows for a "
+                                     f"{width}x{height} grid")
+                views.append(CameraView(
+                    intrinsics=_numbers(entry, "intrinsics"),
+                    rotation=_numbers(entry, "rotation"),
+                    translation=_numbers(entry, "translation"),
+                    width=width,
+                    height=height,
+                    pixel_logits=flat.reshape(height, width, flat.shape[1]),
+                ))
+            except KeyError as e:
+                raise ValueError(f"view {i} is missing {e}") from None
+            except (TypeError, ValueError, OverflowError, OSError) as e:
+                # OverflowError: an integer beyond float64; OSError: the payload
+                raise ValueError(f"view {i}: {e}") from None
     return views
 
 
@@ -170,12 +181,13 @@ def save_class_names(path, class_names: Sequence[str]) -> None:
 
 def load_class_names(path) -> List[str]:
     names = read_text(path)
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ValueError(f"{path}: class list must be a JSON array of strings")
-    if not names:
-        raise ValueError(f"{path}: class list is empty")
-    if len(set(names)) != len(names):
-        raise ValueError(f"{path}: class names must be unique")
+    with reading(path):
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ValueError("class list must be a JSON array of strings")
+        if not names:
+            raise ValueError("class list is empty")
+        if len(set(names)) != len(names):
+            raise ValueError("class names must be unique")
     return names
 
 
@@ -192,16 +204,17 @@ def save_scene_mask(path, mask: np.ndarray, class_names: Sequence[str]) -> None:
 
 def load_scene_mask(path, class_names: Sequence[str]) -> np.ndarray:
     present = read_text(path)
-    if not isinstance(present, list):
-        raise ValueError(f"{path}: scene mask must be a JSON array of class names")
-    if not present:
-        raise ValueError(f"{path}: scene mask names no class")
     lookup = {name: i for i, name in enumerate(class_names)}
     mask = np.zeros(len(class_names), dtype=bool)
-    for name in present:
-        if not isinstance(name, str) or name not in lookup:
-            raise ValueError(f"{path}: class {name!r} is not in the class list")
-        mask[lookup[name]] = True
+    with reading(path):
+        if not isinstance(present, list):
+            raise ValueError("scene mask must be a JSON array of class names")
+        if not present:
+            raise ValueError("scene mask names no class")
+        for name in present:
+            if not isinstance(name, str) or name not in lookup:
+                raise ValueError(f"class {name!r} is not in the class list")
+            mask[lookup[name]] = True
     return mask
 
 
@@ -216,18 +229,19 @@ def save_labels_text(path, labels: LabelField) -> None:
 def load_labels_text(path, num_classes: int) -> LabelField:
     values = []
     lines = read_text(path, "ascii", parse=str).split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            value = int(line)
-        except ValueError:
-            raise ValueError(f"{path} line {lineno}: bad label {line!r}") from None
-        if not UNLABELED <= value < num_classes:
-            raise ValueError(f"{path} line {lineno}: label {value} outside "
-                             f"[0, {num_classes}) and not UNLABELED")
-        values.append(value)
+    with reading(path):
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = int(line)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad label {line!r}") from None
+            if not UNLABELED <= value < num_classes:
+                raise ValueError(f"line {lineno}: label {value} outside "
+                                 f"[0, {num_classes}) and not UNLABELED")
+            values.append(value)
     return LabelField(np.asarray(values, dtype=np.int64), num_classes)
 
 

@@ -17,6 +17,21 @@ settings.register_profile("pclabel", derandomize=True, deadline=None)
 settings.load_profile("pclabel")
 
 
+# An ascii PLY header of the vertex layout, without labels, for {n} vertices.
+ASCII_HEADER = """ply
+format ascii 1.0
+comment generated fixture
+element vertex {n}
+property float x
+property float y
+property float z
+property uchar red
+property uchar green
+property uchar blue
+end_header
+"""
+
+
 def make_cloud(rng: np.random.Generator, n: int) -> PointCloud:
     """Random float32-valued cloud (so PLY round trips are bit-exact)."""
     positions = (rng.random((n, 3)) * 4.0 - 2.0).astype(np.float32).astype(np.float64)

@@ -4,8 +4,11 @@ import io
 import json
 import os
 import re
+import resource
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -30,6 +33,8 @@ from pclabel import (
 from pclabel.cli import _params, build_parser, main
 from pclabel.ply import load_labeled_ply, load_ply, save_ply
 from pclabel.synth import corrupt_logits, generate_scene, render_views
+
+from conftest import ASCII_HEADER, SRC
 
 
 @pytest.fixture(scope="module")
@@ -508,7 +513,7 @@ class TestConfigFile:
         }))
         assert run(["pseudo", "--config", config, "--out", tmp_path / "o"]) == 2
         assert (capsys.readouterr().err
-                == f"error: config key {key!r}: cannot read {value!r} as str\n")
+                == f"error: {config}: config key {key!r}: cannot read {value!r} as str\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["top_v", "cloud"])
@@ -572,8 +577,11 @@ class TestConfigFile:
         assert run(["eval", "--classes", fixture_dir / "classes.json",
                     "--gt", fixture_dir / "gt.ply", "--pred", out / "pred_labels.txt"]) == 0
         assert run(["sweep", "--param", "V", "--grid", "x"]) == 1
+        # Each key holds a value of its type: the parameter default, or 1.
+        values = {**vars(SuperpointParams()), **vars(RefineParams()), **vars(StlpConfig())}
         config = tmp_path / "all.json"
-        config.write_text(json.dumps({key: "x" for key in read}))
+        config.write_text(json.dumps({key: values.get(key, cli._SETTINGS[key]("1"))
+                                      for key in read}))
         cli._load_config(str(config))
         assert read == set(cli._SETTINGS)
 
@@ -890,7 +898,7 @@ class TestDamagedInputs:
         pred.write_text("0\n99999999999999999999\n")
         assert run(["eval", "--pred", pred, "--gt", fixture_dir / "gt.ply",
                     "--classes", fixture_dir / "classes.json"]) == 2
-        assert (f"{pred} line 2: label 99999999999999999999 outside [0, 8) and not UNLABELED"
+        assert (f"{pred}: line 2: label 99999999999999999999 outside [0, 8) and not UNLABELED"
                 in capsys.readouterr().err)
 
     def test_out_of_range_label_names_the_listing(self, fixture_dir, tmp_path, capsys):
@@ -898,7 +906,7 @@ class TestDamagedInputs:
         pred.write_text("0\n99\n")
         assert run(["eval", "--pred", pred, "--gt", fixture_dir / "gt.ply",
                     "--classes", fixture_dir / "classes.json"]) == 2
-        assert (f"{pred} line 2: label 99 outside [0, 8) and not UNLABELED"
+        assert (f"{pred}: line 2: label 99 outside [0, 8) and not UNLABELED"
                 in capsys.readouterr().err)
 
     def test_out_of_range_label_names_the_ply(self, fixture_dir, tmp_path, capsys):
@@ -1048,7 +1056,7 @@ class TestSettingDomains:
         assert run([command, *inputs[command], "--config", config,
                     "--out", tmp_path / "o"]) == 2
         assert (capsys.readouterr().err
-                == f"error: {key} must lie in [{low}, 64], got {10**20}\n")
+                == f"error: {config}: {key} must lie in [{low}, 64], got {10**20}\n")
 
     @pytest.mark.parametrize("key, value, kind", [
         ("rounds", True, "int"),
@@ -1063,11 +1071,28 @@ class TestSettingDomains:
         config.write_text(json.dumps({"rounds": 1, key: value}))
         assert run(["stlp", *inputs["stlp"], "--config", config,
                     "--out", tmp_path / "o"]) == 2
-        assert (f"error: config key {key!r}: cannot read {value!r} as {kind}"
-                in capsys.readouterr().err)
+        assert (capsys.readouterr().err
+                == f"error: {config}: config key {key!r}: cannot read {value!r} as {kind}\n")
 
-    def test_whole_float_reads_as_int(self):
-        config = {"knn_k": 15.0, "rounds": 3.0}
+    @pytest.mark.parametrize("text, message", [
+        ('{"top_v": 1e400}', "top_v must lie in (0, 100], got inf"),
+        ('{"top_v": "30"}', "config key 'top_v': cannot read '30' as float"),
+        (f'{{"adjacency_k": {10**20}}}', f"adjacency_k must lie in [1, 64], got {10**20}"),
+    ])
+    @pytest.mark.parametrize("flag", [[], ["--top-v", 30]])
+    def test_config_is_checked_whole(self, inputs, tmp_path, capsys, text, message, flag):
+        # Refused as the file's error, even where a flag overrides the value.
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        assert run(["refine", *inputs["refine"], "--config", config, *flag,
+                    "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_whole_float_reads_as_int(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"knn_k": 15.0, "rounds": 3.0}))
+        config = cli._load_config(str(path))
         assert _params(StlpConfig, argparse.Namespace(**config)) == StlpConfig(knn_k=15, rounds=3)
 
 
@@ -1209,12 +1234,14 @@ class TestSizeMessages:
         path = tmp_path / "partition.json"
         path.write_text(json.dumps(payload))
         assert run(command_args("infer", {**intact, "partition": path}, tmp_path / "o")) == 2
-        assert capsys.readouterr().err == f"error: partition file {path}: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 @pytest.fixture(scope="module")
 def small_scan(tmp_path_factory):
-    """A valid file for every setting in READS, for a ~700-point scene."""
+    """A valid file for every setting in READS, for a ~700-point scene, and a
+    config file of numeric settings (a relative path in it would resolve
+    beside a damaged copy, naming another file)."""
     out = tmp_path_factory.mktemp("small")
     scene = SceneSpec(extents=(1.0, 1.0, 0.8), object_count=(1, 2), density=120.0)
     cloud, gt, mask, _ = generate_scene(scene)
@@ -1236,7 +1263,10 @@ def small_scan(tmp_path_factory):
     assert run(["refine", "--cloud", inputs["cloud"], "--classes", inputs["classes"],
                 "--labels", inputs["labels"], "--confidence", inputs["confidence"],
                 "--out", out]) == 0
-    return {**inputs, "partition": out / "partition.json"}
+    (out / "config.json").write_text(json.dumps({
+        "top_v": 30.0, "alpha": 0.5, "angle_threshold": 15.0, "min_size": 20,
+        "knn_k": 15, "rounds": 1, "occlusion_tolerance": 0.05, "seed": 0}))
+    return {**inputs, "partition": out / "partition.json", "config": out / "config.json"}
 
 
 # (command, the setting whose file is damaged, the file); the command's
@@ -1253,22 +1283,24 @@ DAMAGED = [
     ("pseudo", "logits", "logits"), ("pseudo", "classes", "classes"),
     ("stlp", "cloud", "cloud"), ("stlp", "logits", "logits"), ("stlp", "gt", "gt"),
     ("pseudo", "mask", "mask"), ("stlp", "mask", "mask"),
+    ("refine", "config", "config"),
 ]
 # What a JSON value is swapped for: another type, NaN, a float beyond
-# float64 and an integer beyond int64.
+# float64, an integer beyond int64 and nesting too deep to decode.
 JSON_SWAPS = ['"3"', "null", "true", "[]", "{}", "1.5", "NaN", "1e400",
-              "12345678901234567890"]
+              "12345678901234567890", "[" * 100_000 + "]" * 100_000]
 
 
 def swap_one(draw, value):
-    """`value` with one of its values, found by descending from the top,
-    replaced by "@"."""
-    if isinstance(value, (list, dict)) and value and draw(st.booleans()):
-        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict)
-                                   else range(len(value))))
-        value[key] = swap_one(draw, value[key])
-        return value
-    return "@"
+    """The non-empty array or object `value` with one of its values, found by
+    descending from the top, replaced by "@"; test_whole_document_swapped
+    replaces the top itself."""
+    key = draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                               else range(len(value))))
+    inner = value[key]
+    descend = isinstance(inner, (list, dict)) and inner and draw(st.booleans())
+    value[key] = swap_one(draw, inner) if descend else "@"
+    return value
 
 
 @st.composite
@@ -1291,33 +1323,82 @@ def damaged(draw, data: bytes, suffix: str) -> bytes:
     return json.dumps(payload).replace('"@"', draw(st.sampled_from(JSON_SWAPS))).encode()
 
 
+def run_damaged(small_scan, case, content: bytes) -> None:
+    """Run `case` with its file replaced by `content`: the input either still
+    reads or is a data error that names it, once; never a usage error, a
+    traceback or a warning."""
+    command, key, source = case
+    source = small_scan[source]
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, source.name)
+        with open(bad, "wb") as f:
+            f.write(content)
+        reads = None
+        if key == "views":  # the payloads the manifest names sit beside it
+            for payload in source.parent.glob("*.lf01"):
+                shutil.copy(payload, tmp)
+            reads = READS[command].replace("logits", "views")
+        if key in ("mask", "config"):  # optional inputs, read only when given
+            reads = f"{READS[command]} {key}"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stderr(err), redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = run(command_args(command, {**small_scan, key: bad},
+                                    os.path.join(tmp, "o"), reads))
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().count(bad) == 1, err.getvalue()
+
+
 class TestDamagedFiles:
     @settings(max_examples=400)
     @given(case=st.sampled_from(DAMAGED), data=st.data())
     def test_exit_0_or_2_naming_the_file(self, small_scan, case, data):
-        # A damaged input either still reads or is a data error that names
-        # it; never a usage error, a traceback or a warning.
-        command, key, source = case
-        source = small_scan[source]
-        content = data.draw(damaged(source.read_bytes(), source.suffix))
-        with tempfile.TemporaryDirectory() as tmp:
-            bad = os.path.join(tmp, source.name)
-            with open(bad, "wb") as f:
-                f.write(content)
-            reads = None
-            if key == "views":  # the payloads the manifest names sit beside it
-                for payload in source.parent.glob("*.lf01"):
-                    shutil.copy(payload, tmp)
-                reads = READS[command].replace("logits", "views")
-            if key == "mask":  # an optional input, read only when given
-                reads = f"{READS[command]} mask"
-            err = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, \
-                    redirect_stderr(err), redirect_stdout(io.StringIO()):
-                warnings.simplefilter("always")
-                code = run(command_args(command, {**small_scan, key: bad},
-                                        os.path.join(tmp, "o"), reads))
-        assert not caught, [str(w.message) for w in caught]
-        assert code in (0, 2), err.getvalue()
-        if code == 2:
-            assert bad in err.getvalue()
+        source = small_scan[case[2]]
+        run_damaged(small_scan, case, data.draw(damaged(source.read_bytes(), source.suffix)))
+
+    @pytest.mark.parametrize("swap", JSON_SWAPS, ids=lambda swap: swap[:20])
+    @pytest.mark.parametrize("case", [c for c in DAMAGED if c[1] in
+                                      ("views", "classes", "mask", "partition", "config")])
+    def test_whole_document_swapped(self, small_scan, case, swap):
+        run_damaged(small_scan, case, swap.encode())
+
+
+def limit_address_space():
+    """Cap this process's address space at 1 GiB (run in the child only)."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+HUGE = 2**31 - 1
+
+
+class TestLyingHeadersInAChild:
+    """A file that claims 2**31 - 1 rows is refused by its size, before any
+    allocation: run as `python -m pclabel` with RLIMIT_AS at 1 GiB in the
+    child, a giant allocation fails the test instead of the host."""
+
+    @pytest.mark.parametrize("command, key, content", [
+        ("pseudo", "logits", lambda scan: tensorio.LF01_MAGIC + struct.pack("<ii", HUGE, 8)),
+        ("pseudo", "cloud", lambda scan: (ASCII_HEADER.format(n=HUGE)
+                                          + "0 0 0 1 2 3\n").encode()),
+        ("pseudo", "cloud", lambda scan: re.sub(rb"element vertex \d+",
+                                                b"element vertex %d" % HUGE,
+                                                scan["cloud"].read_bytes())),
+        ("refine", "partition", lambda scan: json.dumps(
+            {"n": HUGE, "u": HUGE, "assignment": [0, 1, HUGE - 1]}).encode()),
+    ], ids=["lf01", "ascii-ply", "binary-ply", "partition"])
+    def test_exit_2_naming_the_file(self, small_scan, tmp_path, command, key, content):
+        bad = tmp_path / small_scan[key].name
+        bad.write_bytes(content(small_scan))
+        # One BLAS thread: its per-thread buffers count against the limit.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-m", "pclabel",
+             *map(str, command_args(command, {**small_scan, key: bad}, tmp_path / "o"))],
+            env=env, preexec_fn=limit_address_space, capture_output=True, text=True,
+            timeout=120)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"error: {bad}: "), result.stderr
+        assert result.stderr.count(str(bad)) == 1

@@ -599,8 +599,9 @@ class TestPartitionIO:
         payload = {"n": 3, "u": 1, "assignment": [0, 0, 0]}
         del payload[key]
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"partition file .*bad.json: no '{key}' key"):
+        with pytest.raises(ValueError) as raised:
             load_partition_json(path)
+        assert str(raised.value) == f"{path}: no '{key}' key"
 
     @pytest.mark.parametrize("payload, message", [
         ({"n": 3, "u": 2, "assignment": [0, 2, 2]}, "segment ids must be dense in [0, U)"),
@@ -615,7 +616,7 @@ class TestPartitionIO:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError) as raised:
             load_partition_json(path)
-        assert str(raised.value) == f"partition file {path}: {message}"
+        assert str(raised.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("assignment, entry", [
         pytest.param([0.5, 0.2, 0.9], "entry 0 must be an integer in [0, 3), got 0.5",

@@ -13,6 +13,20 @@ from pclabel import CameraView, LabelField, UNLABELED
 from pclabel import tensorio
 
 
+class TestReading:
+    @pytest.mark.parametrize("error", [ValueError("bad value"), RecursionError("too deep")])
+    def test_names_the_source(self, error):
+        with pytest.raises(ValueError) as raised, tensorio.reading("f.json"):
+            raise error
+        assert str(raised.value) == f"f.json: {error}"
+
+    @pytest.mark.parametrize("error", [KeyError("k"), OSError("gone"), TypeError("t")])
+    def test_other_errors_pass_unchanged(self, error):
+        with pytest.raises(type(error)) as raised, tensorio.reading("f.json"):
+            raise error
+        assert raised.value is error
+
+
 class TestLF01:
     def test_round_trip(self, tmp_path, rng):
         data = rng.standard_normal((13, 5)).astype(np.float32)
