@@ -6,8 +6,9 @@ read as. It is a flag (--top-v) on the commands that read it and a key
 config file, which wins over the parameter's default. A str setting is a
 path and must be a JSON string in the config file, where a relative path
 resolves against the file's directory. The config file is checked whole
-when it loads: an unread key, a null, a value of another type and a
-parameter out of its domain are data errors naming the file. --seed
+when it loads: an unread key, a null, a value of another type, a path
+holding a NUL character and a setting out of its domain are data errors
+naming the file. --seed
 selects the scene of synth and sweep; pseudo, refine, stlp and infer
 ignore it, and eval does not take it. stlp reads one --top-v/--alpha pair
 in the initial refinement and in every self-training round. sweep's grid
@@ -29,6 +30,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import benchmark as bench
+from .domain import require
 from .labels import LabelField
 from .metrics import format_report, labeled_rate, metrics_report
 from .ply import load_labeled_ply, load_ply, save_ply
@@ -41,7 +43,7 @@ from .superpoint import (
     partition_cloud,
     save_partition_json,
 )
-from .synth import corrupt_logits, generate_scene, render_views
+from .synth import SceneSpec, corrupt_logits, generate_scene, render_views
 from . import tensorio
 
 
@@ -91,7 +93,12 @@ def _load_config(path: Optional[str]) -> dict:
             except (TypeError, ValueError, OverflowError):  # int(inf), float(10**400)
                 raise ValueError(f"config key {key!r}: cannot read {value!r} "
                                  f"as {kind.__name__}") from None
-        for cls in (SuperpointParams, RefineParams, StlpConfig):
+            if kind is str and "\0" in value:  # open() would refuse it naming neither
+                raise ValueError(f"config key {key!r}: a path cannot hold a NUL character")
+        if "occlusion_tolerance" in config:
+            require("occlusion_tolerance", config["occlusion_tolerance"], 0)
+        # Of SceneSpec's fields only seed is a setting.
+        for cls in (SuperpointParams, RefineParams, StlpConfig, SceneSpec):
             cls(**{f.name: config[f.name] for f in fields(cls) if f.name in config})
     return config
 

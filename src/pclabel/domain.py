@@ -1,6 +1,9 @@
-"""The one domain rule for numeric settings and spec fields."""
+"""The one domain rule for numeric settings and spec fields, and the one
+way the blocked passes cover their rows."""
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -10,12 +13,35 @@ import numpy as np
 # uses 16 or fewer.
 MAX_NEIGHBORS = 64
 
-# Entries per array in one block of the blocked passes: the (rows, k, 3)
+# Entries per array in the blocks of the blocked passes: the (rows, k, 3)
 # neighborhoods of normal estimation, the (edges, 3) normal pairs of the
 # over-segmentation angle gate and the rows x max(k, C) tables of k-NN
-# predict, 2 MB per float64 array. Each row is computed on its own, so no
-# output depends on it.
+# predict, 2 MB per float64 array. for_blocks shares it among its workers,
+# so the blocks in flight hold at most this many together, whatever the
+# core count. Each row is computed on its own, so no output depends on it.
 BLOCK_ENTRIES = 1 << 18
+
+
+def for_blocks(n: int, entries_per_row: int, body) -> None:
+    """Call body(rows) on row slices covering range(n), on every core.
+
+    There is a worker per core this process may run on (per core of the
+    machine where the platform cannot say), and a block holds
+    BLOCK_ENTRIES // (entries_per_row * workers) rows (at least one), so
+    the blocks in flight hold at most BLOCK_ENTRIES entries per array
+    together. body must write only its own rows' outputs; then no output
+    depends on the worker count. The workers are a pool that ends with the
+    call, so no thread outlives it. An exception in body is raised here.
+    """
+    if hasattr(os, "sched_getaffinity"):  # Linux only
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    step = max(1, BLOCK_ENTRIES // (entries_per_row * workers))
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(body, blocks):
+            pass
 
 
 def require(name: str, value, low: float = -math.inf, high: float = math.inf, *,

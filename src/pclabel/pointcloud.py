@@ -8,9 +8,11 @@ read-only views of one cached query, which `SpatialIndex.release` drops.
 
 `estimate_normals` gathers, centers, decomposes and orients the
 neighborhoods in blocks of at most BLOCK_ENTRIES // 3k points
-(`pclabel.domain.BLOCK_ENTRIES` entries), so beyond the (n, k) neighbor
-table and its (n, 3) output its memory does not grow with n. Each point's
-normal is computed on its own, so no bit depends on the block size.
+(`pclabel.domain.BLOCK_ENTRIES` entries, shared by the blocks that run at
+once), one block per core at a time (`pclabel.domain.for_blocks`), so
+beyond the (n, k) neighbor table and its (n, 3) output its memory does not
+grow with n. Each point's normal is computed on its own, so no bit depends
+on the block size or the core count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .domain import BLOCK_ENTRIES, MAX_NEIGHBORS, require
+from .domain import MAX_NEIGHBORS, for_blocks, require
 
 
 @dataclass(frozen=True)
@@ -170,10 +172,9 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex, k: int) -> np.ndarr
     require("k", k, 3, min(n, MAX_NEIGHBORS), integer=True)
     idx = index.neighbors(cloud.positions, k)[0]
     out = np.empty((n, 3))
-    # A (rows, k, 3) gather holds 3k entries per row.
-    step = max(1, BLOCK_ENTRIES // (3 * k))
-    for start in range(0, n, step):
-        nb = cloud.positions[idx[start:start + step]]
+
+    def block(rows: slice) -> None:
+        nb = cloud.positions[idx[rows]]
         centered = nb - nb.mean(axis=1, keepdims=True)
         cov = np.einsum("nki,nkj->nij", centered, centered) / k
         vals, vecs = np.linalg.eigh(cov)
@@ -189,5 +190,8 @@ def estimate_normals(cloud: PointCloud, index: SpatialIndex, k: int) -> np.ndarr
         flip = normals[np.arange(len(normals)), lead] < 0
         normals[flip] *= -1.0
         norms = np.linalg.norm(normals, axis=1, keepdims=True)
-        out[start:start + step] = normals / norms
+        out[rows] = normals / norms
+
+    # A (rows, k, 3) gather holds 3k entries per row.
+    for_blocks(n, 3 * k, block)
     return out

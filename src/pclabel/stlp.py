@@ -91,7 +91,10 @@ class KnnClassifier:
 
         Rows are queried in blocks of at most BLOCK_ENTRIES // max(k, C)
         rows, so peak memory does not grow with n x k or n x C; time still
-        grows with n x min(config.knn_k, labeled count).
+        grows with n x min(config.knn_k, labeled count). The blocks run in
+        order on one thread: most of their time is the k-d query, which
+        already runs on every core, so running blocks at once would only
+        stack threads on threads.
         """
         if self._tree is None:
             raise RuntimeError("classifier is not fitted")

@@ -9,10 +9,12 @@ the adjacent segment sharing the most graph edges, in one ascending pass that
 reads the edges of each undersized segment as it reaches it.
 
 The angle gate runs over blocks of at most BLOCK_ENTRIES // 3 edges
-(`pclabel.domain.BLOCK_ENTRIES` entries), and each per-edge array is dropped
-once its last reader has run. Each edge is gated on its own, so no bit
-depends on the block size. The index's cached neighbor query is released
-once the edges are cut, before the merge.
+(`pclabel.domain.BLOCK_ENTRIES` entries, shared by the blocks that run at
+once), one block per core at a time (`pclabel.domain.for_blocks`), and each
+per-edge array is dropped once its last reader has run. Each edge is gated
+on its own, so no bit depends on the block size or the core count. The
+index's cached neighbor query is released once the edges are cut, before
+the merge.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .domain import BLOCK_ENTRIES, MAX_NEIGHBORS, require
+from .domain import MAX_NEIGHBORS, for_blocks, require
 from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
 from .tensorio import read_text, reading
 
@@ -203,13 +205,14 @@ def oversegment(
 
     passes = length <= np.percentile(length, EDGE_LENGTH_PERCENTILE)
     del length
-    # An (edges, 3) gather holds 3 entries per edge.
-    step = BLOCK_ENTRIES // 3
-    for start in range(0, src.size, step):
-        edges = slice(start, start + step)
+
+    def gate(edges: slice) -> None:
         cos = np.einsum("ij,ij->i", normals[src[edges]], normals[dst[edges]])
         angle = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
         passes[edges] &= angle <= angle_threshold
+
+    # An (edges, 3) gather holds 3 entries per edge.
+    for_blocks(src.size, 3, gate)
 
     graph = csr_matrix(
         (np.ones(int(passes.sum()), dtype=np.int8), (src[passes], dst[passes])),

@@ -11,6 +11,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from pclabel import UNLABELED, LabelField, PointCloud  # noqa: E402
+from pclabel import domain  # noqa: E402
 
 # Property tests replay the same examples on every run, without a time limit.
 settings.register_profile("pclabel", derandomize=True, deadline=None)
@@ -86,6 +87,16 @@ def assert_knn_rows(positions, idx, dist):
 # built over a subset of the cloud, over a superset, and over the same
 # number of points moved elsewhere.
 MISMATCHED_INDEX = [(400, 300, 0.0), (300, 400, 0.0), (400, 400, 0.5)]
+
+
+def force_blocks(monkeypatch, workers: int, rows: int | None = None,
+                 entries_per_row: int = 1) -> None:
+    """Have pclabel.domain.for_blocks see `workers` cores and, with `rows`,
+    cut blocks of exactly that many rows of `entries_per_row` entries."""
+    monkeypatch.setattr(domain.os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
+    if rows is not None:
+        monkeypatch.setattr(domain, "BLOCK_ENTRIES", rows * entries_per_row * workers)
 
 
 def record_queries(monkeypatch, *modules, workers=None) -> list:

@@ -1089,6 +1089,26 @@ class TestSettingDomains:
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("synth", '{"seed": -1}', "seed must be >= 0, got -1"),
+        # Read only with --views: with --logits it was ignored, exit 0.
+        ("pseudo", '{"occlusion_tolerance": -1}',
+         "occlusion_tolerance must be finite and >= 0, got -1.0"),
+        ("pseudo", '{"cloud": "a\\u0000b"}',
+         "config key 'cloud': a path cannot hold a NUL character"),
+    ])
+    def test_setting_outside_the_parameter_classes(self, fixture_dir, tmp_path, capsys,
+                                                   command, text, message):
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        args = {"synth": [],
+                "pseudo": ["--cloud", fixture_dir / "cloud.ply",
+                           "--classes", fixture_dir / "classes.json",
+                           "--logits", fixture_dir / "logits.lf01"]}[command]
+        assert run([command, *args, "--config", config, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_whole_float_reads_as_int(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"knn_k": 15.0, "rounds": 3.0}))

@@ -15,7 +15,7 @@ from pclabel import (
     estimate_normals,
     generate_scene,
 )
-from pclabel import pointcloud
+from pclabel import domain
 from pclabel.pointcloud import DEGENERATE_EIGENGAP
 
 from conftest import (
@@ -23,6 +23,7 @@ from conftest import (
     assert_knn_rows,
     block_oracle_clouds,
     brute_force_knn,
+    force_blocks,
     make_cloud,
     shuffled_lattice,
 )
@@ -280,28 +281,49 @@ def literal_estimate_normals(cloud, index, k):
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("rows", [1, 7, 40, 10**9])
-    @pytest.mark.parametrize("k", [4, 16])
-    def test_block_size_does_not_change_normals(self, rng, monkeypatch, rows, k):
+    @staticmethod
+    def check(rng, monkeypatch, workers, rows, k):
         for name, cloud in block_oracle_clouds(rng).items():
             want = literal_estimate_normals(cloud, build_index(cloud), k)
-            monkeypatch.setattr(pointcloud, "BLOCK_ENTRIES", rows * 3 * k)
+            force_blocks(monkeypatch, workers, rows, 3 * k)
             got = estimate_normals(cloud, build_index(cloud), k)
             monkeypatch.undo()
             assert got.tobytes() == want.tobytes(), name
 
-    def test_peak_memory_does_not_grow_with_n_times_k(self):
+    @pytest.mark.parametrize("rows", [1, 7, 40, 10**9])
+    @pytest.mark.parametrize("k", [4, 16])
+    def test_block_size_does_not_change_normals(self, rng, monkeypatch, rows, k):
+        self.check(rng, monkeypatch, 1, rows, k)
+
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    def test_worker_count_does_not_change_normals(self, rng, monkeypatch, workers):
+        self.check(rng, monkeypatch, workers, 7, 16)
+
+    def test_cores_counted_where_affinity_is_unknown(self, rng, monkeypatch):
+        # Off Linux, os has no sched_getaffinity; the machine's cores count.
+        for name, cloud in block_oracle_clouds(rng).items():
+            want = literal_estimate_normals(cloud, build_index(cloud), 16)
+            monkeypatch.delattr(domain.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(domain.os, "cpu_count", lambda: 3)
+            monkeypatch.setattr(domain, "BLOCK_ENTRIES", 7 * 48 * 3)
+            got = estimate_normals(cloud, build_index(cloud), 16)
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_peak_memory_does_not_grow_with_n_times_k(self, monkeypatch):
         # A 42,616-point room at k=16, its neighbors already queried. The
         # whole (n, k, 3) neighborhood and its centered copy peaked at
         # 52 MiB; in blocks it is the neighbor rows plus about 2 MiB per
-        # block array, 16 MiB in all.
+        # block array, 16 MiB in all, however many workers share them.
         cloud = generate_scene(SceneSpec(density=1000.0))[0]
         index = build_index(cloud)
         index.neighbors(cloud.positions, 16)
-        tracemalloc.start()
-        try:
-            estimate_normals(cloud, index, 16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2**20
+        for workers in (1, 8):
+            force_blocks(monkeypatch, workers)
+            tracemalloc.start()
+            try:
+                estimate_normals(cloud, index, 16)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20 * 2**20, workers

@@ -33,7 +33,13 @@ from pclabel.superpoint import (
     save_partition_json,
 )
 
-from conftest import MISMATCHED_INDEX, block_oracle_clouds, make_cloud, record_queries
+from conftest import (
+    MISMATCHED_INDEX,
+    block_oracle_clouds,
+    force_blocks,
+    make_cloud,
+    record_queries,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -419,38 +425,51 @@ def literal_oversegment(cloud, normals, index, angle_threshold, adjacency_k, min
 
 
 class TestEdgeBlocks:
-    @pytest.mark.parametrize("edges", [1, 7, 40, 10**9])
-    @pytest.mark.parametrize("min_size", [1, 4, 20])
-    @pytest.mark.parametrize("angle", [15.0, 90.0])
-    def test_block_size_does_not_change_partition(self, rng, monkeypatch, edges,
-                                                   min_size, angle):
+    @staticmethod
+    def check(rng, monkeypatch, workers, edges, min_size, angle):
         for name, cloud in block_oracle_clouds(rng).items():
             # Axis normals meet at exactly 0 or 90 degrees, on the gate.
             for normals in (estimate_normals(cloud, build_index(cloud), 16),
                             np.eye(3)[rng.integers(0, 3, cloud.count)]):
                 want = literal_oversegment(cloud, normals, build_index(cloud),
                                            angle, 10, min_size)
-                monkeypatch.setattr(superpoint, "BLOCK_ENTRIES", 3 * edges)
+                force_blocks(monkeypatch, workers, edges, 3)
                 got = oversegment(cloud, normals, build_index(cloud), angle, 10,
                                   min_size)
                 monkeypatch.undo()
                 assert got.assignment.tobytes() == want.tobytes(), name
 
-    def test_peak_memory_does_not_grow_with_edge_gathers(self):
+    @pytest.mark.parametrize("edges", [1, 7, 40, 10**9])
+    @pytest.mark.parametrize("min_size", [1, 4, 20])
+    @pytest.mark.parametrize("angle", [15.0, 90.0])
+    def test_block_size_does_not_change_partition(self, rng, monkeypatch, edges,
+                                                   min_size, angle):
+        self.check(rng, monkeypatch, 1, edges, min_size, angle)
+
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    @pytest.mark.parametrize("angle", [15.0, 90.0])
+    def test_worker_count_does_not_change_partition(self, rng, monkeypatch, workers, angle):
+        self.check(rng, monkeypatch, workers, 7, 4, angle)
+
+    def test_peak_memory_does_not_grow_with_edge_gathers(self, monkeypatch):
         # A 42,616-point room, its normals estimated and neighbors queried.
         # Gathering both ends' normals for every edge at once, with every
         # per-edge array alive through the merge, peaked at 42 MiB; in
-        # blocks it is 19 MiB, most of it scipy's copies of the graph.
+        # blocks it is 19 MiB, most of it scipy's copies of the graph,
+        # however many workers share the blocks.
         cloud = generate_scene(SceneSpec(density=1000.0))[0]
         index = build_index(cloud)
         normals = estimate_normals(cloud, index, 16)
-        tracemalloc.start()
-        try:
-            oversegment(cloud, normals, index, 15.0, 10, 4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2**20
+        for workers in (1, 8):
+            force_blocks(monkeypatch, workers)
+            index.neighbors(cloud.positions, 16)  # the query oversegment releases
+            tracemalloc.start()
+            try:
+                oversegment(cloud, normals, index, 15.0, 10, 4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20 * 2**20, workers
 
 
 class TestSharedQuery:

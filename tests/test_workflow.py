@@ -1,8 +1,10 @@
-"""The tier-1 workflow installs the versions the benchmark baseline was taken on.
+"""The tier-1 workflow installs the versions the benchmark baseline was taken
+on, and checks the pinned outputs on one core too.
 
 The golden SHA-256s and the benchmark pins were recorded under the numpy,
 scipy and Python that perfbench/baseline.json names; a workflow pinned to
-others could move them for reasons unrelated to a change.
+others could move them for reasons unrelated to a change. On one core the
+pooled row blocks run on one worker in blocks a multi-core runner never cuts.
 """
 
 import json
@@ -19,3 +21,13 @@ def test_workflow_pins_match_the_baseline_environment():
         assert re.findall(rf"\b{package}==([\w.]+)", workflow) == [recorded[package]], package
     major_minor = ".".join(recorded["python"].split(".")[:2])
     assert re.findall(r'python-version: \["([\d.]+)"\]', workflow) == [major_minor]
+
+
+def test_pinned_outputs_are_checked_on_one_core():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    step = workflow.split("- name: Pinned outputs on one core\n", 1)[1].split("- name:", 1)[0]
+    run = " ".join(step.split("run: >-", 1)[1].split())
+    assert "taskset -c 0 python -m pytest" in run
+    for target in ("tests/test_cli.py::TestGoldenFixtures", "tests/test_threads.py",
+                   "tests/test_acceptance.py"):
+        assert target in run.split(), target
