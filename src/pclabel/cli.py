@@ -35,7 +35,7 @@ from .labels import LabelField
 from .metrics import format_report, labeled_rate, metrics_report
 from .ply import load_labeled_ply, load_ply, save_ply
 from .projection import pseudo_labels_from_logits, pseudo_labels_from_views
-from .refine import RefineParams, refine_pipeline
+from .refine import RefineParams, galr, refine_pipeline
 from .stlp import KnnClassifier, StlpConfig, infer, stlp_run
 from .superpoint import (
     SuperpointParams,
@@ -299,8 +299,7 @@ def cmd_infer(args) -> int:
     classifier = KnnClassifier(_params(StlpConfig, args))
     partition = _partition_for(args, cloud)
     pred, _ = classifier.fit(cloud, labels).predict(cloud)
-    predicted = infer(pred, partition, params.alpha,
-                      keep_rejected=not args.emit_unlabeled)
+    predicted = (galr if args.emit_unlabeled else infer)(pred, partition, params.alpha)
     os.makedirs(args.out, exist_ok=True)
     tensorio.save_labels_text(os.path.join(args.out, "pred_labels.txt"), predicted)
     record = {"out": args.out, "labeled_rate": labeled_rate(predicted)}

@@ -15,7 +15,7 @@ MAX_NEIGHBORS = 64
 
 # Entries per array in the blocks of the blocked passes: the (rows, k, 3)
 # neighborhoods of normal estimation, the (edges, 3) normal pairs of the
-# over-segmentation angle gate and the rows x max(k, C) tables of k-NN
+# over-segmentation angle gate and the rows x max(k, C) vote tables of k-NN
 # predict, 2 MB per float64 array. for_blocks shares it among its workers,
 # so the blocks in flight hold at most this many together, whatever the
 # core count. Each row is computed on its own, so no output depends on it.
@@ -26,18 +26,20 @@ def for_blocks(n: int, entries_per_row: int, body) -> None:
     """Call body(rows) on row slices covering range(n), on every core.
 
     There is a worker per core this process may run on (per core of the
-    machine where the platform cannot say), and a block holds
-    BLOCK_ENTRIES // (entries_per_row * workers) rows (at least one), so
-    the blocks in flight hold at most BLOCK_ENTRIES entries per array
-    together. body must write only its own rows' outputs; then no output
-    depends on the worker count. The workers are a pool that ends with the
-    call, so no thread outlives it. An exception in body is raised here.
+    machine where the platform cannot say). A block holds
+    BLOCK_ENTRIES // (entries_per_row * workers) rows, so the blocks in
+    flight hold at most BLOCK_ENTRIES entries per array together, but no
+    more than ceil(n / workers) rows (and at least one), so a small pass
+    is still shared by every worker. body must write only its own rows'
+    outputs; then no output depends on the worker count. The workers are a
+    pool that ends with the call, so no thread outlives it. An exception in
+    body is raised here.
     """
     if hasattr(os, "sched_getaffinity"):  # Linux only
         workers = len(os.sched_getaffinity(0))
     else:
         workers = os.cpu_count() or 1
-    step = max(1, BLOCK_ENTRIES // (entries_per_row * workers))
+    step = max(1, min(BLOCK_ENTRIES // (entries_per_row * workers), math.ceil(n / workers)))
     blocks = [slice(start, start + step) for start in range(0, n, step)]
     with ThreadPoolExecutor(workers) as pool:
         for _ in pool.map(body, blocks):

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .domain import BLOCK_ENTRIES, require
+from .domain import for_blocks, require
 from .labels import UNLABELED, LabelField
 from .metrics import labeled_rate, metrics_report
 from .pointcloud import PointCloud
@@ -89,12 +89,10 @@ class KnnClassifier:
     def predict(self, cloud: PointCloud) -> Tuple[LabelField, np.ndarray]:
         """Label and confidence of every point of `cloud`.
 
-        Rows are queried in blocks of at most BLOCK_ENTRIES // max(k, C)
-        rows, so peak memory does not grow with n x k or n x C; time still
-        grows with n x min(config.knn_k, labeled count). The blocks run in
-        order on one thread: most of their time is the k-d query, which
-        already runs on every core, so running blocks at once would only
-        stack threads on threads.
+        Rows are voted in blocks (`pclabel.domain.for_blocks`, one per core
+        at a time, each querying the tree on its own thread) holding
+        max(k, C) entries a row, so peak memory does not grow with n x k or
+        n x C; time still grows with n x min(config.knn_k, labeled count).
         """
         if self._tree is None:
             raise RuntimeError("classifier is not fitted")
@@ -103,16 +101,17 @@ class KnnClassifier:
         features = self._features(cloud)
         winners = np.empty(n, dtype=np.int64)
         confidence = np.empty(n, dtype=np.float64)
-        step = max(1, BLOCK_ENTRIES // max(k, self._num_classes))
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
+
+        def vote(rows):
             winners[rows], confidence[rows] = self._vote(features[rows], k)
+
+        for_blocks(n, max(k, self._num_classes), vote)
         return LabelField(winners, self._num_classes), np.clip(confidence, 0.0, 1.0)
 
     def _vote(self, features: np.ndarray, k: int):
         n = features.shape[0]
         c = self._num_classes
-        dist, idx = self._tree.query(features, k=k, workers=-1)
+        dist, idx = self._tree.query(features, k=k, workers=1)
         dist = dist.reshape(n, k)
         idx = idx.reshape(n, k)
         weights = 1.0 / (dist + self.config.knn_smoothing + 1e-12)
@@ -177,8 +176,6 @@ def stlp_round(
     Only the gaps are predicted; a round without gaps predicts nothing and
     returns the vote over `prev`.
     """
-    if not prev.labeled_mask.any():
-        raise ValueError("previous labels are entirely unlabeled")
     classifier.fit(cloud, prev)
     gaps = np.flatnonzero(~prev.labeled_mask)
     if gaps.size:
@@ -220,21 +217,14 @@ def stlp_run(
     return labels, report
 
 
-def infer(
-    pred: LabelField,
-    partition: SuperpointPartition,
-    alpha: float,
-    keep_rejected: bool = True,
-) -> LabelField:
+def infer(pred: LabelField, partition: SuperpointPartition, alpha: float) -> LabelField:
     """Apply the superpoint vote to per-point predictions as post-processing.
 
-    Blocks failing the alpha test keep the raw per-point predictions so the
-    output labels every point; pass keep_rejected=False to leave them
-    unlabeled for analysis.
+    Blocks failing the alpha test keep the raw per-point predictions, so the
+    output labels every point; galr(pred, partition, alpha) leaves them
+    unlabeled instead.
     """
     voted = galr(pred, partition, alpha)
-    if not keep_rejected:
-        return voted
     return pred.with_values(
         np.where(voted.values == UNLABELED, pred.values, voted.values)
     )

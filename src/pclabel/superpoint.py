@@ -237,10 +237,8 @@ def partition_cloud(
     """
     index = build_index(cloud)
     if normals is None:
-        if params.normals_k > cloud.count:
-            raise ValueError(
-                f"normals_k={params.normals_k} exceeds point count {cloud.count}"
-            )
+        require("normals_k", params.normals_k, 3, min(cloud.count, MAX_NEIGHBORS),
+                integer=True)
         normals = estimate_normals(cloud, index, params.normals_k)
     return oversegment(
         cloud, normals, index,

@@ -229,6 +229,26 @@ class TestInferCommand:
         values = [int(v) for v in (inf_out / "pred_labels.txt").read_text().split()]
         assert all(v >= 0 for v in values)
 
+    def test_emit_unlabeled_matches_golden(self, fixture_dir, labeled_dir, tmp_path):
+        # At alpha 0.9 the blocks of 10,229 of the 19,129 points fail the
+        # vote: infer keeps their raw predictions, --emit-unlabeled leaves
+        # them unlabeled and writes the other points' labels unchanged.
+        listings = []
+        for flags in ([], ["--emit-unlabeled"]):
+            out = tmp_path / "-".join(["o", *flags])
+            assert run(["infer", "--cloud", fixture_dir / "cloud.ply",
+                        "--classes", fixture_dir / "classes.json",
+                        "--labels", labeled_dir / "labels.txt",
+                        "--partition", labeled_dir / "partition.json",
+                        "--alpha", 0.9, *flags, "--out", out]) == 0
+            listings.append((out / "pred_labels.txt").read_bytes())
+        assert [hashlib.sha256(b).hexdigest() for b in listings] == [
+            "62595bb9e993ff4a905b33275b1c03f508b7983f0469eab3992e4a583a07f759",
+            "efcc1b3806b07de5119b4d376405d85224789a0d19618cbda03d14955ef3a0c7"]
+        voted, emitted = (np.array(b.split(), dtype=np.int64) for b in listings)
+        rejected = emitted == -1
+        assert rejected.sum() == 10229 and (voted != -1).all()
+        assert np.array_equal(emitted[~rejected], voted[~rejected])
 
     def test_fully_unlabeled_listing_refused_before_partitioning(
             self, fixture_dir, tmp_path, capsys, monkeypatch):
@@ -961,7 +981,7 @@ class TestDamagedInputs:
         assert run(["infer", "--cloud", cloud, "--classes", fixture_dir / "classes.json",
                     "--labels", labels, "--out", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
-        assert "error: normals_k=16 exceeds point count 5" in err
+        assert "error: normals_k must lie in [3, 5], got 16" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("reader, content", [

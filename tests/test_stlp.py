@@ -27,7 +27,7 @@ from pclabel import (
 from pclabel import stlp
 from pclabel.superpoint import partition_cloud
 
-from conftest import make_cloud, unlabeled
+from conftest import force_blocks, make_cloud, unlabeled
 
 
 def literal_full_round(cloud, prev, partition, classifier, refine, scene_mask):
@@ -101,30 +101,37 @@ class TestKnnClassifier:
 
     @pytest.mark.parametrize("block", [1, 7, 40, 10**9])
     def test_block_size_does_not_change_predictions(self, block, rng, monkeypatch):
+        # Each row is voted on its own: blocks of `block` rows on 1, 2 and
+        # 7 workers give the bytes of one worker's single block.
         cloud = make_cloud(rng, 300)
         values = rng.integers(0, 3, 300)
         values[::4] = UNLABELED
         clf = KnnClassifier(StlpConfig(knn_k=7)).fit(cloud, LabelField(values, 3))
+        force_blocks(monkeypatch, 1)
         want = clf.predict(cloud)
-        monkeypatch.setattr(stlp, "BLOCK_ENTRIES", block)
-        got = clf.predict(cloud)
-        assert np.array_equal(got[0].values, want[0].values)
-        assert np.array_equal(got[1], want[1])
+        for workers in (1, 2, 7):
+            force_blocks(monkeypatch, workers, block, 7)
+            got = clf.predict(cloud)
+            assert got[0].values.tobytes() == want[0].values.tobytes(), workers
+            assert got[1].tobytes() == want[1].tobytes(), workers
 
-    def test_peak_memory_does_not_grow_with_k(self, rng):
+    def test_peak_memory_does_not_grow_with_k(self, rng, monkeypatch):
         # k is clamped to the labeled count, so a k past it queries every
         # exemplar for every point: 1200 x 1200 entries, about 11 MiB per
-        # array in one block.
+        # array in one block; the blocks in flight share 2 MiB per array,
+        # however many workers run them.
         cloud = make_cloud(rng, 1200)
         labels = LabelField(rng.integers(0, 5, 1200), 5)
         clf = KnnClassifier(StlpConfig(knn_k=10**20)).fit(cloud, labels)
-        tracemalloc.start()
-        try:
-            clf.predict(cloud)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        for workers in (1, 8):
+            force_blocks(monkeypatch, workers)
+            tracemalloc.start()
+            try:
+                clf.predict(cloud)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, workers
 
 
 class TestLabelUpdate:
@@ -286,7 +293,7 @@ class TestStlpRound:
     def test_entirely_unlabeled_prev_rejected(self, rng):
         cloud = make_cloud(rng, 10)
         partition = SuperpointPartition(np.zeros(10, dtype=np.int64))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fully unlabeled"):
             stlp_round(cloud, unlabeled(10, 2), partition,
                        KnnClassifier(), RefineParams(), np.ones(2, bool))
 
@@ -372,8 +379,7 @@ class TestInfer:
         pred = LabelField(np.array([0, 1] * 4), 2)
         out = infer(pred, partition, 0.5)
         assert out.values.tolist() == [0, 1] * 4
-        unlabeled = infer(pred, partition, 0.5, keep_rejected=False)
-        assert np.all(unlabeled.values == UNLABELED)
+        assert np.all(galr(pred, partition, 0.5).values == UNLABELED)
 
     def test_output_labels_every_point(self, rng):
         cloud = make_cloud(rng, 100)

@@ -1,11 +1,12 @@
 """Threaded k-d queries and pooled row blocks give the bytes a serial run gives.
 
-Every cKDTree query in the package runs with workers=-1, and the row blocks
-of normal estimation and of the over-segmentation angle gate run on a
-thread per core (`pclabel.domain.for_blocks`). Each query row, point and
-edge is computed on its own, so the thread count must not change a result,
-even on a lattice where most rows hold exact distance ties and most
-neighborhoods are degenerate.
+The row blocks of normal estimation, of the over-segmentation angle gate
+and of k-NN predict run on a thread per core (`pclabel.domain.for_blocks`).
+The k-d queries of predict run one per block on that block's thread
+(workers=1); every other cKDTree query in the package runs with
+workers=-1. Each query row, point and edge is computed on its own, so the
+thread count must not change a result, even on a lattice where most rows
+hold exact distance ties and most neighborhoods are degenerate.
 """
 
 import os
@@ -57,21 +58,36 @@ def run_sites(cloud, labels):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_threaded_matches_serial(seed, monkeypatch):
-    # 4 workers on any core count: 37 blocks of normals, 23 of the angle gate.
+    # 4 workers on any core count: 37 blocks of normals, 23 of the angle
+    # gate, 7 of predict.
     cloud, labels = lattice_cloud(seed)
     with monkeypatch.context() as m:
-        threaded_calls = record_queries(m, pointcloud, stlp, synth)
+        knn_calls = record_queries(m, stlp)
+        other_calls = record_queries(m, pointcloud, synth)
         force_blocks(m, 4, 7, 48)
         threaded = run_sites(cloud, labels)
     serial_calls = record_queries(monkeypatch, pointcloud, stlp, synth, workers=1)
     force_blocks(monkeypatch, 1, 7, 48)
     serial = run_sites(cloud, labels)
-    assert {c["workers"] for c in threaded_calls} == {-1}
-    assert len(serial_calls) == len(threaded_calls)
+    assert len(knn_calls) == 7 and {c["workers"] for c in knn_calls} == {1}
+    assert {c["workers"] for c in other_calls} == {-1}
+    assert len(serial_calls) == len(knn_calls) + len(other_calls)
     for got, want in zip(threaded, serial):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     for i, d in zip(threaded[0:6:2], threaded[1:6:2]):
         assert_knn_rows(cloud.positions, i, d)
+
+
+def test_predict_queries_one_thread_per_block(monkeypatch):
+    # The pool supplies the cores: a block's k-d query starts no threads of
+    # its own, however many workers run the blocks.
+    cloud, labels = lattice_cloud(0)
+    calls = record_queries(monkeypatch, stlp)
+    force_blocks(monkeypatch, 8, 5, 9)
+    KnnClassifier(StlpConfig(knn_k=9)).fit(cloud, labels).predict(cloud)
+    assert {c["workers"] for c in calls} == {1}
+    assert [c["rows"] for c in calls].count(5) == cloud.count // 5
+    assert sum(c["rows"] for c in calls) == cloud.count
 
 
 class TestForBlocks:
@@ -84,6 +100,16 @@ class TestForBlocks:
         rows = sorted(r for block in seen for r in range(n)[block])
         assert rows == list(range(n))
         assert all(len(range(n)[block]) <= 3 for block in seen)
+
+    @pytest.mark.parametrize("workers, n, sizes", [
+        (4, 10, [3, 3, 3, 1]), (4, 3, [1, 1, 1]), (4, 21, [5, 5, 5, 5, 1]), (1, 7, [5, 2])])
+    def test_a_small_pass_is_shared_by_the_workers(self, monkeypatch, workers, n, sizes):
+        # Blocks of at most ceil(n / workers) rows, within a budget of 5
+        # rows a block.
+        force_blocks(monkeypatch, workers, 5)
+        seen = []
+        domain.for_blocks(n, 1, seen.append)
+        assert [len(range(n)[block]) for block in sorted(seen, key=lambda b: b.start)] == sizes
 
     def test_budget_is_shared_by_the_workers(self, monkeypatch):
         force_blocks(monkeypatch, 8)

@@ -29,5 +29,5 @@ def test_pinned_outputs_are_checked_on_one_core():
     run = " ".join(step.split("run: >-", 1)[1].split())
     assert "taskset -c 0 python -m pytest" in run
     for target in ("tests/test_cli.py::TestGoldenFixtures", "tests/test_threads.py",
-                   "tests/test_acceptance.py"):
+                   "tests/test_acceptance.py", "tests/test_stlp.py"):
         assert target in run.split(), target
