@@ -13,6 +13,11 @@ once), one block per core at a time (`pclabel.domain.for_blocks`), so
 beyond the (n, k) neighbor table and its (n, 3) output its memory does not
 grow with n. Each point's normal is computed on its own, so no bit depends
 on the block size or the core count.
+
+Every k-d tree of the package, here and in `stlp` and `synth`, is built by
+this module's `cKDTree`, which imports `scipy.spatial` at the first tree
+built rather than with the package: a command that builds no tree never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -20,9 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domain import MAX_NEIGHBORS, for_blocks, require
+
+
+def cKDTree(*args, **kwargs):
+    """A `scipy.spatial.cKDTree`, with scipy imported at the first tree
+    built rather than with the package."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(*args, **kwargs)
 
 
 @dataclass(frozen=True)

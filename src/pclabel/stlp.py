@@ -26,12 +26,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domain import for_blocks, require
 from .labels import UNLABELED, LabelField
 from .metrics import labeled_rate, metrics_report
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, cKDTree
 from .refine import RefineParams, calr, galr
 from .superpoint import SuperpointPartition
 

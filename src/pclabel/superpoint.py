@@ -15,6 +15,11 @@ per-edge array is dropped once its last reader has run. Each edge is gated
 on its own, so no bit depends on the block size or the core count. The
 index's cached neighbor query is released once the edges are cut, before
 the merge.
+
+Both component labelings, of the floodable graph and of the merged groups,
+go through `_components`, which imports `scipy.sparse.csgraph` at its first
+call rather than with the package: loading a partition file never loads
+scipy.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .domain import MAX_NEIGHBORS, for_blocks, require
 from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
@@ -86,6 +89,21 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return keys[first]
+
+
+def _components(rows, cols, n: int) -> np.ndarray:
+    """int64 component label of each of n nodes joined by the undirected
+    edges rows[i]-cols[i], numbered in order of each component's lowest
+    node, as scipy numbers them. scipy is imported at the first call; the
+    graph dies when this returns."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    del rows, cols
+    labels = connected_components(graph, directed=False)[1]
+    del graph
+    return labels.astype(np.int64)
 
 
 def _merge_small_segments(
@@ -156,9 +174,7 @@ def _merge_small_segments(
         if sizes[target] < min_size:
             groups.setdefault(target, [target]).extend(members)
     # Groups are numbered by their lowest member, which holds their first point.
-    merged = csr_matrix((np.ones(count, dtype=np.int8), (np.arange(count), owner)),
-                        shape=(count, count))
-    return connected_components(merged, directed=False)[1].astype(np.int64)[labels]
+    return _components(np.arange(count), owner, count)[labels]
 
 
 def oversegment(
@@ -214,16 +230,11 @@ def oversegment(
     # An (edges, 3) gather holds 3 entries per edge.
     for_blocks(src.size, 3, gate)
 
-    graph = csr_matrix(
-        (np.ones(int(passes.sum()), dtype=np.int8), (src[passes], dst[passes])),
-        shape=(n, n),
-    )
+    # Components are numbered in order of their lowest point index, which is
+    # the ascending-seed order the merge relies on.
+    labels = _components(src[passes], dst[passes], n)
     del passes
-    # scipy numbers the components in order of their lowest point index,
-    # which is the ascending-seed order the merge relies on.
-    _, labels = connected_components(graph, directed=False)
-    del graph
-    labels = _merge_small_segments(labels.astype(np.int64), src, dst, min_size)
+    labels = _merge_small_segments(labels, src, dst, min_size)
     return SuperpointPartition(labels)
 
 
@@ -287,9 +298,11 @@ def load_partition_json(path) -> SuperpointPartition:
             raise ValueError(f"assignment is not a list: {entries!r}")
         n = len(entries)
         # type() rather than isinstance: JSON true/false must not pass as 1/0.
-        bad = next((i for i, v in enumerate(entries) if type(v) is not int or not 0 <= v < n),
-                   None)
-        if bad is not None:
+        # Only a list that fails the whole-list check is searched for its
+        # first bad entry.
+        if entries and not (set(map(type, entries)) <= {int}
+                            and min(entries) >= 0 and max(entries) < n):
+            bad = next(i for i, v in enumerate(entries) if type(v) is not int or not 0 <= v < n)
             raise ValueError(
                 f"assignment entry {bad} must be an integer in [0, {n}), got {entries[bad]!r}"
             )

@@ -19,11 +19,10 @@ from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domain import require
 from .labels import LabelField
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, cKDTree
 from .projection import CameraView, pixel_owners
 
 # Base colors per class id (cycled); chosen to be mutually distinguishable

@@ -221,14 +221,23 @@ def load_scene_mask(path, class_names: Sequence[str]) -> np.ndarray:
 def save_labels_text(path, labels: LabelField) -> None:
     """One label id per line, -1 for unlabeled."""
     with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(str(int(v)) for v in labels.values))
+        f.write("\n".join(map(str, labels.values.tolist())))
         if len(labels):
             f.write("\n")
 
 
 def load_labels_text(path, num_classes: int) -> LabelField:
-    values = []
     lines = read_text(path, "ascii", parse=str).split("\n")
+    # Parse every non-blank line at once; only a listing that fails runs the
+    # line loop below, which names its first bad line.
+    try:
+        values = list(map(int, filter(None, map(str.strip, lines))))
+    except ValueError:
+        values = None
+    if values is not None and (UNLABELED <= min(values, default=UNLABELED)
+                               and max(values, default=UNLABELED) < num_classes):
+        return LabelField(np.asarray(values, dtype=np.int64), num_classes)
+    values = []
     with reading(path):
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()

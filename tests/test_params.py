@@ -273,3 +273,25 @@ def test_label_field_class_count_is_named(value):
 
 def test_label_field_takes_a_numpy_class_count():
     assert LabelField(np.array([0, -1]), np.int64(2)).num_classes == 2
+
+
+@pytest.mark.parametrize("values, message", [
+    pytest.param(np.array([0.0, 2.7]), "finite whole numbers, got 2.7 at point 1",
+                 id="fraction"),
+    pytest.param(np.array([np.nan]), "finite whole numbers, got nan at point 0", id="nan"),
+    pytest.param(np.array([1.0, -np.inf]), "finite whole numbers, got -inf at point 1",
+                 id="infinity"),
+    pytest.param(np.array([True, False]), "integers, got dtype bool", id="bool"),
+    pytest.param(np.array(["1"]), "integers, got dtype <U1", id="string"),
+])
+def test_label_field_refuses_values_that_are_not_whole_numbers(values, message):
+    # 2.7 used to become 2 and True or '1' became 1; NaN warned from numpy's
+    # cast and was then reported as label -9223372036854775808.
+    with pytest.raises(ValueError) as raised:
+        LabelField(values, 3)
+    assert str(raised.value) == "label values must be " + message
+
+
+def test_label_field_takes_whole_floats():
+    field = LabelField(np.array([2.0, -1.0, -0.0], dtype=np.float32), 3)
+    assert field.values.dtype == np.int64 and field.values.tolist() == [2, -1, 0]

@@ -656,6 +656,23 @@ class TestPartitionIO:
         with pytest.raises(ValueError, match=re.escape(f"bad.json: assignment {entry}")):
             load_partition_json(path)
 
+    @pytest.mark.parametrize("bad, shown", [("true", "True"), ("0.5", "0.5"), ("-1", "-1"),
+                                            ("7", "7")])
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_first_bad_entry_named(self, tmp_path, bad, shown, position):
+        # Seven entries, so 7 is the first id out of range; a later bad
+        # entry of another kind must not be the one named.
+        entries = ["0", "1", "2", "0", "1", "2", "0"]
+        entries[position] = bad
+        if position < 6:
+            entries[6] = "false"
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 7, "u": 3, "assignment": [' + ", ".join(entries) + "]}")
+        with pytest.raises(ValueError) as raised:
+            load_partition_json(path)
+        assert str(raised.value) == (f"{path}: assignment entry {position} must be an "
+                                     f"integer in [0, 7), got {shown}")
+
     def test_empty_assignment_loads(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text('{"n": 0, "u": 0, "assignment": []}')

@@ -231,6 +231,74 @@ class TestLabelsText:
         with pytest.raises(ValueError, match="line 2"):
             tensorio.load_labels_text(tmp_path / "l.txt", 3)
 
+    @staticmethod
+    def literal_save(values) -> str:
+        """save_labels_text's listing as it read before the whole-array join."""
+        text = "\n".join(str(int(v)) for v in values)
+        return text + "\n" if len(values) else text
+
+    @staticmethod
+    def literal_load(text: str, num_classes: int) -> list:
+        """load_labels_text's line loop as it read before the whole-listing
+        parse: the oracle of its values and of its first error."""
+        values = []
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = int(line)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad label {line!r}") from None
+            if not UNLABELED <= value < num_classes:
+                raise ValueError(f"line {lineno}: label {value} outside "
+                                 f"[0, {num_classes}) and not UNLABELED")
+            values.append(value)
+        return values
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 6).flatmap(lambda c: st.tuples(
+        st.just(c), hnp.arrays(np.int64, st.integers(0, 30), elements=st.integers(-1, c - 1)))))
+    def test_save_writes_the_literal_listing(self, case):
+        num_classes, values = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/l.txt"
+            tensorio.save_labels_text(path, LabelField(values, num_classes))
+            with open(path, "rb") as f:
+                assert f.read() == self.literal_save(values).encode("ascii")
+            assert tensorio.load_labels_text(path, num_classes).values.tolist() == values.tolist()
+
+    # Lines as a hand-edited listing may hold them: padded, signed, with
+    # digit separators, blank, out of range or not a number at all.
+    LINES = st.one_of(
+        st.integers(-3, 8).map(str),
+        st.tuples(st.sampled_from(["", " ", "\t", "  \t"]), st.integers(-3, 8),
+                  st.sampled_from(["", " ", "\r", "\t \r"])).map(
+                      lambda t: f"{t[0]}{t[1]}{t[2]}"),
+        st.sampled_from(["+3", "+0", "1_0", "0_1", "-0", "", "  ", "\r", "x", "1 2", "1.0",
+                         "--1", "_1", "1e0", "0x1", "9" * 25, "-" + "9" * 25]),
+    )
+
+    @settings(max_examples=300)
+    @given(st.lists(LINES, max_size=12), st.sampled_from(["\n", "\r\n"]), st.booleans(),
+           st.integers(1, 9))
+    def test_load_matches_the_line_loop(self, lines, newline, trailing, num_classes):
+        text = newline.join(lines) + (newline if trailing else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/l.txt"
+            with open(path, "wb") as f:
+                f.write(text.encode("ascii"))
+            try:
+                want = self.literal_load(text.replace("\r\n", "\n").replace("\r", "\n"),
+                                         num_classes)
+            except ValueError as e:
+                with pytest.raises(ValueError) as raised:
+                    tensorio.load_labels_text(path, num_classes)
+                assert str(raised.value) == f"{path}: {e}"
+            else:
+                got = tensorio.load_labels_text(path, num_classes)
+                assert got.values.dtype == np.int64 and got.values.tolist() == want
+
 
 class TestReportJsonl:
     def test_round_trip(self, tmp_path):
