@@ -6,7 +6,8 @@ binary_little_endian) emits exactly it, with the `label` channel
 (UNLABELED encoded as 65535) only when labels are given. The header grammar
 accepted here is written out in docs/formats.md. Malformed or unsupported
 content is a ValueError that begins with the path and locates the fault by
-header line, data line or byte.
+header line, data line or byte. Ascii fixed-point values are decoded from
+the body bytes with numpy, to the same bits as float()/int(); see _decode.
 """
 
 from __future__ import annotations
@@ -139,29 +140,96 @@ def _read_body_binary(f, vertex_count, props, body_offset):
 # >= 0x80 is part of a token (and never a number). bytes.split() splits on
 # the other six separators itself.
 _SEPARATORS_TO_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
-# Rows converted per pass; bounds the token lists held at once.
+# Rows decoded per pass; bounds the temporaries, and the token lists of a
+# block whose column _decode declines.
 _BLOCK_ROWS = 1 << 14
+# Digits a decoded value may hold: below 2**53, so each is an exact double.
+_MAX_DIGITS = 15
+_DIGIT, _DOT, _PLUS, _MINUS = ord("0"), ord("."), ord("+"), ord("-")
 
 
 def _in_range(b, lo, hi):
     return b - np.uint8(lo) <= hi - lo  # uint8 wraps below lo
 
 
-def _ascii_layout(body: bytes):
-    """(line index of each non-blank line, its value count, each value's start byte)."""
-    b = np.frombuffer(body, dtype=np.uint8)
+def _is_space(b):
+    return _in_range(b, 0x09, 0x0D) | _in_range(b, 0x1C, 0x20)
+
+
+def _ascii_layout(b):
+    """(line index of each non-blank line, its value count, each value's end
+    byte) of the body bytes `b`; a value's end is the byte past its last."""
     breaks = np.flatnonzero(_in_range(b, 0x0A, 0x0D) | _in_range(b, 0x1C, 0x1E))
     crlf = (b[breaks] == 0x0A) & (breaks > 0) & (b[breaks - 1] == 0x0D)
     breaks = breaks[~crlf]
-    space = _in_range(b, 0x09, 0x0D) | _in_range(b, 0x1C, 0x20)
-    start = ~space
-    start[1:] &= space[:-1]
+    space = _is_space(b)
+    end = ~space
+    end[:-1] &= space[1:]
     del space
-    starts = np.flatnonzero(start)
-    del start
-    counts = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))
+    ends = np.flatnonzero(end)
+    del end
+    ends += 1
+    counts = np.diff(np.searchsorted(ends, breaks, side="right"),
+                     prepend=0, append=len(ends))
     lines = np.flatnonzero(counts)
-    return lines, counts[lines], starts
+    return lines, counts[lines], ends
+
+
+def _byte_before(b, ends, back):
+    """The byte `back` + 1 before each end, a space before the body."""
+    at = ends - (back + 1)
+    if at.min() >= 0:
+        return b[at]
+    return np.where(at < 0, np.uint8(0x20), b[np.maximum(at, 0)])
+
+
+def _decode(b, ends, code):
+    """The values ending at `ends` as `code`, read from the bytes, or None
+    when one is not plain. A plain float is [+-]digits.digits with the same
+    count f of fraction digits in every value, a plain integer [+-]digits;
+    either has 1 to 15 digits, so the integer m they spell is an exact
+    double. So is 10**f, and m / 10**f rounds once, to the double float()
+    reads."""
+    real = code in ("f4", "f8")
+    fraction = 0  # f, from the first value
+    if real:
+        first = int(ends[0])
+        while (fraction < min(first, _MAX_DIGITS + 1)
+               and _DIGIT <= b[first - fraction - 1] <= _DIGIT + 9):
+            fraction += 1
+        if fraction > _MAX_DIGITS or not (_byte_before(b, ends, fraction) == _DOT).all():
+            return None
+    mantissa = np.zeros(len(ends), dtype=np.int64)
+    count = np.zeros(len(ends), dtype=np.int64)  # digits of each value
+    alive = np.ones(len(ends), dtype=bool)  # values whose digits go on
+    for digit in range(_MAX_DIGITS + 1):
+        back = digit + 1 if real and digit >= fraction else digit  # past the dot
+        d = _byte_before(b, ends, back) - np.uint8(_DIGIT)
+        alive &= d <= 9
+        if digit < fraction and not alive.all():
+            return None
+        if not alive.any():
+            break
+        if digit == _MAX_DIGITS:
+            return None
+        d *= alive
+        count += alive
+        mantissa += 10 ** digit * d.astype(np.int64)
+    lead = _byte_before(b, ends, count + 1 if real else count)
+    negative = lead == _MINUS
+    signed = negative | (lead == _PLUS)
+    before = _byte_before(b, ends, count + 2 if real else count + 1)
+    if not (count.all() and (_is_space(lead) | signed & _is_space(before)).all()):
+        return None
+    if real:
+        values = mantissa / 10.0 ** fraction
+        np.negative(values, out=values, where=negative)
+        return values.astype(code)
+    np.negative(mantissa, out=mantissa, where=negative)
+    info = np.iinfo(code)
+    if mantissa.min() < info.min or mantissa.max() > info.max:
+        return None
+    return mantissa.astype(code)
 
 
 def _convert(tokens, code):
@@ -189,7 +257,8 @@ def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
                          f"{found} bytes cannot hold the {vertex_count} declared vertices")
     rows = np.zeros(vertex_count, dtype=dtype)
     body = f.read()
-    lines, counts, starts = _ascii_layout(body)
+    b = np.frombuffer(body, dtype=np.uint8)
+    lines, counts, ends = _ascii_layout(b)
     width = len(props)
 
     def lineno(row):
@@ -199,24 +268,30 @@ def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
     # has one: a bad value, a wrong value count, or a row past the count.
     wrong = np.flatnonzero(counts[:vertex_count] != width)
     parsed = int(wrong[0]) if len(wrong) else min(len(lines), vertex_count)
-    # Rows [0, parsed) hold `width` values each; block k spans body bytes
-    # cuts[k]:cuts[k + 1], from its first value to the next row's.
-    cuts = [int(starts[i]) if i < len(starts) else len(body)
-            for i in width * np.append(np.arange(0, parsed, _BLOCK_ROWS), parsed)]
-    del starts
-    for block, lo in enumerate(range(0, parsed, _BLOCK_ROWS)):
-        tokens = body[cuts[block]:cuts[block + 1]].translate(_SEPARATORS_TO_SPACE).split()
-        columns = [_convert(tokens[j::width], code) for j, (_, code) in enumerate(props)]
-        if any(column is None for column in columns):
-            for i, token in enumerate(tokens):
-                name, code = props[i % width]
-                if _convert([token], code) is None:
-                    text = token.decode("ascii", errors="replace")
-                    raise ValueError(
-                        f"line {lineno(lo + i // width)}: bad value {text!r} for {name!r}"
-                    )
+    # Rows [0, parsed) hold `width` values each; the values of rows [lo, hi)
+    # lie in body bytes cut(lo):cut(hi).
+    def cut(row):
+        return int(ends[row * width - 1]) if row else 0
+
+    for lo in range(0, parsed, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, parsed)
+        block = ends[lo * width:hi * width].reshape(-1, width)
+        columns = [_decode(b, block[:, j], code) for j, (_, code) in enumerate(props)]
+        declined = [j for j, column in enumerate(columns) if column is None]
+        if declined:
+            tokens = body[cut(lo):cut(hi)].translate(_SEPARATORS_TO_SPACE).split()
+            for j in declined:
+                columns[j] = _convert(tokens[j::width], props[j][1])
+            if any(column is None for column in columns):
+                for i, token in enumerate(tokens):
+                    name, code = props[i % width]
+                    if _convert([token], code) is None:
+                        text = token.decode("ascii", errors="replace")
+                        raise ValueError(
+                            f"line {lineno(lo + i // width)}: bad value {text!r} for {name!r}"
+                        )
         for (name, _), column in zip(props, columns):
-            rows[name][lo:lo + len(column)] = column
+            rows[name][lo:hi] = column
     if len(wrong):
         raise ValueError(f"line {lineno(parsed)}: expected {width} values, "
                          f"found {counts[parsed]}")

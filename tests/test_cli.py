@@ -418,6 +418,40 @@ class TestGoldenFixtures:
         values = {int(v) for v in (refined / "refined_labels.txt").read_text().split()}
         assert values == {-1}
 
+    # pseudo's labels.txt and confidence.lf01, then refine's refined_labels.txt
+    # and partition.json, on the fixture cloud written as an ascii scan.
+    ASCII_SCAN_SHA256 = [
+        "0d9a0eb76156eb03e60c68b35dec6bc3352a5d75d794d0897223851c9b3072c7",
+        "bf7e10ef6fa6689fc353de2b4f3f5d698714d395c14a3bac0a5800f341f74fd3",
+        "3849ddd0f7721185ff3ac0f280933ad74716a9e9997f6d46f20b375094289d3d",
+        "270ffdd5106da531e4068448c8d01377a5bea041d1baa9e7cf8f46c0487b93fd",
+    ]
+
+    def test_ascii_scan_matches_golden(self, fixture_dir, tmp_path):
+        # The cloud as scanners and exporters write it: ascii rows of %.6f
+        # coordinates and %d colors.
+        cloud = load_ply(fixture_dir / "cloud.ply")
+        scan = tmp_path / "scan.ply"
+        with open(scan, "w", encoding="ascii") as f:
+            f.write(ASCII_HEADER.format(n=cloud.count))
+            np.savetxt(f, np.hstack([cloud.positions, cloud.colors]),
+                       fmt="%.6f %.6f %.6f %d %d %d")
+        pseudo, refined = tmp_path / "pseudo", tmp_path / "refined"
+        assert run(["pseudo", "--cloud", scan,
+                    "--classes", fixture_dir / "classes.json",
+                    "--mask", fixture_dir / "mask.json",
+                    "--views", fixture_dir / "views" / "manifest.json",
+                    "--occlusion-tolerance", 0.02, "--out", pseudo]) == 0
+        assert run(["refine", "--cloud", scan,
+                    "--classes", fixture_dir / "classes.json",
+                    "--labels", pseudo / "labels.txt",
+                    "--confidence", pseudo / "confidence.lf01",
+                    "--angle-threshold", 5.5, "--min-size", 4, "--out", refined]) == 0
+        outputs = [pseudo / "labels.txt", pseudo / "confidence.lf01",
+                   refined / "refined_labels.txt", refined / "partition.json"]
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs]
+        assert digests == self.ASCII_SCAN_SHA256
+
 
 @pytest.fixture(scope="module")
 def labeled_dir(fixture_dir, tmp_path_factory):

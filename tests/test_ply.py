@@ -1,5 +1,6 @@
 import hashlib
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -174,6 +175,26 @@ class TestLoad:
                                              f"from byte {len(data) - 15}"):
             load_ply(path)
 
+    def test_ascii_load_peak_memory(self, tmp_path):
+        # A 100,000-row %.6f scan (3.9 MB). Loading it peaked at 17.25 MiB
+        # when every block was split into token lists: decoding the values
+        # from the bytes must not add to the peak.
+        rng = np.random.default_rng(11)
+        path = tmp_path / "scan.ply"
+        with open(path, "w", encoding="ascii") as f:
+            f.write(ASCII_HEADER.format(n=100_000))
+            np.savetxt(f, np.hstack([rng.uniform(-5, 5, (100_000, 3)),
+                                     rng.integers(0, 256, (100_000, 3))]),
+                       fmt="%.6f %.6f %.6f %d %d %d")
+        load_ply(path)
+        tracemalloc.start()
+        try:
+            load_ply(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 2**20
+
     def test_properties_read_in_declared_order(self, tmp_path):
         # colors declared before coordinates; values must land correctly
         path = tmp_path / "swapped.ply"
@@ -332,22 +353,46 @@ def header_bytes(props, declared):
             + b"end_header\n")
 
 
+DIGITS = "0123456789"
+
+
+@st.composite
+def fixed_point(draw, places):
+    """A float with `places` fraction digits: %.{places}f of a drawn float, or
+    a sign, 0 to 16 - places whole digits (leading zeros, or none) and a dot."""
+    if draw(st.booleans()):
+        return "%.*f" % (places, draw(st.floats(-1e6, 1e6)))
+    whole = draw(st.text(DIGITS, min_size=(size := draw(st.integers(0, 16 - places))),
+                         max_size=size))
+    return (draw(st.sampled_from(["", "-", "+"])) + whole + "."
+            + draw(st.text(DIGITS, min_size=places, max_size=places)))
+
+
 @st.composite
 def ascii_bodies(draw):
-    """(props, declared count, body): valid rows, then up to three splices."""
+    """(props, declared count, body): valid rows, then up to three splices.
+    Each float column holds repr() values or fixed-point ones of one drawn
+    precision; each integer column may be signed and zero-padded."""
     props = draw(st.permutations(REQUIRED_PROPS))
     props += draw(st.lists(st.sampled_from(EXTRA_PROPS), unique=True, max_size=3))
+    styles = [draw(st.none() | st.integers(0, 9)) if kind in ("float", "double")
+              else draw(st.booleans()) for kind, _ in props]
     count = draw(st.integers(0, 5))
     declared = max(0, count + draw(st.integers(-2, 2)))
     body = b""
     for _ in range(count):
         values = []
-        for kind, _ in props:
-            if kind in ("float", "double"):
+        for (kind, _), style in zip(props, styles):
+            if kind not in ("float", "double"):
+                info = np.iinfo(ply._SCALAR_TYPES[kind])
+                value = draw(st.integers(int(info.min), int(info.max)))
+                value = str(value) if not style else (
+                    draw(st.sampled_from(["-"] if value < 0 else ["", "+"]))
+                    + "0" * draw(st.integers(0, 3)) + str(abs(value)))
+            elif style is None:
                 value = repr(draw(st.floats(width=32 if kind == "float" else 64)))
             else:
-                info = np.iinfo(ply._SCALAR_TYPES[kind])
-                value = str(draw(st.integers(int(info.min), int(info.max))))
+                value = draw(fixed_point(style))
             values.append(value.encode())
         body += draw(st.sampled_from(VALUE_SPACES)).join(values)
         body += draw(st.sampled_from(LINE_BREAKS))
@@ -372,6 +417,13 @@ def read_body(reader, props, declared, body):
             return str(e)
 
 
+def recording_convert(calls):
+    """Patches ply._convert to append each call's token list to `calls`."""
+    convert = ply._convert
+    return mock.patch.object(ply, "_convert", side_effect=lambda tokens, code:
+                             calls.append(tokens) or convert(tokens, code))
+
+
 class TestAsciiBodyMatchesLiteral:
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     @settings(max_examples=600)
@@ -384,6 +436,8 @@ class TestAsciiBodyMatchesLiteral:
     @example((REQUIRED_PROPS, 4, b"0 0 0 1 2 3\n0 0 0 1 2 3\n0 0 0 1 2 300\nx 0 0 1 2 3\n"))
     # A bad value in the second block of rows.
     @example((REQUIRED_PROPS, 3, b"0 0 0 1 2 3\r\n0 0 0 1 2 3\r\n0 0 0 1 \xff 3\r\n"))
+    # A value with no dot where the first value of its column has one.
+    @example((REQUIRED_PROPS, 2, b"5. 0.5 .5 1 2 3\n123 0.5 .5 1 2 3\n"))
     def test_same_rows_or_same_error(self, case):
         props, declared, body = case
         expected = read_body(literal_ascii_body, props, declared, body)
@@ -398,10 +452,52 @@ class TestAsciiBodyMatchesLiteral:
         body = "".join("%.6f %.6f %.6f %d %d %d\n" % tuple(r) for r in rows).encode()
         expected = read_body(literal_ascii_body, REQUIRED_PROPS, 40000, body)
         assert isinstance(expected, bytes)
-        assert read_body(ply._read_body_ascii, REQUIRED_PROPS, 40000, body) == expected
+        # Every column of every block is decoded from the bytes.
+        with mock.patch.object(ply, "_convert", side_effect=AssertionError("tokenized")):
+            assert read_body(ply._read_body_ascii, REQUIRED_PROPS, 40000, body) == expected
         damaged = body[:-30] + b"7 7 7 7 7\n"
         assert (read_body(ply._read_body_ascii, REQUIRED_PROPS, 40000, damaged)
                 == read_body(literal_ascii_body, REQUIRED_PROPS, 40000, damaged))
+
+
+    def test_one_exponent_converts_its_column_of_its_block(self):
+        rows = [b"%d.25 -%d.50 0.125 1 2 3" % (i, i) for i in range(12)]
+        rows[5] = rows[5].replace(b"-5.50", b"1e-3")
+        body = b"\n".join(rows) + b"\n"
+        calls = []
+        with mock.patch.object(ply, "_BLOCK_ROWS", 4), recording_convert(calls):
+            got = read_body(ply._read_body_ascii, REQUIRED_PROPS, 12, body)
+        assert got == read_body(literal_ascii_body, REQUIRED_PROPS, 12, body)
+        assert calls == [[b"-4.50", b"1e-3", b"-6.50", b"-7.50"]]
+
+
+def sweep_tokens(places, digits, rng):
+    """Unsigned tokens of `digits` digits, `places` of them after the dot,
+    for the mantissas 0, 1, 5, 10**digits - 1, 2**53 - 1 to 2**53 + 1 and 20
+    drawn from `rng`, those of them that fit."""
+    top = 10 ** digits
+    mantissas = {0, 1, 5, top - 1, 2**53 - 1, 2**53, 2**53 + 1,
+                 *map(int, rng.integers(0, top, 20))}
+    texts = [str(m).zfill(digits) for m in sorted(mantissas) if m < top]
+    return [t[:digits - places] + "." + t[digits - places:] for t in texts]
+
+
+class TestDecodeBoundaries:
+    def test_fraction_lengths_and_digit_counts(self):
+        # Up to 15 digits are decoded, bit for bit as float() reads them, in
+        # float (x, y, z) and double (d) columns; 16 or more go to _convert.
+        rng = np.random.default_rng(30)
+        props = REQUIRED_PROPS + [("double", "d")]
+        for places in range(16):
+            for digits in range(max(places, 1), 18):
+                tokens = [(sign + t).encode() for t in sweep_tokens(places, digits, rng)
+                          for sign in ("", "-", "+")]
+                body = b"".join(b"%s %s %s 1 2 3 %s\n" % (t, t, t, t) for t in tokens)
+                calls = []
+                with recording_convert(calls):
+                    got = read_body(ply._read_body_ascii, props, len(tokens), body)
+                assert got == read_body(literal_ascii_body, props, len(tokens), body)
+                assert calls == ([tokens] * 4 if digits >= 16 else []), (places, digits)
 
 
 def assert_named_or_loaded(load, path, data):
