@@ -17,7 +17,10 @@ confidences in [0, 1]. The bundled KnnClassifier(StlpConfig), a
 distance-weighted vote over position-plus-color features, is a
 deterministic desk-scale stand-in for a learned segmentation network; any
 object with its fit/predict signatures that keeps the contract can take
-its place.
+its place. Its voters follow the package's one k-NN rule, the k nearest
+exemplars by (distance, index), from a sliding-midpoint tree
+(`pclabel.pointcloud` says why that layout, and why synth's trees keep
+scipy's default).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from .domain import for_blocks, require
 from .labels import UNLABELED, LabelField
 from .metrics import labeled_rate, metrics_report
-from .pointcloud import PointCloud, cKDTree
+from .pointcloud import PointCloud, cKDTree, k_nearest
 from .refine import RefineParams, calr, galr
 from .superpoint import SuperpointPartition
 
@@ -61,6 +64,15 @@ class KnnClassifier:
     exemplars outvote the rest of the neighborhood: near zero the closest
     exemplar dominates (memorization), at a few point spacings the vote
     behaves like a local majority and can denoise its own training labels.
+
+    A point's voters are its k nearest exemplars by (distance, index)
+    (`pclabel.pointcloud.k_nearest`), so where exemplars tie at the k-th
+    distance the ones earliest in the fitted cloud vote, and a vote
+    between equally weighted classes goes to the lowest class id. The
+    exemplars' tree is built sliding-midpoint (`balanced_tree=False`),
+    which answered the benchmark's held-out and gap queries faster and
+    builds this 6-D tree in about 2/3 of the time; under the rule its
+    layout moves no byte.
     """
 
     def __init__(self, config: StlpConfig = StlpConfig()):
@@ -80,7 +92,7 @@ class KnnClassifier:
         keep = labels.labeled_mask
         if not keep.any():
             raise ValueError("cannot fit on a fully unlabeled field")
-        self._tree = cKDTree(self._features(cloud)[keep])
+        self._tree = cKDTree(self._features(cloud)[keep], balanced_tree=False)
         self._labels = labels.values[keep]
         self._num_classes = labels.num_classes
         return self
@@ -90,8 +102,11 @@ class KnnClassifier:
 
         Rows are voted in blocks (`pclabel.domain.for_blocks`, one per core
         at a time, each querying the tree on its own thread) holding
-        max(k, C) entries a row, so peak memory does not grow with n x k or
-        n x C; time still grows with n x min(config.knn_k, labeled count).
+        max(k + 1, C) entries a row, so peak memory does not grow with n x k
+        or n x C; time still grows with n x min(config.knn_k, labeled
+        count). Confidences lie in [0, 1]: the winner's vote share is at
+        most 1, since a rounded sum of non-negative weights is never below
+        any of them, and the distance damping is at most 1.
         """
         if self._tree is None:
             raise RuntimeError("classifier is not fitted")
@@ -104,15 +119,13 @@ class KnnClassifier:
         def vote(rows):
             winners[rows], confidence[rows] = self._vote(features[rows], k)
 
-        for_blocks(n, max(k, self._num_classes), vote)
-        return LabelField(winners, self._num_classes), np.clip(confidence, 0.0, 1.0)
+        for_blocks(n, max(k + 1, self._num_classes), vote)
+        return LabelField(winners, self._num_classes), confidence
 
     def _vote(self, features: np.ndarray, k: int):
         n = features.shape[0]
         c = self._num_classes
-        dist, idx = self._tree.query(features, k=k, workers=1)
-        dist = dist.reshape(n, k)
-        idx = idx.reshape(n, k)
+        idx, dist = k_nearest(self._tree, features, k, workers=1)
         weights = 1.0 / (dist + self.config.knn_smoothing + 1e-12)
         votes = np.bincount(
             (np.arange(n)[:, None] * c + self._labels[idx]).ravel(),

@@ -63,6 +63,17 @@ def block_oracle_clouds(rng: np.random.Generator) -> dict:
     }
 
 
+def lattice_cloud(seed):
+    """A shuffled 6^3 lattice with 40 repeated points, each colored one of
+    three grays, and labels of 4 classes with gaps: exact distance ties in
+    position and in color."""
+    rng = np.random.default_rng(seed)
+    pos = shuffled_lattice(rng, 6, 40)
+    colors = (rng.integers(0, 3, (len(pos), 1)) * 100 * np.ones(3)).astype(np.uint8)
+    labels = LabelField(rng.integers(-1, 4, len(pos)), 4)
+    return PointCloud(pos, colors), labels
+
+
 def brute_force_knn(positions, query, k):
     """Independent oracle: full distance sort with (distance, index) ties."""
     d2 = ((positions - query) ** 2).sum(axis=1)
@@ -99,15 +110,21 @@ def force_blocks(monkeypatch, workers: int, rows: int | None = None,
         monkeypatch.setattr(domain, "BLOCK_ENTRIES", rows * entries_per_row * workers)
 
 
-def record_queries(monkeypatch, *modules, workers=None) -> list:
+def record_queries(monkeypatch, *modules, workers=None, build=None) -> list:
     """Swap each module's cKDTree for a subclass that logs the keywords of
-    every query, plus "rows" (query count) and "points" (tree size), into
-    the returned list. A `workers` value given here replaces the caller's."""
+    every query, plus "rows" (query count), "points" (tree size) and
+    "build" (the keywords the caller built the tree with), into the
+    returned list. A `workers` value given here replaces the caller's, and
+    `build` keywords given here replace the caller's build keywords."""
     calls = []
 
     class RecordingTree(cKDTree):
+        def __init__(self, data, **kwargs):
+            self.build = kwargs
+            super().__init__(data, **(kwargs if build is None else build))
+
         def query(self, x, **kwargs):
-            calls.append(dict(kwargs, rows=len(x), points=self.n))
+            calls.append(dict(kwargs, rows=len(x), points=self.n, build=self.build))
             if workers is not None:
                 kwargs["workers"] = workers
             return super().query(x, **kwargs)

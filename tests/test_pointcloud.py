@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from pclabel import (
+    KnnClassifier,
+    LogitNoiseSpec,
     PointCloud,
     SceneSpec,
     SpatialIndex,
+    StlpConfig,
     build_index,
+    corrupt_logits,
     estimate_normals,
     generate_scene,
 )
-from pclabel import domain
+from pclabel import domain, pointcloud, stlp, synth
 from pclabel.pointcloud import DEGENERATE_EIGENGAP
 
 from conftest import (
@@ -24,7 +28,9 @@ from conftest import (
     block_oracle_clouds,
     brute_force_knn,
     force_blocks,
+    lattice_cloud,
     make_cloud,
+    record_queries,
     shuffled_lattice,
 )
 
@@ -80,34 +86,35 @@ class TestSpatialIndex:
             assert np.all(np.diff(dist, axis=1) >= 0)
 
     def test_batch_matches_full_lexsort_on_lattice(self, rng):
-        # A shuffled integer lattice has exact distance ties in most rows,
-        # which cKDTree returns in no particular index order.
+        # A shuffled integer lattice has exact distance ties in most rows.
+        # Where they fall at the k-th distance, cKDTree alone keeps the tied
+        # points its search meets first; the index keeps the lowest indices,
+        # as a full (distance, index) sort does.
         g = np.arange(5, dtype=np.float64)
         pos = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
         pos = pos[rng.permutation(len(pos))]
         index = SpatialIndex(pos)
-        reordered = 0
+        picked_otherwise = 0
         for k in (1, 2, 7, 16, 27):
-            d, i = cKDTree(pos).query(pos, k=k)
-            d = d.reshape(len(pos), k)
-            i = i.reshape(len(pos), k).astype(np.int64)
-            order = np.lexsort((i, d), axis=-1)
-            want_i = np.take_along_axis(i, order, axis=1)
-            want_d = np.take_along_axis(d, order, axis=1)
             got_i, got_d = index.neighbors(pos, k)
-            assert np.array_equal(got_i, want_i)
-            assert np.array_equal(got_d, want_d)
-            reordered += int((want_i != i).any(axis=1).sum())
-        assert reordered > 0
+            for row, point in enumerate(pos):
+                want = brute_force_knn(pos, point, k)
+                assert got_i[row].tolist() == want.tolist()
+                assert np.array_equal(got_d[row], np.sqrt(((pos[want] - point) ** 2).sum(axis=1)))
+            tree_i = cKDTree(pos).query(pos, k=k)[1].reshape(len(pos), k)
+            picked_otherwise += int((np.sort(tree_i, axis=1) != np.sort(got_i, axis=1))
+                                    .any(axis=1).sum())
+        assert picked_otherwise > 0
 
 
 class TestSharedQuery:
     """A query of the index's own points is served from its largest earlier one."""
 
     def test_smaller_k_matches_fresh_query(self):
-        # Rows whose k-th and (k+1)-th distances tie are queried again; on
-        # a lattice with duplicate points many rows do.
-        requeried = []
+        # The smaller answer is the prefix of the cached one. Only in rows
+        # whose k-th and (k+1)-th distances tie could a tree's own pick at k
+        # differ from it; on a lattice with duplicate points many rows do.
+        tied_at_k = []
 
         @given(st.integers(2, 5), st.integers(0, 12), st.integers(0, 2**32 - 1),
                st.integers(2, 40).flatmap(
@@ -124,10 +131,10 @@ class TestSharedQuery:
             assert np.array_equal(index.neighbors(pos, k1)[0], i1)
             k1, k2 = min(k1, len(pos)), min(k2, len(pos))
             if k2 < k1:
-                requeried.append(int((d1[:, k2 - 1] == d1[:, k2]).sum()))
+                tied_at_k.append(int((d1[:, k2 - 1] == d1[:, k2]).sum()))
 
         check()
-        assert sum(requeried) > 0
+        assert sum(tied_at_k) > 0
 
     def test_larger_k_replaces_the_cached_answer(self, rng):
         pos = shuffled_lattice(rng, 4, 6)
@@ -138,9 +145,9 @@ class TestSharedQuery:
             assert np.array_equal(got_i, want_i) and np.array_equal(got_d, want_d)
 
     def test_answers_are_read_only(self, rng):
-        # Every return path: empty rows, the cached answer itself, a prefix
-        # of it (random points, no ties at k=4) and a prefix whose tied rows
-        # were queried again (the lattice).
+        # Every return path: empty rows, the cached answer itself and a
+        # prefix of it, with no ties at k=4 (random points) and with some
+        # (the lattice).
         lattice = shuffled_lattice(rng, 3, 2)
         scattered = make_cloud(rng, 30).positions
         for pos, k, ties in ((lattice, 0, None), (lattice, 6, None),
@@ -161,6 +168,58 @@ class TestSharedQuery:
         pos = make_cloud(np.random.default_rng(0), 10).positions
         with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
             SpatialIndex(pos).neighbors(pos, k)
+
+
+class TestTreeLayout:
+    """The index and the classifier build sliding-midpoint trees; synth keeps
+    scipy's median split. Under the (distance, index) rule no answer
+    depends on the layout."""
+
+    def test_each_site_builds_its_layout(self, monkeypatch):
+        # Measured on a scene-100k room (108,700 points) on a shared 2-vCPU
+        # machine, one thread, build plus query, median of 9 interleaved
+        # runs, scipy's default build against sliding-midpoint: the index's
+        # k = 16 self-query 0.321 against 0.307 s; the classifier's k = 15
+        # query of the room's rescan 0.392 against 0.366 s, its 6-D tree's
+        # build alone 0.034 against 0.022 s. synth's bounded k = 1 queries,
+        # one tree per class, took 0.096 against 0.117 s, so its trees keep
+        # the default.
+        cloud, labels = lattice_cloud(0)
+        index_calls = record_queries(monkeypatch, pointcloud)
+        knn_calls = record_queries(monkeypatch, stlp)
+        synth_calls = record_queries(monkeypatch, synth)
+        SpatialIndex(cloud.positions).neighbors(cloud.positions, 9)
+        KnnClassifier(StlpConfig(knn_k=9)).fit(cloud, labels).predict(cloud)
+        corrupt_logits(labels, cloud, LogitNoiseSpec(boundary_blur=1.0, seed=0))
+        sliding = {(("balanced_tree", False),)}
+        assert {tuple(c["build"].items()) for c in index_calls} == sliding
+        assert {tuple(c["build"].items()) for c in knn_calls} == sliding
+        assert {tuple(c["build"].items()) for c in synth_calls} == {()}
+
+    @staticmethod
+    def answers(cloud, labels):
+        pos = cloud.positions
+        index = SpatialIndex(pos)
+        # A fresh query at each k, then the prefixes of the k = 27 answer.
+        out = [a for k in (1, 4, 9, 27) for a in SpatialIndex(pos).neighbors(pos, k)]
+        out += [a for k in (27, 9, 4, 1) for a in index.neighbors(pos, k)]
+        for k in (1, 6, 15):
+            pred, conf = KnnClassifier(StlpConfig(knn_k=k)).fit(cloud, labels).predict(cloud)
+            out += [pred.values, conf]
+        return out
+
+    @pytest.mark.parametrize("balanced", [True, False])
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_answers_do_not_depend_on_the_layout(self, monkeypatch, balanced, compact):
+        cloud, labels = lattice_cloud(3)
+        want = self.answers(cloud, labels)
+        for leafsize in range(1, 33):
+            with monkeypatch.context() as m:
+                record_queries(m, pointcloud, stlp, build=dict(
+                    balanced_tree=balanced, compact_nodes=compact, leafsize=leafsize))
+                got = self.answers(cloud, labels)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), leafsize
 
 
 class TestEstimateNormals:

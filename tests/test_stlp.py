@@ -27,7 +27,7 @@ from pclabel import (
 from pclabel import stlp
 from pclabel.superpoint import partition_cloud
 
-from conftest import force_blocks, make_cloud, unlabeled
+from conftest import force_blocks, make_cloud, shuffled_lattice, unlabeled
 
 
 def literal_full_round(cloud, prev, partition, classifier, refine, scene_mask):
@@ -40,6 +40,65 @@ def literal_full_round(cloud, prev, partition, classifier, refine, scene_mask):
     filtered = calr(prev.with_values(candidates), conf, refine.top_v)
     merged = prev.with_values(np.where(gaps, filtered.values, prev.values))
     return galr(merged, partition, refine.alpha)
+
+
+def literal_knn_vote(fit_cloud, labels, queries, config):
+    """Literal oracle of KnnClassifier.predict: for each query, every
+    labeled exemplar's distance in the classifier's feature space, sorted by
+    (distance, index); the first k vote with weight 1/(distance + smoothing),
+    added per class in that order; the heaviest class wins, the lowest id
+    among equals; confidence is its share of the votes damped by
+    exp(-nearest distance / scale)."""
+    def features(cloud):
+        return np.hstack([cloud.positions, config.color_weight * (cloud.colors / 255.0)])
+
+    keep = labels.labeled_mask
+    exemplars, classes = features(fit_cloud)[keep], labels.values[keep]
+    k = min(config.knn_k, len(exemplars))
+    winners, confidence = [], []
+    for query in features(queries):
+        dist = np.sqrt(((exemplars - query) ** 2).sum(axis=1))
+        voters = np.lexsort((np.arange(len(exemplars)), dist))[:k]
+        votes = [0.0] * labels.num_classes
+        for j in voters:
+            votes[classes[j]] += 1.0 / (dist[j] + config.knn_smoothing + 1e-12)
+        best = max(range(labels.num_classes), key=lambda c: (votes[c], -c))
+        winners.append(best)
+        confidence.append(votes[best] / sum(votes)
+                          * np.exp(-dist[voters[0]] / config.knn_confidence_scale))
+    return np.array(winners, dtype=np.int64), np.array(confidence)
+
+
+# The eight corners of the RGB cube: a color feature is 0 or color_weight.
+CUBE_CORNERS = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(np.uint8) * 255
+
+
+@st.composite
+def tie_lattices(draw):
+    """A labeled cloud on a shuffled integer lattice with repeated points,
+    colored from a few corners of the RGB cube, a query cloud (the same
+    cloud, or another lattice shifted by half a step) and a configuration.
+    Positions and colors tie exactly and every feature is a multiple of
+    1/2, so each squared distance is added up exactly, by the tree and by
+    the oracle alike."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = draw(st.integers(2, 4))
+    palette = CUBE_CORNERS[:draw(st.integers(1, 8))]
+
+    def colored_lattice(shift):
+        pos = shuffled_lattice(rng, side, int(rng.integers(0, 3 * side))) + shift
+        return PointCloud(pos, palette[rng.integers(0, len(palette), len(pos))])
+
+    cloud = colored_lattice(0.0)
+    classes = draw(st.integers(1, 5))
+    values = rng.integers(-1, classes, cloud.count)
+    values[rng.integers(0, cloud.count)] = rng.integers(0, classes)
+    queries = cloud if draw(st.booleans()) else colored_lattice(0.5)
+    config = StlpConfig(knn_k=draw(st.integers(1, 40)),
+                        color_weight=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+                        knn_smoothing=draw(st.sampled_from([0.0, 0.05, 0.5])),
+                        knn_confidence_scale=draw(st.sampled_from([0.1, 1.0])))
+    return cloud, LabelField(values, classes), queries, config
 
 
 class EchoClassifier:
@@ -132,6 +191,51 @@ class TestKnnClassifier:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2**20, workers
+
+    def test_matches_literal_vote_on_tie_lattices(self):
+        # Most rows tie at the k-th distance, where cKDTree alone keeps the
+        # tied exemplars its search meets first; the vote keeps the lowest
+        # indices, as the oracle does.
+        kth_ties = []
+
+        @settings(max_examples=300)
+        @given(tie_lattices())
+        def check(case):
+            cloud, labels, queries, config = case
+            clf = KnnClassifier(config).fit(cloud, labels)
+            pred, conf = clf.predict(queries)
+            want, want_conf = literal_knn_vote(cloud, labels, queries, config)
+            assert pred.values.tobytes() == want.tobytes()
+            assert np.allclose(conf, want_conf, rtol=1e-12, atol=0.0)
+            k = config.knn_k
+            if k < labels.labeled_mask.sum():
+                d = clf._tree.query(clf._features(queries), k=k + 1)[0]
+                kth_ties.append(int((d[:, k - 1] == d[:, k]).sum()))
+
+        check()
+        assert sum(kth_ties) > 0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 8),
+           st.integers(1, 40), st.sampled_from([0.0, 1e-9, 0.05, 10.0]),
+           st.floats(1e-6, 1e6))
+    def test_confidence_lies_in_the_unit_interval(self, seed, n, classes, k,
+                                                  smoothing, scale):
+        # predict clips nothing. The winner's share is at most 1, since a
+        # rounded sum of non-negative weights is never below any of them,
+        # and exp(-d / scale) is at most 1. Queries on exemplars (distance
+        # 0, a unanimous vote gives exactly 1), among them and far off.
+        rng = np.random.default_rng(seed)
+        cloud = make_cloud(rng, n)
+        values = rng.integers(-1, classes, n)
+        values[0] = rng.integers(0, classes)
+        clf = KnnClassifier(StlpConfig(knn_k=k, knn_smoothing=smoothing,
+                                       knn_confidence_scale=scale)).fit(
+            cloud, LabelField(values, classes))
+        queries = make_cloud(rng, 30)
+        far = PointCloud(queries.positions * 1e3, queries.colors)
+        for q in (cloud, queries, far):
+            conf = clf.predict(q)[1]
+            assert np.all((conf >= 0.0) & (conf <= 1.0))
 
 
 class TestLabelUpdate:

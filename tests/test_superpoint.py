@@ -474,13 +474,15 @@ class TestEdgeBlocks:
 
 class TestSharedQuery:
     """Normals (k=16) and the graph (k=11) read one k-d query of the cloud,
-    which oversegment releases once its edges are cut."""
+    which oversegment releases once its edges are cut. A query for k asks
+    cKDTree for k + 1 neighbours (`pclabel.pointcloud.k_nearest`); the
+    random clouds here hold no distance ties, so none asks again."""
 
     def test_one_query_per_cloud(self, rng, monkeypatch):
         cloud = make_cloud(rng, 400)
         calls = record_queries(monkeypatch, pointcloud)
         partition_cloud(cloud, SuperpointParams(min_size=4))
-        assert [(c["k"], c["rows"]) for c in calls] == [(16, 400)]
+        assert [(c["k"], c["rows"]) for c in calls] == [(17, 400)]
 
     def test_traced_component_count_queries_again(self, rng, monkeypatch):
         # The benchmark's trace counts components with a second
@@ -494,7 +496,7 @@ class TestSharedQuery:
         tracer = spans.Tracer()
         with tracer.installed():
             traced = partition_cloud(cloud, SuperpointParams(min_size=4))
-        assert [(c["k"], c["rows"]) for c in calls] == [(16, 400), (11, 400)]
+        assert [(c["k"], c["rows"]) for c in calls] == [(17, 400), (12, 400)]
         table = tracer.layer_table()
         assert table["trace.components"]["calls"] == 1
         counts = table["superpoint.oversegment"]["counts"]

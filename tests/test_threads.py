@@ -18,9 +18,7 @@ import pytest
 
 from pclabel import (
     KnnClassifier,
-    LabelField,
     LogitNoiseSpec,
-    PointCloud,
     SpatialIndex,
     StlpConfig,
     corrupt_logits,
@@ -29,15 +27,7 @@ from pclabel import (
 )
 from pclabel import domain, pointcloud, stlp, synth
 
-from conftest import assert_knn_rows, force_blocks, record_queries, shuffled_lattice
-
-
-def lattice_cloud(seed):
-    rng = np.random.default_rng(seed)
-    pos = shuffled_lattice(rng, 6, 40)
-    colors = (rng.integers(0, 3, (len(pos), 1)) * 100 * np.ones(3)).astype(np.uint8)
-    labels = LabelField(rng.integers(-1, 4, len(pos)), 4)
-    return PointCloud(pos, colors), labels
+from conftest import assert_knn_rows, force_blocks, lattice_cloud, record_queries
 
 
 def run_sites(cloud, labels):
@@ -59,7 +49,8 @@ def run_sites(cloud, labels):
 @pytest.mark.parametrize("seed", range(3))
 def test_threaded_matches_serial(seed, monkeypatch):
     # 4 workers on any core count: 37 blocks of normals, 23 of the angle
-    # gate, 7 of predict.
+    # gate, 8 of predict. Predict asks k + 1 = 10 neighbours a row, then
+    # asks the rows whose 9th and 10th distances tie again, wider.
     cloud, labels = lattice_cloud(seed)
     with monkeypatch.context() as m:
         knn_calls = record_queries(m, stlp)
@@ -69,7 +60,8 @@ def test_threaded_matches_serial(seed, monkeypatch):
     serial_calls = record_queries(monkeypatch, pointcloud, stlp, synth, workers=1)
     force_blocks(monkeypatch, 1, 7, 48)
     serial = run_sites(cloud, labels)
-    assert len(knn_calls) == 7 and {c["workers"] for c in knn_calls} == {1}
+    assert [c["k"] for c in knn_calls].count(10) == 8 < len(knn_calls)
+    assert {c["workers"] for c in knn_calls} == {1}
     assert {c["workers"] for c in other_calls} == {-1}
     assert len(serial_calls) == len(knn_calls) + len(other_calls)
     for got, want in zip(threaded, serial):
@@ -83,11 +75,12 @@ def test_predict_queries_one_thread_per_block(monkeypatch):
     # its own, however many workers run the blocks.
     cloud, labels = lattice_cloud(0)
     calls = record_queries(monkeypatch, stlp)
-    force_blocks(monkeypatch, 8, 5, 9)
+    force_blocks(monkeypatch, 8, 5, 10)
     KnnClassifier(StlpConfig(knn_k=9)).fit(cloud, labels).predict(cloud)
     assert {c["workers"] for c in calls} == {1}
-    assert [c["rows"] for c in calls].count(5) == cloud.count // 5
-    assert sum(c["rows"] for c in calls) == cloud.count
+    # Each block asks k + 1 = 10 neighbours a row; its tied rows ask again.
+    first = [c["rows"] for c in calls if c["k"] == 10]
+    assert first.count(5) == cloud.count // 5 and sum(first) == cloud.count
 
 
 class TestForBlocks:

@@ -4,7 +4,8 @@ on, and checks the pinned outputs on one core too.
 The golden SHA-256s and the benchmark pins were recorded under the numpy,
 scipy and Python that perfbench/baseline.json names; a workflow pinned to
 others could move them for reasons unrelated to a change. On one core the
-pooled row blocks run on one worker in blocks a multi-core runner never cuts.
+pooled row blocks run on one worker in blocks a multi-core runner never cuts,
+and the k-d queries' tie resolution runs on one thread.
 The installed console script, which no test calls, runs once after the
 install.
 """
@@ -31,7 +32,8 @@ def test_pinned_outputs_are_checked_on_one_core():
     run = " ".join(step.split("run: >-", 1)[1].split())
     assert "taskset -c 0 python -m pytest" in run
     for target in ("tests/test_cli.py::TestGoldenFixtures", "tests/test_threads.py",
-                   "tests/test_acceptance.py", "tests/test_stlp.py"):
+                   "tests/test_acceptance.py", "tests/test_stlp.py",
+                   "tests/test_pointcloud.py"):
         assert target in run.split(), target
 
 
