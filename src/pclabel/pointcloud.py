@@ -96,9 +96,19 @@ def k_nearest(tree, points: np.ndarray, k: int, workers: int):
     from the tree's own arithmetic, which gives a pair of points one value
     whatever the tree's shape, so no row depends on the layout. The arrays
     are views of (rows, k + 1) ones. `workers` is cKDTree's.
+
+    A squared distance beyond float64 reads as inf, which cKDTree answers
+    as a missing neighbour (index tree.n). A row whose k-th distance is inf
+    is refused with a ValueError; a wider query keeps a row's first k
+    distances, so the check on the first answer covers every row.
     """
     width = min(k + 1, tree.n)
     i, d = _query(tree, points, width, workers)
+    overflow = np.flatnonzero(d[:, k - 1] == np.inf)
+    if overflow.size:
+        raise ValueError(f"the squared distance from {points[overflow[0]].tolist()} to one "
+                         f"of its {k} nearest points overflows float64, so they cannot "
+                         "be ranked")
     tied = np.flatnonzero(d[:, k - 1] == d[:, k]) if width > k else np.empty(0, np.int64)
     while tied.size:
         width = min(2 * width, tree.n)
@@ -159,7 +169,9 @@ class SpatialIndex:
         `points` must be the positions the index was built over; another
         cloud is a ValueError. k must be an integer; it is clamped to the
         index size, and k <= 0 gives empty rows. Rows are the k nearest by
-        (distance, index) (`k_nearest`). Both arrays are read-only.
+        (distance, index) (`k_nearest`), which refuses points so far apart
+        that their squared distance overflows float64. Both arrays are
+        read-only.
         """
         q = np.asarray(points, dtype=np.float64)
         if q.shape != self._points.shape or not np.array_equal(q, self._points):

@@ -16,6 +16,14 @@ on its own, so no bit depends on the block size or the core count. The
 index's cached neighbor query is released once the edges are cut, before
 the merge.
 
+The graph is kept as CSR rows of int32 point ids (int64 only where an
+edge count could pass 2**31 - 1, `_index_type`). The edges come in k-NN
+rows, which is CSR order, so the floodable graph is each row cut to its
+passing edges, and scipy labels it on those arrays without copying them.
+The merge keys a point edge as point * point count + point, which passes
+2**31 past 46,341 points, so it widens its cross-segment edges, a small
+share of the graph, to int64 before it forms them.
+
 Both component labelings, of the floodable graph and of the merged groups,
 go through `_components`, which imports `scipy.sparse.csgraph` at its first
 call rather than with the package: loading a partition file never loads
@@ -91,16 +99,25 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _components(rows, cols, n: int) -> np.ndarray:
-    """int64 component label of each of n nodes joined by the undirected
-    edges rows[i]-cols[i], numbered in order of each component's lowest
-    node, as scipy numbers them. scipy is imported at the first call; the
-    graph dies when this returns."""
+def _index_type(largest: int):
+    """int32, scipy's own sparse index type, where every id and count up to
+    `largest` fits in it; int64 beyond."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+
+
+def _components(indices: np.ndarray, indptr: np.ndarray, n: int) -> np.ndarray:
+    """int64 component label of each of n nodes of the undirected graph
+    whose CSR rows are `indptr` into `indices` (node i is joined to
+    indices[indptr[i]:indptr[i + 1]]), numbered in order of each
+    component's lowest node, as scipy numbers them. Duplicate edges and
+    self-loops are allowed. With int32 arrays the graph shares them and its
+    float64 weights are the ones scipy's validation asks for, so nothing is
+    copied before scipy transposes the graph. scipy is imported at the first
+    call; the graph dies when this returns."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    del rows, cols
+    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
     labels = connected_components(graph, directed=False)[1]
     del graph
     return labels.astype(np.int64)
@@ -134,9 +151,12 @@ def _merge_small_segments(
         return labels
     sizes = np.bincount(labels, minlength=count).tolist()
     # Unique undirected point edges between segments; an edge within a
-    # segment, or a self-loop, is read by no fold, so it goes before the dedupe.
+    # segment, or a self-loop, is read by no fold, so it goes before the
+    # dedupe. The keys below pass 2**31 past 46,341 points, so these few
+    # edges are widened to int64 first, whatever the graph's index type.
     cross = labels[src] != labels[dst]
-    src, dst = src[cross], dst[cross]
+    src = src[cross].astype(np.int64, copy=False)
+    dst = dst[cross].astype(np.int64, copy=False)
     del cross
     edges = np.minimum(src, dst)
     edges *= labels.size
@@ -173,8 +193,11 @@ def _merge_small_segments(
         sizes[target] += sizes[s]
         if sizes[target] < min_size:
             groups.setdefault(target, [target]).extend(members)
-    # Groups are numbered by their lowest member, which holds their first point.
-    return _components(np.arange(count), owner, count)[labels]
+    # Groups are numbered by their lowest member, which holds their first
+    # point. Segment s has one edge, to owner[s], so its CSR row is entry s.
+    itype = _index_type(count)
+    return _components(np.asarray(owner, dtype=itype),
+                       np.arange(count + 1, dtype=itype), count)[labels]
 
 
 def oversegment(
@@ -210,14 +233,19 @@ def oversegment(
     # most MAX_NEIGHBORS + 1 entries, so the count fits in int8.
     take = not_self & (np.cumsum(not_self, axis=1, dtype=np.int8) <= adjacency_k)
     del not_self
-    dst = idx[take]
+    # Point ids and edge counts are at most n * adjacency_k.
+    itype = _index_type(n * adjacency_k)
+    dst = idx[take].astype(itype)
     length = dist[take]
     # The answer is a view of the index's cached query: dropping both lets
     # that query's memory go before the rest of the stage runs.
     del idx, dist
     index.release()
-    src = np.repeat(np.arange(n), take.sum(axis=1))
+    # The edges come in k-NN rows: row i's run from bounds[i] to bounds[i + 1].
+    bounds = np.zeros(n + 1, dtype=itype)
+    np.cumsum(take.sum(axis=1), out=bounds[1:])
     del take
+    src = np.repeat(np.arange(n, dtype=itype), np.diff(bounds))
 
     passes = length <= np.percentile(length, EDGE_LENGTH_PERCENTILE)
     del length
@@ -230,10 +258,16 @@ def oversegment(
     # An (edges, 3) gather holds 3 entries per edge.
     for_blocks(src.size, 3, gate)
 
-    # Components are numbered in order of their lowest point index, which is
-    # the ascending-seed order the merge relies on.
-    labels = _components(src[passes], dst[passes], n)
-    del passes
+    # The floodable graph's CSR rows are the k-NN rows cut to their passing
+    # edges: row i ends where the running count of passing edges stands at
+    # bounds[i + 1]. Components are numbered in order of their lowest point
+    # index, which is the ascending-seed order the merge relies on.
+    passed = np.zeros(src.size + 1, dtype=itype)
+    np.cumsum(passes, dtype=itype, out=passed[1:])
+    indptr = passed[bounds]
+    del passed, bounds
+    labels = _components(dst[passes], indptr, n)
+    del passes, indptr
     labels = _merge_small_segments(labels, src, dst, min_size)
     return SuperpointPartition(labels)
 

@@ -106,6 +106,16 @@ class TestSpatialIndex:
                                     .any(axis=1).sum())
         assert picked_otherwise > 0
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_overflowing_distances_are_refused(self, k):
+        # The squared distance between 1e200 and -1e200 is inf, which
+        # cKDTree answers as a missing neighbour, index 4 of 4 points.
+        pos = np.array([[0.0, 0, 0], [1e200, 0, 0], [-1e200, 0, 0], [0, 1e200, 0]])
+        index = SpatialIndex(pos)
+        with pytest.raises(ValueError, match=f"of its {k} nearest points overflows float64"):
+            index.neighbors(pos, k)
+        assert index.neighbors(pos, 1)[0].tolist() == [[0], [1], [2], [3]]
+
 
 class TestSharedQuery:
     """A query of the index's own points is served from its largest earlier one."""

@@ -149,6 +149,17 @@ class TestKnnClassifier:
         assert np.array_equal(a[0].values, b[0].values)
         assert np.array_equal(a[1], b[1])
 
+    def test_overflowing_distances_are_refused(self):
+        # Exemplars at +-1e200: the distance from the origin to each is
+        # finite, but cKDTree's squared distance overflows to inf, and it
+        # answers with the missing-neighbour index 2 of 2 exemplars.
+        far = PointCloud(np.array([[1e200, 0, 0], [-1e200, 0, 0]]),
+                         np.zeros((2, 3), dtype=np.uint8))
+        clf = KnnClassifier(StlpConfig(knn_k=2)).fit(far, LabelField(np.array([0, 1]), 2))
+        origin = PointCloud(np.zeros((1, 3)), np.zeros((1, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="of its 2 nearest points overflows float64"):
+            clf.predict(origin)
+
     def test_confidence_decays_with_distance(self):
         # a far query cannot be more confident than the identical near one
         pos = np.array([[0.0, 0, 0], [0.1, 0, 0], [5.0, 0, 0]])

@@ -26,6 +26,7 @@ from pclabel import (
 from pclabel import pointcloud, superpoint
 from pclabel.superpoint import (
     EDGE_LENGTH_PERCENTILE,
+    _components,
     _distinct,
     _merge_small_segments,
     load_partition_json,
@@ -386,6 +387,22 @@ class TestMergeSmallSegments:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_int32_edges_past_the_key_range(self):
+        # The merge keys an edge as point * point count + point. On ~50,000
+        # points that passes 2**31 from point 42,950 on, so int32 edges, as
+        # oversegment passes them, must give the answer of int64 ones.
+        rng = np.random.default_rng(3)
+        raw = np.repeat(np.arange(20_000), rng.integers(1, 5, 20_000))
+        line = np.arange(raw.size)
+        edges = np.concatenate([np.stack([line[:-1], line[1:]], axis=1),
+                                rng.integers(0, raw.size, (raw.size, 2))])
+        labels, src, dst = _merge_case(raw, edges)
+        assert labels.size > 46_341
+        want = _merge_small_segments(labels, src, dst, 4)
+        assert want.max() < labels.max()  # segments merged
+        got = _merge_small_segments(labels, src.astype(np.int32), dst.astype(np.int32), 4)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("case, expected", [
         (_ISOLATED, [0, 0, 0, 0, 1, 1, 1, 2]),
         (_TIED, [0, 0, 0, 1, 1]),
@@ -535,10 +552,28 @@ class TestSharedQuery:
             tracemalloc.stop()
         assert peak < 24 * 2**20
 
+    def test_oversegment_peak_memory(self):
+        # oversegment alone on the same room, given its analytic normals and
+        # an index built beforehand: the k=11 query, the edges and scipy's
+        # component labeling. With int64 edges copied into a COO graph,
+        # which scipy sorted into CSR and cast to float64, it peaked at
+        # 18.2 MiB; with int32 CSR rows that scipy shares, 13.1 MiB.
+        cloud, _, _, normals = generate_scene(SceneSpec(density=1000.0))
+        index = build_index(cloud)
+        tracemalloc.start()
+        try:
+            oversegment(cloud, normals, index, 15.0, 10, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20
+
 
 class TestComponentOrder:
     """oversegment passes scipy's component labels to the merge unchanged,
-    relying on scipy numbering components in order of their lowest node."""
+    relying on scipy numbering components in order of their lowest node.
+    `_components` hands scipy CSR rows, which must label as the COO graph
+    of the same edges does."""
 
     @settings(max_examples=300)
     @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
@@ -555,6 +590,28 @@ class TestComponentOrder:
         count, labels = connected_components(graph, directed=False)
         labels = labels.astype(np.int64)
         assert np.array_equal(labels, _first_occurrence_relabel(labels, count))
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 40).flatmap(lambda n: st.one_of(
+        st.lists(st.lists(st.integers(0, n - 1), max_size=4), min_size=n, max_size=n),
+        # The merge's last labeling: one edge per row, segment s to owner[s].
+        st.lists(st.integers(0, n - 1).map(lambda owner: [owner]), min_size=n, max_size=n))),
+        st.sampled_from([np.int32, np.int64]))
+    @example([[], [], []], np.int32)  # no edges
+    @example([[1, 1], [0], [2, 2, 2], []], np.int32)  # duplicates, self-loops
+    @example([[0], [0], [1], [3]], np.int32)
+    def test_csr_rows_match_scipy_coo_labels(self, rows, dtype):
+        # Row i lists the far ends of node i's edges.
+        n = len(rows)
+        indices = np.array([far for row in rows for far in row], dtype=dtype)
+        indptr = np.concatenate([[0], np.cumsum([len(row) for row in rows])]).astype(dtype)
+        got = _components(indices, indptr, n)
+        src = np.repeat(np.arange(n), np.diff(indptr))
+        graph = csr_matrix((np.ones(indices.size, dtype=np.int8),
+                            (src, indices.astype(np.int64))), shape=(n, n))
+        want = connected_components(graph, directed=False)[1]
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 class TestDistinct:

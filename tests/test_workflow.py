@@ -33,7 +33,7 @@ def test_pinned_outputs_are_checked_on_one_core():
     assert "taskset -c 0 python -m pytest" in run
     for target in ("tests/test_cli.py::TestGoldenFixtures", "tests/test_threads.py",
                    "tests/test_acceptance.py", "tests/test_stlp.py",
-                   "tests/test_pointcloud.py"):
+                   "tests/test_pointcloud.py", "tests/test_superpoint.py"):
         assert target in run.split(), target
 
 
