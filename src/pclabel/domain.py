@@ -1,5 +1,6 @@
-"""The one domain rule for numeric settings and spec fields, and the one
-way the blocked passes cover their rows."""
+"""The one domain rule for numeric settings and spec fields, the one
+check of per-point rows, and the one way the blocked passes cover their
+rows."""
 
 import math
 import os
@@ -67,3 +68,11 @@ def require(name: str, value, low: float = -math.inf, high: float = math.inf, *,
                 else "be finite" if low == -math.inf
                 else f"be {'' if integer else 'finite and '}{'>' if open_low else '>='} {low}")
         raise ValueError(f"{name} must {rule}, got {value}")
+
+
+def require_finite(what: str, rows: np.ndarray) -> None:
+    """Raise a ValueError naming the first point whose row of `rows` (one
+    row per point) holds a NaN or an infinity."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{what} of point {int(np.flatnonzero(~finite)[0])} is not finite")

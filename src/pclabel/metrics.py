@@ -66,9 +66,10 @@ def confidence_bins(
 ) -> List[ConfidenceBin]:
     """Accuracy and population share per confidence interval.
 
-    Edges must be strictly increasing from 0 to 1; bins are half-open with
-    the last bin closed. Points unlabeled on either side are excluded; shares
-    are fractions of the included points and sum to 1 when any exist.
+    Edges must be strictly increasing from 0 to 1, and confidences must lie
+    in [0, 1]; bins are half-open with the last bin closed. Points unlabeled
+    on either side are excluded; shares are fractions of the included points
+    and sum to 1 when any exist.
     """
     edges = np.asarray(bin_edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or (np.diff(edges) <= 0).any():
@@ -78,6 +79,10 @@ def confidence_bins(
     confidence = np.asarray(confidence, dtype=np.float64)
     if confidence.shape != (len(labels),) or len(labels) != len(gt):
         raise ValueError("labels, confidence and ground truth lengths differ")
+    bad = np.flatnonzero(~((confidence >= 0) & (confidence <= 1)))  # NaN fails both
+    if bad.size:
+        raise ValueError(f"confidence at point {bad[0]} is {confidence[bad[0]]}, "
+                         "outside [0, 1]")
     scored = labels.labeled_mask & gt.labeled_mask
     conf = confidence[scored]
     correct = labels.values[scored] == gt.values[scored]

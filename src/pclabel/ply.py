@@ -6,13 +6,16 @@ binary_little_endian) emits exactly it, with the `label` channel
 (UNLABELED encoded as 65535) only when labels are given. The header grammar
 accepted here is written out in docs/formats.md. Malformed or unsupported
 content is a ValueError that begins with the path and locates the fault by
-header line, data line or byte. Ascii fixed-point values are decoded from
-the body bytes with numpy, to the same bits as float()/int(); see _decode.
+header line, data line or byte. A plain ascii body is read by numpy's
+loadtxt, to the same bits as float()/int(); any other body, and every
+fault, token by token through float()/int(); see _loadtxt.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import warnings
 from typing import Optional, Tuple
 
 import numpy as np
@@ -140,20 +143,18 @@ def _read_body_binary(f, vertex_count, props, body_offset):
 # >= 0x80 is part of a token (and never a number). bytes.split() splits on
 # the other six separators itself.
 _SEPARATORS_TO_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
-# Rows decoded per pass; bounds the temporaries, and the token lists of a
-# block whose column _decode declines.
+# The bytes of a plain body, whose lines and values numpy's loadtxt splits
+# as the grammar does (it reads 0x0B, 0x0C and 0x1C-0x1F as spaces). It
+# refuses what it would split otherwise (a lone "\r") and some tokens that
+# float()/int() read ("1_0", "-0" as unsigned): those go token by token.
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+# Rows converted per pass when a body is read token by token; bounds the
+# token lists.
 _BLOCK_ROWS = 1 << 14
-# Digits a decoded value may hold: below 2**53, so each is an exact double.
-_MAX_DIGITS = 15
-_DIGIT, _DOT, _PLUS, _MINUS = ord("0"), ord("."), ord("+"), ord("-")
 
 
 def _in_range(b, lo, hi):
     return b - np.uint8(lo) <= hi - lo  # uint8 wraps below lo
-
-
-def _is_space(b):
-    return _in_range(b, 0x09, 0x0D) | _in_range(b, 0x1C, 0x20)
 
 
 def _ascii_layout(b):
@@ -162,7 +163,7 @@ def _ascii_layout(b):
     breaks = np.flatnonzero(_in_range(b, 0x0A, 0x0D) | _in_range(b, 0x1C, 0x1E))
     crlf = (b[breaks] == 0x0A) & (breaks > 0) & (b[breaks - 1] == 0x0D)
     breaks = breaks[~crlf]
-    space = _is_space(b)
+    space = _in_range(b, 0x09, 0x0D) | _in_range(b, 0x1C, 0x20)
     end = ~space
     end[:-1] &= space[1:]
     del space
@@ -173,63 +174,6 @@ def _ascii_layout(b):
                      prepend=0, append=len(ends))
     lines = np.flatnonzero(counts)
     return lines, counts[lines], ends
-
-
-def _byte_before(b, ends, back):
-    """The byte `back` + 1 before each end, a space before the body."""
-    at = ends - (back + 1)
-    if at.min() >= 0:
-        return b[at]
-    return np.where(at < 0, np.uint8(0x20), b[np.maximum(at, 0)])
-
-
-def _decode(b, ends, code):
-    """The values ending at `ends` as `code`, read from the bytes, or None
-    when one is not plain. A plain float is [+-]digits.digits with the same
-    count f of fraction digits in every value, a plain integer [+-]digits;
-    either has 1 to 15 digits, so the integer m they spell is an exact
-    double. So is 10**f, and m / 10**f rounds once, to the double float()
-    reads."""
-    real = code in ("f4", "f8")
-    fraction = 0  # f, from the first value
-    if real:
-        first = int(ends[0])
-        while (fraction < min(first, _MAX_DIGITS + 1)
-               and _DIGIT <= b[first - fraction - 1] <= _DIGIT + 9):
-            fraction += 1
-        if fraction > _MAX_DIGITS or not (_byte_before(b, ends, fraction) == _DOT).all():
-            return None
-    mantissa = np.zeros(len(ends), dtype=np.int64)
-    count = np.zeros(len(ends), dtype=np.int64)  # digits of each value
-    alive = np.ones(len(ends), dtype=bool)  # values whose digits go on
-    for digit in range(_MAX_DIGITS + 1):
-        back = digit + 1 if real and digit >= fraction else digit  # past the dot
-        d = _byte_before(b, ends, back) - np.uint8(_DIGIT)
-        alive &= d <= 9
-        if digit < fraction and not alive.all():
-            return None
-        if not alive.any():
-            break
-        if digit == _MAX_DIGITS:
-            return None
-        d *= alive
-        count += alive
-        mantissa += 10 ** digit * d.astype(np.int64)
-    lead = _byte_before(b, ends, count + 1 if real else count)
-    negative = lead == _MINUS
-    signed = negative | (lead == _PLUS)
-    before = _byte_before(b, ends, count + 2 if real else count + 1)
-    if not (count.all() and (_is_space(lead) | signed & _is_space(before)).all()):
-        return None
-    if real:
-        values = mantissa / 10.0 ** fraction
-        np.negative(values, out=values, where=negative)
-        return values.astype(code)
-    np.negative(mantissa, out=mantissa, where=negative)
-    info = np.iinfo(code)
-    if mantissa.min() < info.min or mantissa.max() > info.max:
-        return None
-    return mantissa.astype(code)
 
 
 def _convert(tokens, code):
@@ -247,6 +191,23 @@ def _convert(tokens, code):
     return values.astype(code)
 
 
+def _loadtxt(body, dtype, vertex_count):
+    """The rows of a plain body as numpy's C parser reads them, to the same
+    values as float()/int(), or None when it raises, warns (as numpy 1.23 to
+    1.26 do when reading a float into an integer column) or finds other than
+    `vertex_count` rows."""
+    if body.translate(None, _PLAIN):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.BytesIO(body), dtype=dtype, comments=None, ndmin=1,
+                              encoding="ascii")
+    except (ValueError, Warning):
+        return None
+    return rows if len(rows) == vertex_count else None
+
+
 def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
     dtype = _row_dtype(props)
     # Each data row holds at least one value and, but for the last, a line
@@ -255,10 +216,13 @@ def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
     if 2 * vertex_count - 1 > found:
         raise ValueError(f"truncated body at byte {body_offset + found}: "
                          f"{found} bytes cannot hold the {vertex_count} declared vertices")
-    rows = np.zeros(vertex_count, dtype=dtype)
     body = f.read()
-    b = np.frombuffer(body, dtype=np.uint8)
-    lines, counts, ends = _ascii_layout(b)
+    rows = _loadtxt(body, dtype, vertex_count)
+    if rows is not None:
+        return rows
+    # Any other body, and every fault, is read token by token.
+    rows = np.zeros(vertex_count, dtype=dtype)
+    lines, counts, ends = _ascii_layout(np.frombuffer(body, dtype=np.uint8))
     width = len(props)
 
     def lineno(row):
@@ -275,21 +239,16 @@ def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
 
     for lo in range(0, parsed, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, parsed)
-        block = ends[lo * width:hi * width].reshape(-1, width)
-        columns = [_decode(b, block[:, j], code) for j, (_, code) in enumerate(props)]
-        declined = [j for j, column in enumerate(columns) if column is None]
-        if declined:
-            tokens = body[cut(lo):cut(hi)].translate(_SEPARATORS_TO_SPACE).split()
-            for j in declined:
-                columns[j] = _convert(tokens[j::width], props[j][1])
-            if any(column is None for column in columns):
-                for i, token in enumerate(tokens):
-                    name, code = props[i % width]
-                    if _convert([token], code) is None:
-                        text = token.decode("ascii", errors="replace")
-                        raise ValueError(
-                            f"line {lineno(lo + i // width)}: bad value {text!r} for {name!r}"
-                        )
+        tokens = body[cut(lo):cut(hi)].translate(_SEPARATORS_TO_SPACE).split()
+        columns = [_convert(tokens[j::width], code) for j, (_, code) in enumerate(props)]
+        if any(column is None for column in columns):
+            for i, token in enumerate(tokens):
+                name, code = props[i % width]
+                if _convert([token], code) is None:
+                    text = token.decode("ascii", errors="replace")
+                    raise ValueError(
+                        f"line {lineno(lo + i // width)}: bad value {text!r} for {name!r}"
+                    )
         for (name, _), column in zip(props, columns):
             rows[name][lo:hi] = column
     if len(wrong):

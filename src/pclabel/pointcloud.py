@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MAX_NEIGHBORS, for_blocks, require
+from .domain import MAX_NEIGHBORS, for_blocks, require, require_finite
 
 
 def cKDTree(*args, **kwargs):
@@ -64,10 +64,7 @@ class PointCloud:
         pos = np.ascontiguousarray(np.asarray(self.positions, dtype=np.float64))
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
-        finite = np.isfinite(pos)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite.all(axis=1))[0])
-            raise ValueError(f"position of point {bad} is not finite")
+        require_finite("position", pos)
         col = np.asarray(self.colors)
         if col.shape != pos.shape:
             raise ValueError(f"colors must match positions shape, got {col.shape}")
@@ -145,16 +142,18 @@ class SpatialIndex:
     smaller k as a read-only view of the row prefix, which under the
     (distance, index) rule is the answer a fresh query gives. The tree is
     built sliding-midpoint (`balanced_tree=False`); see the module
-    docstring. `release` drops the cached answer; it lives on only in the
-    answers still held. Concurrent callers may each compute and store that
-    answer; it is replaced in one assignment and every stored answer is
-    exact, so each caller gets the same rows whichever one it reads.
+    docstring. Positions must be finite. `release` drops the cached answer;
+    it lives on only in the answers still held. Concurrent callers may each
+    compute and store that answer; it is replaced in one assignment and
+    every stored answer is exact, so each caller gets the same rows
+    whichever one it reads.
     """
 
     def __init__(self, positions: np.ndarray):
         pos = np.ascontiguousarray(np.asarray(positions, dtype=np.float64))
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
+        require_finite("position", pos)
         self._points = pos
         self._tree = cKDTree(pos, balanced_tree=False) if pos.shape[0] else None
         self._own = None  # (k, indices, distances)

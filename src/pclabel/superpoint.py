@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import MAX_NEIGHBORS, for_blocks, require
+from .domain import MAX_NEIGHBORS, for_blocks, require, require_finite
 from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
 from .tensorio import read_text, reading
 
@@ -210,15 +210,16 @@ def oversegment(
 ) -> SuperpointPartition:
     """Partition a cloud into geometrically coherent segments.
 
-    angle_threshold is in degrees (0, 180]; adjacency_k neighbors, at most
-    MAX_NEIGHBORS, define the graph; segments smaller than min_size are
-    folded into neighbors. Deterministic: identical inputs give identical
-    partitions.
+    normals must be finite. angle_threshold is in degrees (0, 180];
+    adjacency_k neighbors, at most MAX_NEIGHBORS, define the graph; segments
+    smaller than min_size are folded into neighbors. Deterministic:
+    identical inputs give identical partitions.
     """
     n = cloud.count
     normals = np.asarray(normals, dtype=np.float64)
     if normals.shape != (n, 3):
         raise ValueError(f"normals of {normals.shape} do not match cloud of {n}")
+    require_finite("normal", normals)
     require("angle_threshold", angle_threshold, 0, 180, open_low=True)
     require("adjacency_k", adjacency_k, 1, MAX_NEIGHBORS, integer=True)
     require("min_size", min_size, 1, integer=True)

@@ -325,8 +325,11 @@ def render_views(
     """Rasterize a per-point payload into per-pixel logit maps on a camera ring.
 
     Each pixel takes the payload of the nearest projected point, ties to the
-    lowest point index; pixels no point reaches stay zero.
+    lowest point index; pixels no point reaches stay zero. The ring is
+    placed around the cloud's bounding box, so the cloud must hold points.
     """
+    if cloud.count == 0:
+        raise ValueError("cannot place views around a cloud with no points")
     payload = np.asarray(payload, dtype=np.float64)
     if payload.ndim != 2 or payload.shape[0] != cloud.count:
         raise ValueError(

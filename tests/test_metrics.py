@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,15 @@ class TestConfidenceBins:
             confidence_bins(field, conf, field, [0.0, 0.5, 0.4, 1.0])
         with pytest.raises(ValueError):
             confidence_bins(field, conf, field, [0.1, 0.5, 1.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25, 1.5])
+    def test_confidence_outside_the_unit_interval_is_refused(self, value):
+        # An unlabeled point's confidence is checked too.
+        field = LabelField(np.array([0, -1, 0]), 1)
+        conf = np.array([0.5, value, 0.5])
+        with pytest.raises(ValueError, match=re.escape(
+                f"confidence at point 1 is {value}, outside [0, 1]")):
+            confidence_bins(field, conf, field, [0.0, 0.5, 1.0])
 
     def test_boundary_value_in_last_bin(self):
         field = LabelField(np.array([0]), 1)

@@ -117,6 +117,14 @@ class TestSpatialIndex:
         assert index.neighbors(pos, 1)[0].tolist() == [[0], [1], [2], [3]]
 
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_positions_are_refused(self, value):
+        pos = np.zeros((4, 3))
+        pos[2, 1] = value
+        with pytest.raises(ValueError, match="^position of point 2 is not finite$"):
+            SpatialIndex(pos)
+
+
 class TestSharedQuery:
     """A query of the index's own points is served from its largest earlier one."""
 

@@ -202,6 +202,14 @@ class TestOversegment:
         with pytest.raises(ValueError, match="match"):
             oversegment(cloud, np.zeros((5, 3)), build_index(cloud), 10.0, 4, 1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_normals_are_refused(self, rng, value):
+        cloud = make_cloud(rng, 50)
+        normals = np.tile([0.0, 0.0, 1.0], (50, 1))
+        normals[7:, 0] = value
+        with pytest.raises(ValueError, match="^normal of point 7 is not finite$"):
+            oversegment(cloud, normals, build_index(cloud), 10.0, 4, 1)
+
     @pytest.mark.parametrize("cloud_n, index_n, shift", MISMATCHED_INDEX)
     def test_index_over_other_points_refused(self, rng, cloud_n, index_n, shift):
         full = make_cloud(rng, 400)

@@ -322,6 +322,11 @@ class TestRenderViews:
         assert (np.abs(payload).sum(axis=2) > 0).sum() == 1
         assert np.allclose(payload[0, 0], 0.0)
 
+    def test_empty_cloud_is_refused(self):
+        cloud = PointCloud(np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="^cannot place views around a cloud with no points$"):
+            render_views(cloud, np.empty((0, 3)), ViewRingSpec())
+
     def test_payload_shape_validated(self):
         cloud, _, _, _ = generate_scene(SceneSpec(seed=1, density=100.0))
         with pytest.raises(ValueError):
