@@ -6,9 +6,10 @@ binary_little_endian) emits exactly it, with the `label` channel
 (UNLABELED encoded as 65535) only when labels are given. The header grammar
 accepted here is written out in docs/formats.md. Malformed or unsupported
 content is a ValueError that begins with the path and locates the fault by
-header line, data line or byte. A plain ascii body is read by numpy's
-loadtxt, to the same bits as float()/int(); any other body, and every
-fault, token by token through float()/int(); see _loadtxt.
+header line, data line or byte. Every well-formed ascii body is read by
+numpy's loadtxt, to the same bits as float()/int(), once its line breaks
+are all "\n" (LF and CRLF bodies as they are); a body it refuses, and every
+fault, is read line by line through float()/int() in _read_lines.
 """
 
 from __future__ import annotations
@@ -138,128 +139,89 @@ def _read_body_binary(f, vertex_count, props, body_offset):
 
 
 # The ascii body grammar is that of str.split() and str.splitlines() on the
-# body decoded as ascii: tokens are separated by 0x09-0x0D and 0x1C-0x20,
+# body decoded as ascii: values are separated by 0x09-0x0D and 0x1C-0x20,
 # lines end at 0x0A-0x0D and 0x1C-0x1E with "\r\n" one break, and a byte
-# >= 0x80 is part of a token (and never a number). bytes.split() splits on
-# the other six separators itself.
-_SEPARATORS_TO_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+# >= 0x80 is part of a value (and never a number). Rewriting "\r\n" and
+# each other break as "\n", and 0x1F as a space, keeps every line, value
+# and line number; io.BytesIO then splits the lines, and bytes.split() the
+# values, as the grammar does.
+_ONE_BREAK = bytes.maketrans(b"\r\v\f\x1c\x1d\x1e\x1f", b"\n\n\n\n\n\n ")
 # The bytes of a plain body, whose lines and values numpy's loadtxt splits
-# as the grammar does (it reads 0x0B, 0x0C and 0x1C-0x1F as spaces). It
-# refuses what it would split otherwise (a lone "\r") and some tokens that
-# float()/int() read ("1_0", "-0" as unsigned): those go token by token.
+# as the grammar does once each line ends in "\n" or "\r\n" (it refuses a
+# lone "\r"). It refuses some values that float()/int() read ("1_0", "-0"
+# as unsigned): those bodies, and every fault, go to _read_lines.
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
-# Rows converted per pass when a body is read token by token; bounds the
-# token lists.
-_BLOCK_ROWS = 1 << 14
 
 
-def _in_range(b, lo, hi):
-    return b - np.uint8(lo) <= hi - lo  # uint8 wraps below lo
-
-
-def _ascii_layout(b):
-    """(line index of each non-blank line, its value count, each value's end
-    byte) of the body bytes `b`; a value's end is the byte past its last."""
-    breaks = np.flatnonzero(_in_range(b, 0x0A, 0x0D) | _in_range(b, 0x1C, 0x1E))
-    crlf = (b[breaks] == 0x0A) & (breaks > 0) & (b[breaks - 1] == 0x0D)
-    breaks = breaks[~crlf]
-    space = _in_range(b, 0x09, 0x0D) | _in_range(b, 0x1C, 0x20)
-    end = ~space
-    end[:-1] &= space[1:]
-    del space
-    ends = np.flatnonzero(end)
-    del end
-    ends += 1
-    counts = np.diff(np.searchsorted(ends, breaks, side="right"),
-                     prepend=0, append=len(ends))
-    lines = np.flatnonzero(counts)
-    return lines, counts[lines], ends
-
-
-def _convert(tokens, code):
-    """tokens as `code` by float()/int(), or None when one does not fit."""
-    try:
-        if code in ("f4", "f8"):
-            with np.errstate(over="ignore"):  # beyond float32 is inf; PointCloud rejects it
-                return np.array(tokens, dtype=np.float64).astype(code)
-        values = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    info = np.iinfo(code)
-    if values.min() < info.min or values.max() > info.max:
-        return None
-    return values.astype(code)
-
-
-def _loadtxt(body, dtype, vertex_count):
-    """The rows of a plain body as numpy's C parser reads them, to the same
-    values as float()/int(), or None when it raises, warns (as numpy 1.23 to
-    1.26 do when reading a float into an integer column) or finds other than
-    `vertex_count` rows."""
-    if body.translate(None, _PLAIN):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(io.BytesIO(body), dtype=dtype, comments=None, ndmin=1,
-                              encoding="ascii")
-    except (ValueError, Warning):
-        return None
-    return rows if len(rows) == vertex_count else None
+def _read_lines(text, vertex_count, props, header_lines):
+    """The rows of a body whose lines end in "\n", read with float()/int()
+    line by line. Raises at the first line with a bad value (the first in
+    declared order), a wrong value count or a row past `vertex_count`."""
+    rows = np.zeros(vertex_count, dtype=_row_dtype(props))
+    reads = [float if code in ("f4", "f8") else int for _, code in props]
+    seen = 0
+    # An integer outside its type raises OverflowError (numpy >= 2) or warns
+    # and wraps (numpy 1.24 to 1.26): a bad value either way. Beyond float32
+    # is inf, which PointCloud rejects.
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        for lineno, line in enumerate(io.BytesIO(text), start=header_lines + 1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if seen == vertex_count:
+                raise ValueError(f"line {lineno}: more data rows than declared vertices")
+            if len(tokens) != len(props):
+                raise ValueError(f"line {lineno}: expected {len(props)} values, "
+                                 f"found {len(tokens)}")
+            try:
+                rows[seen] = tuple([read(token) for read, token in zip(reads, tokens)])
+            except (ValueError, OverflowError, Warning):
+                for (name, _), read, token in zip(props, reads, tokens):
+                    try:
+                        rows[name][seen] = read(token)
+                    except (ValueError, OverflowError, Warning):
+                        value = token.decode("ascii", errors="replace")
+                        raise ValueError(
+                            f"line {lineno}: bad value {value!r} for {name!r}") from None
+            seen += 1
+    if seen < vertex_count:
+        raise ValueError(f"truncated body: declared {vertex_count} vertices, "
+                         f"found {seen} rows")
+    return rows
 
 
 def _read_body_ascii(f, vertex_count, props, header_lines, body_offset):
-    dtype = _row_dtype(props)
     # Each data row holds at least one value and, but for the last, a line
     # break: a header declaring more rows than that cannot be honest.
     found = _body_bytes(f, body_offset)
     if 2 * vertex_count - 1 > found:
         raise ValueError(f"truncated body at byte {body_offset + found}: "
                          f"{found} bytes cannot hold the {vertex_count} declared vertices")
-    body = f.read()
-    rows = _loadtxt(body, dtype, vertex_count)
-    if rows is not None:
-        return rows
-    # Any other body, and every fault, is read token by token.
-    rows = np.zeros(vertex_count, dtype=dtype)
-    lines, counts, ends = _ascii_layout(np.frombuffer(body, dtype=np.uint8))
-    width = len(props)
-
-    def lineno(row):
-        return header_lines + 1 + int(lines[row])
-
-    # Non-blank line i is row i. Errors are reported at the first line that
-    # has one: a bad value, a wrong value count, or a row past the count.
-    wrong = np.flatnonzero(counts[:vertex_count] != width)
-    parsed = int(wrong[0]) if len(wrong) else min(len(lines), vertex_count)
-    # Rows [0, parsed) hold `width` values each; the values of rows [lo, hi)
-    # lie in body bytes cut(lo):cut(hi).
-    def cut(row):
-        return int(ends[row * width - 1]) if row else 0
-
-    for lo in range(0, parsed, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, parsed)
-        tokens = body[cut(lo):cut(hi)].translate(_SEPARATORS_TO_SPACE).split()
-        columns = [_convert(tokens[j::width], code) for j, (_, code) in enumerate(props)]
-        if any(column is None for column in columns):
-            for i, token in enumerate(tokens):
-                name, code = props[i % width]
-                if _convert([token], code) is None:
-                    text = token.decode("ascii", errors="replace")
-                    raise ValueError(
-                        f"line {lineno(lo + i // width)}: bad value {text!r} for {name!r}"
-                    )
-        for (name, _), column in zip(props, columns):
-            rows[name][lo:hi] = column
-    if len(wrong):
-        raise ValueError(f"line {lineno(parsed)}: expected {width} values, "
-                         f"found {counts[parsed]}")
-    if len(lines) > vertex_count:
-        raise ValueError(f"line {lineno(vertex_count)}: more data rows than declared vertices")
-    if len(lines) < vertex_count:
-        raise ValueError(f"truncated body: declared {vertex_count} vertices, "
-                         f"found {len(lines)} rows")
-    return rows
+    # numpy's C parser reads a plain body as it is, so an LF or CRLF body
+    # costs one pass before the parse. A body that is not plain, or that it
+    # refuses, is rewritten with "\n" breaks, and read again only if a break
+    # other than "\r\n" changed. Its rows are kept only when loadtxt raises
+    # nothing, warns nothing (numpy 1.23 to 1.26 warn as they read a float
+    # into an integer column) and reads `vertex_count` rows; they are then
+    # the values float()/int() read. Anything else is walked by _read_lines.
+    text = f.read()
+    while True:
+        if not text.translate(None, _PLAIN):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt(io.BytesIO(text), dtype=_row_dtype(props),
+                                      comments=None, ndmin=1, encoding="ascii")
+                if len(rows) == vertex_count:
+                    return rows
+            except (ValueError, Warning):
+                pass
+        text = text.replace(b"\r\n", b"\n")
+        lines = text.translate(_ONE_BREAK)
+        if lines == text:
+            return _read_lines(text, vertex_count, props, header_lines)
+        text = lines
 
 
 def _load(path) -> Tuple[PointCloud, Optional[np.ndarray]]:

@@ -36,18 +36,17 @@ def calr(labels: LabelField, confidence: np.ndarray, top_v: float) -> LabelField
 
     Confidence ties at the cutoff go to the lower point index. Unlabeled
     points stay unlabeled; retained points keep their input label.
-    Confidences must be finite and lie in [0, 1].
+    Confidences must lie in [0, 1] (NaN does not).
     """
     confidence = np.asarray(confidence, dtype=np.float64)
     if confidence.shape != (len(labels),):
         raise ValueError(
             f"confidence of {confidence.shape} does not match {len(labels)} labels"
         )
-    bad = np.flatnonzero(~np.isfinite(confidence))
+    bad = np.flatnonzero(~((confidence >= 0) & (confidence <= 1)))  # NaN fails both
     if bad.size:
-        raise ValueError(f"confidence at point {int(bad[0])} is not finite")
-    if confidence.size and (confidence.min() < 0.0 or confidence.max() > 1.0):
-        raise ValueError("confidences must lie in [0, 1]")
+        raise ValueError(f"confidence at point {bad[0]} is {confidence[bad[0]]}, "
+                         "outside [0, 1]")
     require("top_v", top_v, 0, 100, open_low=True)
     out = labels.values.copy()
     for c in range(labels.num_classes):

@@ -75,6 +75,9 @@ def load_tensor(path) -> np.ndarray:
         if found < expected:
             raise ValueError(f"truncated body at byte {12 + found}: "
                              f"expected {expected} data bytes for ({rows}, {cols})")
+        if found > expected:
+            raise ValueError(f"{found - expected} bytes past the ({rows}, {cols}) data, "
+                             f"from byte {12 + expected}")
         data = f.read(expected)
     return np.frombuffer(data, dtype="<f4").reshape(rows, cols).copy()
 

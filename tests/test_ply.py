@@ -176,17 +176,19 @@ class TestLoad:
                                              f"from byte {len(data) - 15}"):
             load_ply(path)
 
-    def test_ascii_load_peak_memory(self, tmp_path):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_ascii_load_peak_memory(self, tmp_path, newline):
         # A 100,000-row %.6f scan (3.9 MB). Loading it peaked at 17.25 MiB
         # when the body's layout was found before any value was read, and at
-        # 7.48 MiB when numpy's parser reads it.
+        # 7.48 MiB when numpy's parser reads it. With lone "\r" line ends it
+        # peaked at 21.86 MiB while they were read value by value.
         rng = np.random.default_rng(11)
         path = tmp_path / "scan.ply"
-        with open(path, "w", encoding="ascii") as f:
+        with open(path, "w", encoding="ascii", newline="") as f:
             f.write(ASCII_HEADER.format(n=100_000))
             np.savetxt(f, np.hstack([rng.uniform(-5, 5, (100_000, 3)),
                                      rng.integers(0, 256, (100_000, 3))]),
-                       fmt="%.6f %.6f %.6f %d %d %d")
+                       fmt="%.6f %.6f %.6f %d %d %d", newline=newline)
         load_ply(path)
         tracemalloc.start()
         try:
@@ -343,8 +345,9 @@ LINE_BREAKS = [b"\n", b"\r\n", b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e"]
 VALUE_SPACES = [b" ", b"\t", b"  ", b"\x1f", b" \t "]
 # Spliced into a valid body at random places.
 DAMAGE = LINE_BREAKS + [
-    b"\x1f", b"\x80", b"\xff", b"_", b"nan", b"-inf", b"1e400", b"300", b"-1", b"65536",
-    b"+5", b"1_0", b"4294967296", b"\n\n", b"\n \n", b" ", b" 7", b" 0.5 ", b".", b"-",
+    b"\x1f", b"\x00", b"\x0e", b"\x7f", b"\x80", b"\xff", b"_", b"nan", b"-inf", b"1e400",
+    b"300", b"-1", b"65536", b"+5", b"1_0", b"4294967296", b"\n\n", b"\n \n", b" ", b" 7",
+    b" 0.5 ", b".", b"-",
 ]
 
 
@@ -418,11 +421,9 @@ def read_body(reader, props, declared, body):
             return str(e)
 
 
-def recording_convert(calls):
-    """Patches ply._convert to append each call's token list to `calls`."""
-    convert = ply._convert
-    return mock.patch.object(ply, "_convert", side_effect=lambda tokens, code:
-                             calls.append(tokens) or convert(tokens, code))
+def watching_walk():
+    """Patches ply._read_lines with a mock that wraps it, to count the walks."""
+    return mock.patch.object(ply, "_read_lines", wraps=ply._read_lines)
 
 
 class TestAsciiBodyMatchesLiteral:
@@ -433,18 +434,16 @@ class TestAsciiBodyMatchesLiteral:
     @example((REQUIRED_PROPS, 2, b"0 0 zero 1 2 3\n0 0 0 1 2\n"))
     # A surplus row that also has the wrong value count.
     @example((REQUIRED_PROPS, 1, b"0 0 0 1 2 3\n\n0 0\n"))
-    # Two bad values in one block: the earlier row wins, not the earlier column.
+    # Two bad values: the earlier row wins, not the earlier column.
     @example((REQUIRED_PROPS, 4, b"0 0 0 1 2 3\n0 0 0 1 2 3\n0 0 0 1 2 300\nx 0 0 1 2 3\n"))
-    # A bad value in the second block of rows.
+    # A bad value after rows that end in "\r\n".
     @example((REQUIRED_PROPS, 3, b"0 0 0 1 2 3\r\n0 0 0 1 2 3\r\n0 0 0 1 \xff 3\r\n"))
     # A value with no dot where the first value of its column has one.
     @example((REQUIRED_PROPS, 2, b"5. 0.5 .5 1 2 3\n123 0.5 .5 1 2 3\n"))
     def test_same_rows_or_same_error(self, case):
         props, declared, body = case
         expected = read_body(literal_ascii_body, props, declared, body)
-        for block_rows in (2, ply._BLOCK_ROWS):
-            with mock.patch.object(ply, "_BLOCK_ROWS", block_rows):
-                assert read_body(ply._read_body_ascii, props, declared, body) == expected
+        assert read_body(ply._read_body_ascii, props, declared, body) == expected
 
     def test_many_blocks(self):
         rng = np.random.default_rng(7)
@@ -453,8 +452,8 @@ class TestAsciiBodyMatchesLiteral:
         body = "".join("%.6f %.6f %.6f %d %d %d\n" % tuple(r) for r in rows).encode()
         expected = read_body(literal_ascii_body, REQUIRED_PROPS, 40000, body)
         assert isinstance(expected, bytes)
-        # Every column of every block is decoded from the bytes.
-        with mock.patch.object(ply, "_convert", side_effect=AssertionError("tokenized")):
+        # numpy's parser reads the whole plain body; it is never walked.
+        with mock.patch.object(ply, "_read_lines", side_effect=AssertionError("walked")):
             assert read_body(ply._read_body_ascii, REQUIRED_PROPS, 40000, body) == expected
         damaged = body[:-30] + b"7 7 7 7 7\n"
         assert (read_body(ply._read_body_ascii, REQUIRED_PROPS, 40000, damaged)
@@ -463,17 +462,16 @@ class TestAsciiBodyMatchesLiteral:
 
     def test_a_token_numpy_refuses_is_read_token_by_token(self):
         # numpy's loadtxt refuses "1_0" as a float and "-0" as a uchar, which
-        # float() and int() read: each body is read through _convert.
+        # float() and int() read: each body is read by the line walk, once.
         rows = [b"%d.25 -%d.50 0.125 1 2 3" % (i, i) for i in range(12)]
         for old, new in ((b"-5.50", b"1_0"), (b" 2 3", b" -0 3")):
             damaged = rows[:5] + [rows[5].replace(old, new)] + rows[6:]
             body = b"\n".join(damaged) + b"\n"
-            calls = []
-            with mock.patch.object(ply, "_BLOCK_ROWS", 4), recording_convert(calls):
+            with watching_walk() as walk:
                 got = read_body(ply._read_body_ascii, REQUIRED_PROPS, 12, body)
             assert isinstance(got, bytes)
             assert got == read_body(literal_ascii_body, REQUIRED_PROPS, 12, body)
-            assert len(calls) == 3 * len(REQUIRED_PROPS), new  # each column of each block
+            assert walk.call_count == 1, new
 
     @pytest.mark.parametrize("declared, body", [
         # loadtxt reads 0x0B, 0x0C and 0x1C as spaces: one row of six values
@@ -483,17 +481,26 @@ class TestAsciiBodyMatchesLiteral:
         (1, b"0 0 0\x1c1 2 3\n"),
         # A lone carriage return ends a line.
         (2, b"0 0 0 1 2 3\r0 0 0 1 2 3\r"),
+        # So do 0x0B, 0x0C and 0x1C-0x1E, and 0x1F separates values.
+        (2, b"0 0 0 1 2 3\x0b0 0 0 1 2 3\x0b"),
+        (2, b"0 0 0 1 2 3\x0c0 0 0 1 2 3"),
+        (2, b"0 0 0 1 2 3\x1c0 0 0 1 2 3\x1c"),
+        (2, b"0 0 0 1 2 3\x1d\r\n0 0 0 1 2 3\x1e"),
+        (1, b"0\x1f0 0\x1f\x1f1\t2\x1f3\n"),
         # "#" is part of a token, never a comment.
         (1, b"#0 0 0 1 2 3\n0 0 0 1 2 3\n"),
         # A blank body, where loadtxt warns that it holds no data.
         (1, b" \n\t\n"),
     ])
     def test_bodies_numpy_reads_otherwise(self, declared, body):
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, watching_walk() as walk:
             warnings.simplefilter("always")
             got = read_body(ply._read_body_ascii, REQUIRED_PROPS, declared, body)
         assert caught == []
-        assert got == read_body(literal_ascii_body, REQUIRED_PROPS, declared, body)
+        expected = read_body(literal_ascii_body, REQUIRED_PROPS, declared, body)
+        assert got == expected
+        # A body with its rows is read by numpy's parser; only a fault is walked.
+        assert walk.call_count == isinstance(expected, str)
 
     def test_rows_loadtxt_warns_about_are_dropped(self):
         # numpy 1.23 to 1.26 read "2.0" into an integer column, with a
@@ -535,11 +542,10 @@ class TestDecodeBoundaries:
                 tokens = [(sign + t).encode() for t in sweep_tokens(places, digits, rng)
                           for sign in ("", "-", "+")]
                 body = b"".join(b"%s %s %s 1 2 3 %s\n" % (t, t, t, t) for t in tokens)
-                calls = []
-                with recording_convert(calls):
+                with watching_walk() as walk:
                     got = read_body(ply._read_body_ascii, props, len(tokens), body)
                 assert got == read_body(literal_ascii_body, props, len(tokens), body)
-                assert calls == [], (places, digits)
+                assert walk.call_count == 0, (places, digits)
 
 
 def assert_named_or_loaded(load, path, data):
@@ -557,10 +563,14 @@ def assert_named_or_loaded(load, path, data):
 
 
 class TestTruncation:
-    def test_ascii_ply_every_offset(self, tmp_path):
+    @pytest.mark.parametrize("breaks", [(b"\r\n", b"\n"), (b"\r", b"\r"), (b"\x1e", b"\x1e")],
+                             ids=["crlf-lf", "cr", "1e"])
+    def test_ascii_ply_every_offset(self, tmp_path, breaks):
         path = tmp_path / "cut.ply"
         props = REQUIRED_PROPS + [("ushort", "label")]
-        body = b"0.5 1.5 -2 255 0 0 3\r\n1 2 3 0 255 0 65535\n-1 0 .25 0 0 255 1\n"
+        first, rest = breaks
+        body = (b"0.5 1.5 -2 255 0 0 3" + first + b"1 2 3 0 255 0 65535" + rest
+                + b"-1 0 .25 0 0 255 1" + rest)
         data = header_bytes(props, 3) + body
         # The last row is complete once its final value is.
         loaded = assert_named_or_loaded(load_labeled_ply, path, data)

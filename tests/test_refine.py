@@ -79,8 +79,15 @@ def random_instance(rng, n_max=200, c_max=5, u_max=20):
 class TestCalr:
     def test_non_finite_confidence_names_point(self):
         labels = LabelField(np.array([0, 1, 0]), 2)
-        with pytest.raises(ValueError, match="point 1 is not finite"):
+        with pytest.raises(ValueError, match=r"point 1 is nan, outside \[0, 1\]"):
             calr(labels, np.array([0.5, np.nan, np.inf]), 50.0)
+
+    @pytest.mark.parametrize("value", [1.5, -0.25, np.inf])
+    def test_confidence_outside_unit_interval_names_point(self, value):
+        labels = LabelField(np.array([0, 1, 0]), 2)
+        with pytest.raises(ValueError, match=rf"^confidence at point 1 is {value}, "
+                                             r"outside \[0, 1\]$"):
+            calr(labels, np.array([1.0, value, 0.0]), 50.0)
 
     def test_paper_thirty_percent(self, rng):
         # 10 points of one class at V=30: exactly 3 kept, and every kept

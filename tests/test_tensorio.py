@@ -54,6 +54,15 @@ class TestLF01:
                                              "expected 32000000 data bytes"):
             tensorio.load_tensor(path)
 
+    def test_bytes_past_the_declared_data(self, tmp_path):
+        # A (2, 1) header over three float32 values used to load as 2 rows.
+        path = tmp_path / "long.lf01"
+        path.write_bytes(b"LF01" + struct.pack("<ii", 2, 1)
+                         + np.array([0.25, 0.5, 0.75], dtype="<f4").tobytes())
+        with pytest.raises(ValueError, match=r"^.*long.lf01: 4 bytes past the \(2, 1\) data, "
+                                             r"from byte 20$"):
+            tensorio.load_tensor(path)
+
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             tensorio.save_tensor(tmp_path / "x", np.zeros(3))
