@@ -32,7 +32,6 @@ scipy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .domain import MAX_NEIGHBORS, for_blocks, require, require_finite
 from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
-from .tensorio import read_text, reading
+from .tensorio import id_strings, read_text, reading
 
 EDGE_LENGTH_PERCENTILE = 95.0
 
@@ -310,15 +309,12 @@ def partition_stats(partition: SuperpointPartition) -> dict:
 
 
 def save_partition_json(partition: SuperpointPartition, path) -> None:
-    """Write the {"n", "u", "assignment"} JSON form."""
-    payload = {
-        "n": len(partition),
-        "u": partition.segment_count,
-        "assignment": partition.assignment.tolist(),
-    }
+    """Write the {"n", "u", "assignment"} JSON form: the bytes of
+    json.dumps(payload, sort_keys=True) + "\n", with the ids through
+    id_strings (dense ids, so its table always applies)."""
     with open(path, "w", encoding="ascii") as f:
-        # json.dumps runs the C encoder; json.dump streams through the pure-Python one.
-        f.write(json.dumps(payload, sort_keys=True) + "\n")
+        f.write(f'{{"assignment": [{", ".join(id_strings(partition.assignment))}], '
+                f'"n": {len(partition)}, "u": {partition.segment_count}}}\n')
 
 
 def load_partition_json(path) -> SuperpointPartition:
@@ -334,14 +330,18 @@ def load_partition_json(path) -> SuperpointPartition:
         n = len(entries)
         # type() rather than isinstance: JSON true/false must not pass as 1/0.
         # Only a list that fails the whole-list check is searched for its
-        # first bad entry.
-        if entries and not (set(map(type, entries)) <= {int}
-                            and min(entries) >= 0 and max(entries) < n):
+        # first bad entry; an int beyond int64 fails the conversion.
+        try:
+            assignment = (np.asarray(entries, dtype=np.int64)
+                          if set(map(type, entries)) <= {int} else None)
+        except OverflowError:
+            assignment = None
+        if assignment is None or (n and not (assignment.min() >= 0 and assignment.max() < n)):
             bad = next(i for i, v in enumerate(entries) if type(v) is not int or not 0 <= v < n)
             raise ValueError(
                 f"assignment entry {bad} must be an integer in [0, {n}), got {entries[bad]!r}"
             )
-        partition = SuperpointPartition(np.asarray(entries, dtype=np.int64))
+        partition = SuperpointPartition(assignment)
         for key, found in (("n", n), ("u", partition.segment_count)):
             if type(payload[key]) is not int:
                 raise ValueError(f"{key} must be an integer, got {payload[key]!r}")

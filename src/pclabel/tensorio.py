@@ -5,7 +5,8 @@ little-endian int32 (rows, columns), then row-major float32 data. View
 manifests are JSON arrays of posed views whose class logits live in sibling
 LF01 files (one row per pixel, row-major). Scene masks are JSON arrays of the
 class names present; label listings are newline-delimited ints with -1 for
-unlabeled. Full layouts in docs/formats.md.
+unlabeled, read by numpy's parser; a line loop names the first bad line of
+any listing it refuses. Full layouts in docs/formats.md.
 
 Every error in a file's content begins "<path>: ": each loader raises bare
 messages inside one `with reading(path):`, which adds the path, and calls
@@ -15,9 +16,11 @@ once.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
+import warnings
 from contextlib import contextmanager
 from typing import List, Sequence
 
@@ -221,28 +224,45 @@ def load_scene_mask(path, class_names: Sequence[str]) -> np.ndarray:
     return mask
 
 
+def id_strings(values: np.ndarray) -> list:
+    """[str(v) for v in values] of an int64 array, by indexing a table of
+    str(low) ... str(high); an array with a wider spread than its length
+    converts value by value, so no input costs more than that."""
+    if not values.size:
+        return []
+    low, high = int(values.min()), int(values.max())
+    if high - low >= values.size:
+        return list(map(str, values.tolist()))
+    table = np.array(list(map(str, range(low, high + 1))), dtype=object)
+    return table[values - low].tolist()
+
+
 def save_labels_text(path, labels: LabelField) -> None:
     """One label id per line, -1 for unlabeled."""
     with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(map(str, labels.values.tolist())))
+        f.write("\n".join(id_strings(labels.values)))
         if len(labels):
             f.write("\n")
 
 
 def load_labels_text(path, num_classes: int) -> LabelField:
-    lines = read_text(path, "ascii", parse=str).split("\n")
-    # Parse every non-blank line at once; only a listing that fails runs the
-    # line loop below, which names its first bad line.
+    text = read_text(path, "ascii", parse=str)
+    # numpy's parser reads a well-formed listing; only a listing it refuses,
+    # or one with a value out of range, runs the line loop below, which
+    # names its first bad line. Warnings are errors: loadtxt warns on an
+    # empty listing, and numpy < 2 reads "1.0" into an int column with one.
     try:
-        values = list(map(int, filter(None, map(str.strip, lines))))
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError, Warning):
         values = None
-    if values is not None and (UNLABELED <= min(values, default=UNLABELED)
-                               and max(values, default=UNLABELED) < num_classes):
-        return LabelField(np.asarray(values, dtype=np.int64), num_classes)
+    if (values is not None and values.shape[1:] == (1,)
+            and UNLABELED <= values.min() and values.max() < num_classes):
+        return LabelField(values[:, 0], num_classes)
     values = []
     with reading(path):
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line:
                 continue

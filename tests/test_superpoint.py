@@ -1,5 +1,6 @@
 import json
 import re
+import tempfile
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -672,6 +673,21 @@ class TestPartitionIO:
         save_partition_json(p, path)
         back = load_partition_json(path)
         assert np.array_equal(back.assignment, p.assignment)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(0, 40), max_size=40))
+    @example([])
+    @example(list(range(40)))
+    def test_save_writes_sorted_key_json(self, ids):
+        # np.unique's inverse makes the drawn ids dense; distinct ids give u = n.
+        p = SuperpointPartition(np.unique(np.asarray(ids, dtype=np.int64),
+                                          return_inverse=True)[1])
+        payload = {"n": len(p), "u": p.segment_count, "assignment": p.assignment.tolist()}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/p.json"
+            save_partition_json(p, path)
+            with open(path, "rb") as f:
+                assert f.read() == (json.dumps(payload, sort_keys=True) + "\n").encode("ascii")
 
     def test_inconsistent_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -45,5 +45,13 @@ def test_installed_console_script_runs():
     commands = [line.strip() for line in step.split("run: |", 1)[1].splitlines()]
     assert "pclabel --help" in commands
     assert 'pclabel synth --preset room-small --out "$RUNNER_TEMP/synth"' in commands
+    # pseudo writes a label listing from synth's files and eval reads it back.
+    assert ('pclabel pseudo --cloud "$RUNNER_TEMP/synth/cloud.ply" '
+            '--classes "$RUNNER_TEMP/synth/classes.json" --mask "$RUNNER_TEMP/synth/mask.json" '
+            '--views "$RUNNER_TEMP/synth/views/manifest.json" --out "$RUNNER_TEMP/pseudo"'
+            in commands)
+    assert ('pclabel eval --pred "$RUNNER_TEMP/pseudo/labels.txt" '
+            '--gt "$RUNNER_TEMP/synth/gt.ply" --classes "$RUNNER_TEMP/synth/classes.json" --json'
+            in commands)
     scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]", 1)[1]
     assert 'pclabel = "pclabel.cli:main"' in scripts.split("[", 1)[0]
