@@ -1,6 +1,6 @@
-"""The one domain rule for numeric settings and spec fields, the one
-check of per-point rows, and the one way the blocked passes cover their
-rows."""
+"""The one domain rule for numeric settings and spec fields, the two rules
+for per-point arrays (bounded rows and whole-number ids), and the one way
+the blocked passes cover their rows."""
 
 import math
 import os
@@ -70,9 +70,36 @@ def require(name: str, value, low: float = -math.inf, high: float = math.inf, *,
         raise ValueError(f"{name} must {rule}, got {value}")
 
 
-def require_finite(what: str, rows: np.ndarray) -> None:
+def require_finite(what: str, rows, low: float = -math.inf, high: float = math.inf) -> None:
     """Raise a ValueError naming the first point whose row of `rows` (one
-    row per point) holds a NaN or an infinity."""
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{what} of point {int(np.flatnonzero(~finite)[0])} is not finite")
+    row, or in a 1-D array one value, per point) is not finite or not within
+    [low, high], or naming the dtype of rows that are not numbers."""
+    rows = np.asarray(rows)
+    if rows.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be numbers, got dtype {rows.dtype}")
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    ok = (np.isfinite(rows) & (rows >= low) & (rows <= high)).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        row = rows[i]
+        if not np.isfinite(row).all():
+            raise ValueError(f"{what} of point {i} is not finite")
+        raise ValueError(f"{what} at point {i} is {row[(row < low) | (row > high)][0]}, "
+                         f"outside [{low}, {high}]")
+
+
+def whole_numbers(what: str, values) -> np.ndarray:
+    """values as int64 (an int64 array as it is). A ValueError names the first
+    point (row of a 2-D array) holding no whole number within int64, or the
+    dtype of values that are not integers or floats, such as bool or str."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
+    if values.dtype.kind == "f" or values.dtype == np.uint64:
+        # NaN fails every comparison, and 2**63 is exact in float64.
+        whole = (values >= -2**63) & (values < 2**63) & (np.trunc(values) == values)
+        if not whole.all():
+            at = tuple(np.argwhere(~whole)[0])
+            raise ValueError(f"{what} must be whole numbers within int64, got "
+                             f"{values[at]} at point {at[0]}")
+    return values.astype(np.int64, copy=False)

@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .domain import require_finite
 from .labels import LabelField
 
 
@@ -24,9 +25,7 @@ def confusion(pred: LabelField, gt: LabelField) -> np.ndarray:
     if len(pred) != len(gt):
         raise ValueError(f"prediction has {len(pred)} points, ground truth {len(gt)}")
     if pred.num_classes != gt.num_classes:
-        raise ValueError(
-            f"class counts differ: {pred.num_classes} vs {gt.num_classes}"
-        )
+        raise ValueError(f"class counts differ: {pred.num_classes} vs {gt.num_classes}")
     c = pred.num_classes
     scored = pred.labeled_mask & gt.labeled_mask
     flat = gt.values[scored] * c + pred.values[scored]
@@ -76,15 +75,11 @@ def confidence_bins(
         raise ValueError("bin edges must be strictly increasing")
     if edges[0] != 0.0 or edges[-1] != 1.0:
         raise ValueError("bin edges must cover [0, 1]")
-    confidence = np.asarray(confidence, dtype=np.float64)
-    if confidence.shape != (len(labels),) or len(labels) != len(gt):
+    if np.shape(confidence) != (len(labels),) or len(labels) != len(gt):
         raise ValueError("labels, confidence and ground truth lengths differ")
-    bad = np.flatnonzero(~((confidence >= 0) & (confidence <= 1)))  # NaN fails both
-    if bad.size:
-        raise ValueError(f"confidence at point {bad[0]} is {confidence[bad[0]]}, "
-                         "outside [0, 1]")
+    require_finite("confidence", confidence, 0, 1)
     scored = labels.labeled_mask & gt.labeled_mask
-    conf = confidence[scored]
+    conf = np.asarray(confidence)[scored]
     correct = labels.values[scored] == gt.values[scored]
     nbins = edges.size - 1
     which = np.clip(np.searchsorted(edges, conf, side="right") - 1, 0, nbins - 1)

@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .domain import require_finite, whole_numbers
 from .labels import UNLABELED, LabelField
 from .pointcloud import PointCloud
 from .tensorio import reading
@@ -266,12 +267,12 @@ def save_ply(cloud: PointCloud, path, labels: Optional[LabelField] = None) -> No
     for j, name in enumerate(_COLOR):
         rows[name] = cloud.colors[:, j]
     if labels is not None:
-        values = labels.values if isinstance(labels, LabelField) else np.asarray(labels)
+        values = whole_numbers("labels", getattr(labels, "values", labels))
         if values.shape != (n,):
             raise ValueError(f"labels must have length {n}, got {values.shape}")
-        in_range = (values == UNLABELED) | ((values >= 0) & (values < LABEL_SENTINEL_U16))
-        if not in_range.all():
-            raise ValueError("labels must fit a 16-bit channel (0..65534 or UNLABELED)")
+        # UNLABELED is written as the sentinel, which no label may take.
+        require_finite("label", np.where(values == UNLABELED, 0, values),
+                       0, LABEL_SENTINEL_U16 - 1)
         rows["label"] = np.where(values == UNLABELED, LABEL_SENTINEL_U16, values)
     header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}",
               *(f"property {kind} {name}" for name, kind in layout), "end_header"]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MAX_NEIGHBORS, for_blocks, require, require_finite
+from .domain import MAX_NEIGHBORS, for_blocks, require, require_finite, whole_numbers
 
 
 def cKDTree(*args, **kwargs):
@@ -47,6 +47,15 @@ def cKDTree(*args, **kwargs):
     from scipy.spatial import cKDTree
 
     return cKDTree(*args, **kwargs)
+
+
+def _positions(values) -> np.ndarray:
+    """values as contiguous float64 (N, 3) positions, each one finite."""
+    pos = np.asarray(values)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ValueError(f"positions must be (N, 3), got {pos.shape}")
+    require_finite("position", pos)
+    return np.ascontiguousarray(pos, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -61,20 +70,15 @@ class PointCloud:
     colors: np.ndarray
 
     def __post_init__(self):
-        pos = np.ascontiguousarray(np.asarray(self.positions, dtype=np.float64))
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError(f"positions must be (N, 3), got {pos.shape}")
-        require_finite("position", pos)
+        pos = _positions(self.positions)
         col = np.asarray(self.colors)
         if col.shape != pos.shape:
             raise ValueError(f"colors must match positions shape, got {col.shape}")
         if col.dtype != np.uint8:
-            if col.size and (col.min() < 0 or col.max() > 255):
-                raise ValueError("color channels must lie in [0, 255]")
+            require_finite("color", whole_numbers("colors", col), 0, 255)
             col = col.astype(np.uint8)
-        col = np.ascontiguousarray(col)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "colors", col)
+        object.__setattr__(self, "colors", np.ascontiguousarray(col))
 
     @property
     def count(self) -> int:
@@ -150,12 +154,8 @@ class SpatialIndex:
     """
 
     def __init__(self, positions: np.ndarray):
-        pos = np.ascontiguousarray(np.asarray(positions, dtype=np.float64))
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError(f"positions must be (N, 3), got {pos.shape}")
-        require_finite("position", pos)
-        self._points = pos
-        self._tree = cKDTree(pos, balanced_tree=False) if pos.shape[0] else None
+        self._points = _positions(positions)
+        self._tree = cKDTree(self._points, balanced_tree=False) if self.size else None
         self._own = None  # (k, indices, distances)
 
     @property

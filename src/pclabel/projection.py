@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import require
+from .domain import require, require_finite
 from .labels import UNLABELED, LabelField
 from .pointcloud import PointCloud
 
@@ -190,20 +190,18 @@ def pseudo_labels_from_logits(
 
     A masked class scores -inf, so its probability is exactly zero. Ties go
     to the lowest class id. Rejects logits holding NaN or infinity, naming
-    the first such row.
+    the first such point.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits)
     if logits.ndim != 2:
         raise ValueError(f"expected (N, C) logits, got {logits.shape}")
-    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
-    if bad.size:
-        raise ValueError(f"logits row {int(bad[0])} is not finite")
+    require_finite("logits", logits)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (logits.shape[1],):
         raise ValueError(f"mask of {mask.shape} does not fit logits of {logits.shape}")
     if not mask.any():
         raise ValueError("scene mask excludes every class")
-    scores = np.where(mask, logits, -np.inf)
+    scores = np.where(mask, np.asarray(logits, dtype=np.float64), -np.inf)
     # Finite logits far apart overflow to -inf here, whose weight exp(-inf)
     # is exactly 0.
     with np.errstate(over="ignore"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import require
+from .domain import require, require_finite
 from .labels import UNLABELED, LabelField
 from .superpoint import SuperpointPartition
 
@@ -38,15 +38,11 @@ def calr(labels: LabelField, confidence: np.ndarray, top_v: float) -> LabelField
     points stay unlabeled; retained points keep their input label.
     Confidences must lie in [0, 1] (NaN does not).
     """
-    confidence = np.asarray(confidence, dtype=np.float64)
+    confidence = np.asarray(confidence)
     if confidence.shape != (len(labels),):
-        raise ValueError(
-            f"confidence of {confidence.shape} does not match {len(labels)} labels"
-        )
-    bad = np.flatnonzero(~((confidence >= 0) & (confidence <= 1)))  # NaN fails both
-    if bad.size:
-        raise ValueError(f"confidence at point {bad[0]} is {confidence[bad[0]]}, "
-                         "outside [0, 1]")
+        raise ValueError(f"confidence of {confidence.shape} does not match {len(labels)} labels")
+    require_finite("confidence", confidence, 0, 1)
+    confidence = confidence.astype(np.float64, copy=False)
     require("top_v", top_v, 0, 100, open_low=True)
     out = labels.values.copy()
     for c in range(labels.num_classes):
@@ -69,9 +65,7 @@ def galr(labels: LabelField, partition: SuperpointPartition, alpha: float) -> La
     unlabeled.
     """
     if len(partition) != len(labels):
-        raise ValueError(
-            f"partition of {len(partition)} does not cover {len(labels)} labels"
-        )
+        raise ValueError(f"partition of {len(partition)} does not cover {len(labels)} labels")
     require("alpha", alpha, 0, 1)
     u = partition.segment_count
     c = labels.num_classes

@@ -158,9 +158,8 @@ def label_update(
         raise ValueError(f"{len(pred)} predictions for {gaps.size} gaps")
     if prev.num_classes != pred.num_classes:
         raise ValueError("class counts differ between previous and predicted labels")
-    pred_conf = np.asarray(pred_conf, dtype=np.float64)
-    if pred_conf.shape != (gaps.size,):
-        raise ValueError(f"confidence of {pred_conf.shape} does not match {gaps.size} gaps")
+    if np.shape(pred_conf) != (gaps.size,):
+        raise ValueError(f"confidence of {np.shape(pred_conf)} does not match {gaps.size} gaps")
     mask = np.asarray(scene_mask, dtype=bool)
     if mask.shape != (prev.num_classes,):
         raise ValueError(f"scene mask of {mask.shape} does not fit {prev.num_classes} classes")

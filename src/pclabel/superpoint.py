@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import MAX_NEIGHBORS, for_blocks, require, require_finite
+from .domain import MAX_NEIGHBORS, for_blocks, require, require_finite, whole_numbers
 from .pointcloud import PointCloud, SpatialIndex, build_index, estimate_normals
 from .tensorio import id_strings, read_text, reading
 
@@ -67,15 +67,18 @@ class SuperpointPartition:
     assignment: np.ndarray
 
     def __post_init__(self):
-        a = np.ascontiguousarray(np.asarray(self.assignment, dtype=np.int64))
+        a = np.asarray(self.assignment)
         if a.ndim != 1:
             raise ValueError("assignment must be a 1-D id array")
-        # Dense ids are all below the point count, which also bounds the
-        # bincount's allocation.
-        if a.size and (
-            a.min() < 0 or a.max() >= a.size or not np.bincount(a).all()
-        ):
-            raise ValueError("segment ids must be dense in [0, U)")
+        a = np.ascontiguousarray(whole_numbers("segment ids", a))
+        # Ids below the point count also bound the bincount's allocation.
+        out = np.flatnonzero((a < 0) | (a >= a.size))
+        if out.size:
+            raise ValueError(f"segment ids must be dense in [0, U), but point {out[0]} "
+                             f"has id {a[out[0]]}, outside [0, {a.size})")
+        ids = np.flatnonzero(np.bincount(a) == 0)
+        if ids.size:
+            raise ValueError(f"segment ids must be dense in [0, U), but id {ids[0]} has no point")
         object.__setattr__(self, "assignment", a)
 
     def __len__(self) -> int:
@@ -222,10 +225,8 @@ def oversegment(
     require("angle_threshold", angle_threshold, 0, 180, open_low=True)
     require("adjacency_k", adjacency_k, 1, MAX_NEIGHBORS, integer=True)
     require("min_size", min_size, 1, integer=True)
-    if n == 0:
-        return SuperpointPartition(np.empty(0, dtype=np.int64))
-    if n == 1:
-        return SuperpointPartition(np.zeros(1, dtype=np.int64))
+    if n <= 1:
+        return SuperpointPartition(np.zeros(n, dtype=np.int64))
 
     idx, dist = index.neighbors(cloud.positions, min(adjacency_k + 1, n))
     not_self = idx != np.arange(n)[:, None]

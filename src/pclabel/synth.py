@@ -220,6 +220,8 @@ def generate_scene(spec: SceneSpec):
         labels.append(np.full(count, patch.class_id, dtype=np.int64))
         normals.append(np.tile(patch.normal, (count, 1)))
 
+    if not positions:
+        raise ValueError(f"density {spec.density} samples no point of the room")
     pos = np.vstack(positions)
     col = np.vstack(colors)
     lab = np.concatenate(labels)

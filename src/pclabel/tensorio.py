@@ -26,7 +26,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .domain import require
+from .domain import require, require_finite
 from .labels import UNLABELED, LabelField
 from .projection import CameraView
 
@@ -96,12 +96,8 @@ def load_confidence(path) -> np.ndarray:
     with reading(path):
         if t.shape[1] != 1:
             raise ValueError(f"confidence tensors have 1 column, got {t.shape[1]}")
-        confidence = t[:, 0].astype(np.float64)
-        bad = np.flatnonzero(~((confidence >= 0) & (confidence <= 1)))  # NaN fails both
-        if bad.size:
-            raise ValueError(f"confidence at row {bad[0]} is "
-                             f"{confidence[bad[0]]}, outside [0, 1]")
-    return confidence
+        require_finite("confidence", t, 0, 1)
+    return t[:, 0].astype(np.float64)
 
 
 def save_views(directory, views: Sequence[CameraView]) -> str:
@@ -274,7 +270,7 @@ def load_labels_text(path, num_classes: int) -> LabelField:
                 raise ValueError(f"line {lineno}: label {value} outside "
                                  f"[0, {num_classes}) and not UNLABELED")
             values.append(value)
-    return LabelField(np.asarray(values, dtype=np.int64), num_classes)
+    return LabelField(values, num_classes)
 
 
 def save_report_jsonl(path, rows: Sequence[dict]) -> None:

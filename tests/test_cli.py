@@ -783,7 +783,7 @@ class TestDamagedInputs:
         data = (fixture_dir / "logits.lf01").read_bytes()
         path.write_bytes(data[:12] + struct.pack("<f", float("nan")) + data[16:])
         assert self._pseudo(fixture_dir, tmp_path / "o", logits=path) == 2
-        assert "logits row 0 is not finite" in capsys.readouterr().err
+        assert "logits of point 0 is not finite" in capsys.readouterr().err
 
     def test_lying_lf01_header(self, fixture_dir, tmp_path, capsys):
         path = tmp_path / "liar.lf01"
@@ -1300,7 +1300,8 @@ class TestSizeMessages:
                 == f"error: {path}: {message.format(n=n, gt=intact['gt'])}\n")
 
     @pytest.mark.parametrize("payload, message", [
-        ({"n": 3, "u": 2, "assignment": [0, 2, 2]}, "segment ids must be dense in [0, U)"),
+        ({"n": 3, "u": 2, "assignment": [0, 2, 2]},
+         "segment ids must be dense in [0, U), but id 1 has no point"),
         ({"n": 3.0, "u": 1, "assignment": [0, 0, 0]}, "n must be an integer, got 3.0"),
         ({"n": 3, "u": True, "assignment": [0, 0, 0]}, "u must be an integer, got True"),
     ])

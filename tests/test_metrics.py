@@ -163,8 +163,9 @@ class TestConfidenceBins:
         # An unlabeled point's confidence is checked too.
         field = LabelField(np.array([0, -1, 0]), 1)
         conf = np.array([0.5, value, 0.5])
-        with pytest.raises(ValueError, match=re.escape(
-                f"confidence at point 1 is {value}, outside [0, 1]")):
+        message = (f"confidence at point 1 is {value}, outside [0, 1]" if np.isfinite(value)
+                   else "confidence of point 1 is not finite")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             confidence_bins(field, conf, field, [0.0, 0.5, 1.0])
 
     def test_boundary_value_in_last_bin(self):

@@ -276,10 +276,11 @@ def test_label_field_takes_a_numpy_class_count():
 
 
 @pytest.mark.parametrize("values, message", [
-    pytest.param(np.array([0.0, 2.7]), "finite whole numbers, got 2.7 at point 1",
+    pytest.param(np.array([0.0, 2.7]), "whole numbers within int64, got 2.7 at point 1",
                  id="fraction"),
-    pytest.param(np.array([np.nan]), "finite whole numbers, got nan at point 0", id="nan"),
-    pytest.param(np.array([1.0, -np.inf]), "finite whole numbers, got -inf at point 1",
+    pytest.param(np.array([np.nan]), "whole numbers within int64, got nan at point 0",
+                 id="nan"),
+    pytest.param(np.array([1.0, -np.inf]), "whole numbers within int64, got -inf at point 1",
                  id="infinity"),
     pytest.param(np.array([True, False]), "integers, got dtype bool", id="bool"),
     pytest.param(np.array(["1"]), "integers, got dtype <U1", id="string"),

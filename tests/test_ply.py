@@ -259,6 +259,19 @@ class TestRoundTrip:
         _, back = load_labeled_ply(tmp_path / "l.ply")
         assert np.array_equal(back, labels.values)
 
+    @pytest.mark.parametrize("values, message", [
+        ([0, 2.5], "labels must be whole numbers within int64, got 2.5 at point 1"),
+        ([0, np.nan], "labels must be whole numbers within int64, got nan at point 1"),
+        ([0, 65535], "label at point 1 is 65535, outside [0, 65534]"),
+        ([-2, 0], "label at point 0 is -2, outside [0, 65534]"),
+    ])
+    def test_labels_that_do_not_fit_the_channel_name_the_point(self, tmp_path, rng,
+                                                               values, message):
+        # 2.5 used to be written as 2, and NaN warned from numpy's cast.
+        with pytest.raises(ValueError) as raised:
+            save_ply(make_cloud(rng, 2), tmp_path / "l.ply", labels=np.array(values))
+        assert str(raised.value) == message
+
     def test_all_unlabeled_encodes_sentinel(self, tmp_path, rng):
         cloud = make_cloud(rng, 4)
         labels = unlabeled(4, 3)

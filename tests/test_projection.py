@@ -521,7 +521,7 @@ class TestRank:
 
     def test_non_finite_logits_name_first_row(self):
         logits = np.array([[1.0, 2.0], [np.nan, 0.0], [0.5, np.inf]])
-        with pytest.raises(ValueError, match="row 1 is not finite"):
+        with pytest.raises(ValueError, match="^logits of point 1 is not finite$"):
             pseudo_labels_from_logits(logits, ALL_TWO)
 
     def test_far_apart_finite_logits(self):

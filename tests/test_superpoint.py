@@ -69,6 +69,16 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             SuperpointPartition(np.array([-1, 0]))
 
+    @pytest.mark.parametrize("values, fault", [
+        ([0, 0, -1], "point 2 has id -1, outside [0, 3)"),
+        ([0, 3, 1], "point 1 has id 3, outside [0, 3)"),
+        ([2, 0, 2], "id 1 has no point"),
+    ])
+    def test_names_its_fault(self, values, fault):
+        with pytest.raises(ValueError) as raised:
+            SuperpointPartition(np.array(values))
+        assert str(raised.value) == f"segment ids must be dense in [0, U), but {fault}"
+
     @settings(max_examples=300)
     @given(st.lists(st.integers(-3, 8), max_size=12))
     @example([])
@@ -706,7 +716,8 @@ class TestPartitionIO:
         assert str(raised.value) == f"{path}: no '{key}' key"
 
     @pytest.mark.parametrize("payload, message", [
-        ({"n": 3, "u": 2, "assignment": [0, 2, 2]}, "segment ids must be dense in [0, U)"),
+        ({"n": 3, "u": 2, "assignment": [0, 2, 2]},
+         "segment ids must be dense in [0, U), but id 1 has no point"),
         ({"n": 3.0, "u": 1, "assignment": [0, 0, 0]}, "n must be an integer, got 3.0"),
         ({"n": 3, "u": True, "assignment": [0, 0, 0]}, "u must be an integer, got True"),
         ({"n": 3, "u": float("nan"), "assignment": [0, 0, 0]}, "u must be an integer, got nan"),

@@ -118,6 +118,11 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match="too small"):
             generate_scene(spec)
 
+    def test_a_spec_that_samples_no_point_names_the_density(self):
+        # numpy's "need at least one array to concatenate" used to surface.
+        with pytest.raises(ValueError, match="^density 1e-06 samples no point of the room$"):
+            generate_scene(SceneSpec(density=1e-6))
+
     def test_normals_are_analytic_units(self):
         cloud, _, _, normals = generate_scene(SceneSpec(seed=3))
         assert normals.shape == (cloud.count, 3)

@@ -108,7 +108,9 @@ class TestLF01:
         tensorio.save_confidence(path, np.array([0.0, 1.0, value]))
         with pytest.raises(ValueError) as raised:
             tensorio.load_confidence(path)
-        assert str(raised.value) == f"{path}: confidence at row 2 is {value}, outside [0, 1]"
+        message = (f"confidence at point 2 is {value}, outside [0, 1]" if np.isfinite(value)
+                   else "confidence of point 2 is not finite")
+        assert str(raised.value) == f"{path}: {message}"
 
     def test_confidence_requires_one_column(self, tmp_path, rng):
         path = tmp_path / "c.lf01"

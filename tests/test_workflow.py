@@ -50,6 +50,11 @@ def test_installed_console_script_runs():
             '--classes "$RUNNER_TEMP/synth/classes.json" --mask "$RUNNER_TEMP/synth/mask.json" '
             '--views "$RUNNER_TEMP/synth/views/manifest.json" --out "$RUNNER_TEMP/pseudo"'
             in commands)
+    # refine reads pseudo's listing and its confidence tensor back.
+    assert ('pclabel refine --cloud "$RUNNER_TEMP/synth/cloud.ply" '
+            '--classes "$RUNNER_TEMP/synth/classes.json" --labels "$RUNNER_TEMP/pseudo/labels.txt" '
+            '--confidence "$RUNNER_TEMP/pseudo/confidence.lf01" --out "$RUNNER_TEMP/refine"'
+            in commands)
     assert ('pclabel eval --pred "$RUNNER_TEMP/pseudo/labels.txt" '
             '--gt "$RUNNER_TEMP/synth/gt.ply" --classes "$RUNNER_TEMP/synth/classes.json" --json'
             in commands)
